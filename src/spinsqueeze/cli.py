@@ -10,6 +10,7 @@ squeezing found, oracle discrepancy, fit divergence).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -159,6 +160,8 @@ def _parse_zeta(text: str, r: int, strict: bool) -> tuple[complex, ...]:
         raise UsageError(f"--zeta: cannot parse {text!r}: {exc}") from exc
     if len(vals) != r:
         raise UsageError(f"--zeta: got {len(vals)} weights, class has r = {r} subspaces")
+    if not all(map(cmath.isfinite, vals)):
+        raise UsageError(f"--zeta: weights must be finite, got {text!r}")
     norm2 = sum(abs(v) ** 2 for v in vals)
     if norm2 == 0.0:
         raise UsageError("--zeta: all weights vanish")
@@ -231,6 +234,8 @@ def _cmd_classify(args) -> int:
 
 
 def _spec_from_args(args):
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
     j = _parse_spin(args.j)
     subset = _parse_class(j, args.cls)
     triple = build_su2_triple(subset)
@@ -356,24 +361,27 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.mu_points < 1:
+        raise UsageError(f"--mu-points must be at least 1, got {args.mu_points}")
+    if not (math.isfinite(args.mu_max) and args.mu_max >= 0.0):
+        raise UsageError(f"--mu-max must be finite and >= 0, got {args.mu_max!r}")
     triple, zeta = _spec_from_args(args)
     spec = oat_spec(triple.decomposition, args.n, zeta)
     ws = OracleWorkspace(triple, args.n)
     grid = np.linspace(0.0, args.mu_max, args.mu_points)
     guard = XI2_MEAN_GUARD * abs(css_expectation_perp(spec))
     rows = []
-    worst = 0.0
+    diffs = []
     for mu in grid:
         a = squeeze_trace(spec, float(mu))
         o = ws.squeezing(spec.coherent, float(mu))
-        worst = max(
-            worst,
+        diffs += [
             abs(a.perp_expectation - o.perp_expectation),
             abs(a.var_min - o.var_min),
             abs(a.var_max - o.var_max),
-        )
+        ]
         if abs(a.perp_expectation) >= guard and math.isfinite(a.xi2) and math.isfinite(o.xi2):
-            worst = max(worst, abs(a.xi2 - o.xi2) / max(1.0, abs(o.xi2)))
+            diffs.append(abs(a.xi2 - o.xi2) / max(1.0, abs(o.xi2)))
         rows.append(
             (a.mu, a.perp_expectation, o.perp_expectation, a.var_min, o.var_min,
              a.var_max, o.var_max, a.xi2, o.xi2)
@@ -381,6 +389,7 @@ def _cmd_oracle_check(args) -> int:
     header = ["mu", "perp_analytic", "perp_oracle", "var_min_analytic", "var_min_oracle",
               "var_max_analytic", "var_max_oracle", "xi2_analytic", "xi2_oracle"]
     _emit_table(args, header, rows)
+    worst = float(np.max(diffs))  # NaN propagates, and NaN <= tol is False
     print(f"max discrepancy: {worst:.3e}", file=sys.stderr)
     return 0 if worst <= ORACLE_CHECK_TOL else 2
 

@@ -15,13 +15,14 @@ all exponents are integers, so negative bases are exact by parity.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classification import IrrepDecomposition, Su2Triple
-from .errors import DimensionMismatch, NormalizationError, VanishingMeanSpin, WrongClass
+from .errors import DimensionMismatch, NonFiniteInput, NormalizationError, VanishingMeanSpin, WrongClass
 from .lie_algebra import HermitianOperator
 
 GRID_POINTS = 128
@@ -40,6 +41,8 @@ class CoherentSpec:
     def __post_init__(self) -> None:
         z = tuple(complex(v) for v in self.zeta)
         object.__setattr__(self, "zeta", z)
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi) and all(map(cmath.isfinite, z))):
+            raise NonFiniteInput(f"theta = {self.theta!r}, phi = {self.phi!r}, zeta = {z!r}")
         total = sum(abs(v) ** 2 for v in z)
         if abs(total - 1.0) > 1e-12:
             raise NormalizationError(f"sum |zeta|^2 = {total!r}, expected 1")

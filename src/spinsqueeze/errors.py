@@ -13,6 +13,10 @@ class NormalizationError(SpinSqueezeError):
     """A coefficient or amplitude vector is not normalized."""
 
 
+class NonFiniteInput(SpinSqueezeError):
+    """An input that must be a finite number is NaN or infinite."""
+
+
 class NotTraceless(SpinSqueezeError):
     """An operator expected to be traceless carries a nonzero trace."""
 

@@ -7,7 +7,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .classification import IrrepDecomposition
 from .coherent_dynamics import LimitResult, find_limit, oat_spec
@@ -149,6 +148,11 @@ def fit_power_law(points, model: str = "power", maxfev: int = 10_000) -> FitResu
         p0vec = [c0, a0, p0, 0.0]
     else:
         raise ValueError(f"unknown model {model!r}")
+
+    # Imported here, not at module level: scipy.optimize adds about 16 MB of
+    # resident memory to every process that imports the package, and only
+    # fits use it.
+    from scipy.optimize import curve_fit
 
     try:
         popt, pcov = curve_fit(func, n, y, p0=p0vec, maxfev=maxfev)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -181,6 +182,48 @@ def test_oracle_check_passes(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split(",")[:3] == ["mu", "perp_analytic", "perp_oracle"]
     assert len(lines) == 13
+
+
+ORACLE_ARGS = ("oracle-check", "--j", "3/2", "--class", "1,3", "--zeta", "0.6,0.8")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--n", "0"),
+        ("--n", "4", "--mu-max", "-1"),
+        ("--n", "4", "--mu-max", "nan"),
+        ("--n", "4", "--mu-points", "0"),
+    ],
+)
+def test_oracle_check_rejects_bad_ranges(capsys, extra):
+    code, out, err = run_cli(capsys, *ORACLE_ARGS, *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_oracle_check_rejects_nan_zeta(capsys):
+    code, out, err = run_cli(
+        capsys, "oracle-check", "--j", "3/2", "--class", "1,2,3", "--n", "4", "--zeta=nan"
+    )
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
+def test_oracle_check_counts_nan_discrepancy_as_failure(capsys, monkeypatch):
+    from spinsqueeze import cli
+
+    exact = cli.squeeze_trace
+
+    def nan_variance(spec, mu):
+        return dataclasses.replace(exact(spec, mu), var_max=math.nan)
+
+    monkeypatch.setattr(cli, "squeeze_trace", nan_variance)
+    code, _, err = run_cli(capsys, *ORACLE_ARGS, "--n", "4", "--mu-points", "3", "--no-banner")
+    assert code == 2
+    assert "max discrepancy: nan" in err
 
 
 def test_zeta_scan_cli_and_config(tmp_path, capsys):

@@ -25,6 +25,7 @@ from spinsqueeze import (
 from spinsqueeze.coherent_dynamics import r1_xi2_series
 from spinsqueeze.errors import (
     DimensionMismatch,
+    NonFiniteInput,
     NormalizationError,
     VanishingMeanSpin,
     WrongClass,
@@ -44,6 +45,21 @@ def test_spec_validation():
         EnsembleSpec(4, DEC_II, CoherentSpec(0.0, 0.0, (1.0,)))
     with pytest.raises(ValueError):
         EnsembleSpec(0, DEC_I, CoherentSpec(0.0, 0.0, (1.0,)))
+
+
+@pytest.mark.parametrize(
+    "theta,phi,zeta",
+    [
+        (math.nan, 0.0, (1.0,)),
+        (math.pi / 2, math.inf, (1.0,)),
+        (math.pi / 2, 0.0, (math.nan,)),  # sum |zeta|^2 = nan passes the norm test
+        (math.pi / 2, 0.0, (complex(0.6, math.nan), 0.8)),
+        (math.pi / 2, 0.0, (math.inf, 0.0)),
+    ],
+)
+def test_spec_rejects_non_finite_input(theta, phi, zeta):
+    with pytest.raises(NonFiniteInput):
+        CoherentSpec(theta, phi, zeta)
 
 
 def test_css_expectation_values():

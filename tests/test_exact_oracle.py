@@ -3,6 +3,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsqueeze import (
     CoherentSpec,
@@ -12,10 +14,12 @@ from spinsqueeze import (
     VertexSubset,
     build_basis,
     build_su2_triple,
+    canonical_subset,
     coherent_state,
     commutator,
     css_expectation_perp,
     css_fluctuation,
+    enumerate_classes,
     evolve_oat,
     expectation,
     find_limit,
@@ -322,3 +326,102 @@ def test_analytic_equals_oracle_spot_checks():
         assert rec.var_min == pytest.approx(analytic.var_min, abs=1e-10)
         assert rec.var_max == pytest.approx(analytic.var_max, abs=1e-10)
         assert rec.xi2 == pytest.approx(analytic.xi2, abs=1e-9)
+
+
+def test_coherent_state_built_once_per_spec_and_cache_bounded(monkeypatch):
+    from spinsqueeze import exact_oracle
+
+    built = []
+
+    def counting(spec, basis, triple=None):
+        built.append(spec.coherent)
+        return coherent_state(spec, basis, triple)
+
+    monkeypatch.setattr(exact_oracle, "coherent_state", counting)
+    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
+    ws = OracleWorkspace(triple, 4)
+    specs = [CoherentSpec(math.pi / 2, 0.0, (math.cos(t), math.sin(t))) for t in np.linspace(0.1, 1.4, 9)]
+    for mu in (0.0, 0.3, 0.9):
+        ws.squeezing(specs[0], mu)
+    assert built == [specs[0]]
+    assert ws.twisted(specs[0], 0.3).amplitudes.shape == (ws.basis.size,)
+    assert len(built) == 1
+    size = exact_oracle.COHERENT_CACHE_SIZE
+    assert size < len(specs)
+    for spec in specs[1 : size + 1]:
+        ws.squeezing(spec, 0.2)
+    assert len(built) == size + 1  # specs[0] was least recently used and is evicted
+    ws.squeezing(specs[size], 0.5)
+    assert len(built) == size + 1
+    ws.squeezing(specs[0], 0.5)
+    assert len(built) == size + 2
+
+
+def assert_oracle_agrees(triple, n, zeta, mus):
+    """Criterion-04 bounds: moments to 1e-9, xi^2 to 1e-9 relative-or-absolute
+    where the mean spin keeps 1e-4 of its initial value."""
+    spec = oat_spec(triple.decomposition, n, zeta)
+    ws = OracleWorkspace(triple, n)
+    mean0 = abs(css_expectation_perp(spec))
+    for mu in mus:
+        a = squeeze_trace(spec, mu)
+        o = ws.squeezing(spec.coherent, mu)
+        assert abs(a.perp_expectation - o.perp_expectation) <= 1e-9
+        assert abs(a.var_min - o.var_min) <= 1e-9
+        assert abs(a.var_max - o.var_max) <= 1e-9
+        if abs(a.perp_expectation) >= 1e-4 * mean0 and math.isfinite(a.xi2) and math.isfinite(o.xi2):
+            assert abs(a.xi2 - o.xi2) / max(1.0, abs(o.xi2)) <= 1e-9
+
+
+def test_analytic_equals_oracle_at_n_100():
+    """J = 3/2, N = 100: 176 851 states."""
+    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
+    assert_oracle_agrees(triple, 100, (0.8, 0.6j), [0.02, 0.7])
+
+
+@pytest.mark.parametrize(
+    "twice_j,n,classes",
+    [
+        (5, 12, None),  # every class, 6188 states
+        (7, 10, [(7,), (4, 2), (2, 2, 1), (1, 1, 0, 0, 0, 0)]),  # 19 448 states
+    ],
+)
+def test_analytic_equals_oracle_at_larger_spin(twice_j, n, classes):
+    checked = 0
+    for dec in enumerate_classes(SpinQuantum(twice_j)):
+        if classes is not None and dec.twice_subspins not in classes:
+            continue
+        rng = np.random.default_rng(checked)
+        w = rng.uniform(0.2, 1.0, dec.r)
+        zeta = tuple(w / np.linalg.norm(w) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, dec.r)))
+        assert_oracle_agrees(build_su2_triple(canonical_subset(dec)), n, zeta, [0.05, 0.4, 2.5])
+        checked += 1
+    assert checked == (10 if classes is None else len(classes))
+
+
+def _all_classes(max_twice_j):
+    return [
+        (twice_j, tuple(sorted(canonical_subset(dec).chosen)))
+        for twice_j in range(1, max_twice_j + 1)
+        for dec in enumerate_classes(SpinQuantum(twice_j))
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    cls=st.sampled_from(_all_classes(5)),
+    n=st.integers(1, 12),
+    levels=st.lists(st.integers(0, 4), min_size=5, max_size=5).filter(any),
+    phases=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=5, max_size=5),
+    mu=st.floats(0.0, math.pi),
+)
+def test_analytic_equals_oracle_property(cls, n, levels, phases, mu):
+    """Random (class, N <= 12, zeta, mu) points, dead weights included."""
+    twice_j, subset = cls
+    triple = build_su2_triple(VertexSubset(SpinQuantum(twice_j), frozenset(subset)))
+    r = triple.decomposition.r
+    w = np.sqrt(np.array(levels[:r], dtype=float))
+    if not w.any():
+        w[0] = 1.0
+    zeta = tuple(w / np.linalg.norm(w) * np.exp(1j * np.array(phases[:r])))
+    assert_oracle_agrees(triple, n, zeta, [mu])

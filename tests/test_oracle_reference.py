@@ -1,0 +1,172 @@
+"""The array oracle against the per-state loop implementations it replaced.
+
+The reference functions below are the loop versions of the basis
+enumeration, second quantization and coherent-state expansion, kept here
+so that the vectorised code in `spinsqueeze.exact_oracle` is compared
+with them entry by entry: basis rows and ranks exactly, operator entries
+to 1e-12 of the largest entry, amplitudes to 1e-12.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinsqueeze import CoherentSpec, SpinQuantum, VertexSubset, build_basis, build_su2_triple
+from spinsqueeze.coherent_dynamics import EnsembleSpec
+from spinsqueeze.errors import DimensionMismatch
+from spinsqueeze.exact_oracle import _single_particle_vector, coherent_state, second_quantize
+from spinsqueeze.lie_algebra import HermitianOperator
+
+OP_TOL = 1e-12
+AMP_TOL = 1e-12
+
+
+def reference_compositions(total: int, slots: int):
+    """All occupation tuples of length `slots` summing to `total`, lex order."""
+    if slots == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in reference_compositions(total - head, slots - 1):
+            yield (head,) + tail
+
+
+def reference_column(m: np.ndarray, occ: tuple[int, ...], index: dict) -> dict[int, complex]:
+    """Column of sum_{ab} m_ab c+_a c_b at one occupation state, as {row: value}."""
+    modes = len(occ)
+    column = {}
+    d = float(np.dot(np.real(np.diagonal(m)), occ))
+    if d != 0.0:
+        column[index[occ]] = d
+    for a in range(modes):
+        for b in range(modes):
+            if a == b or m[a, b] == 0 or occ[b] == 0:
+                continue
+            target = list(occ)
+            target[b] -= 1
+            target[a] += 1
+            column[index[tuple(target)]] = m[a, b] * math.sqrt(occ[b] * (occ[a] + 1))
+    return column
+
+
+def reference_amplitude(psi: np.ndarray, n: int, occ: tuple[int, ...]) -> complex:
+    """<occ| psi^(x)N> with the multinomial square root, in the log domain."""
+    log_amp = 0.5 * (math.lgamma(n + 1) - sum(math.lgamma(k + 1) for k in occ))
+    arg = 0.0
+    for value, k in zip(psi, occ):
+        if k == 0:
+            continue
+        if value == 0:
+            return 0j
+        log_amp += k * math.log(abs(value))
+        arg += k * np.angle(value)
+    return math.exp(log_amp) * complex(math.cos(arg), math.sin(arg))
+
+
+def random_hermitian(dim: int, rng, pairs: int | None = None) -> np.ndarray:
+    """Complex Hermitian matrix; dense, or with `pairs` random off-diagonal couplings."""
+    if pairs is None:
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    else:
+        m = np.diag(rng.normal(size=dim)).astype(complex)
+        m[0, dim - 1] = 0.7 - 0.4j  # the farthest pair
+        for _ in range(pairs):
+            a, b = rng.choice(dim, 2, replace=False)
+            m[a, b] = complex(*rng.normal(size=2))
+    return 0.5 * (m + m.conj().T)
+
+
+def check_operator(m: np.ndarray, basis, ref_rows, index, columns) -> None:
+    action = second_quantize(HermitianOperator(m), basis).action.tocsc()
+    scale = np.max(np.abs(action.data))
+    for col in columns:
+        want = reference_column(m, ref_rows[col], index)
+        span = slice(action.indptr[col], action.indptr[col + 1])
+        got = dict(zip(action.indices[span].tolist(), action.data[span]))
+        assert sorted(got) == sorted(want)
+        assert all(abs(got[row] - value) <= OP_TOL * scale for row, value in want.items())
+
+
+def check_amplitudes(triple, n: int, coherent: CoherentSpec, basis, ref_rows, rows) -> None:
+    spec = EnsembleSpec(n, triple.decomposition, coherent)
+    amps = coherent_state(spec, basis, triple).amplitudes
+    psi = _single_particle_vector(triple, coherent)
+    dev = max(abs(amps[i] - reference_amplitude(psi, n, ref_rows[i])) for i in rows)
+    assert dev <= AMP_TOL
+
+
+# (2J, N, Dynkin vertex subset); the subsets give r = 1, 2 and 3 blocks.
+CASES = [
+    (1, 9, {1}),
+    (3, 2, {1, 2, 3}),
+    (3, 7, {1, 3}),
+    (3, 6, {1}),
+    (5, 5, {1, 2, 4}),
+    (5, 3, {2, 5}),
+    (7, 3, {1, 2, 3, 5, 6}),
+    (7, 4, {1, 7}),
+]
+
+
+def weights_for(r: int, rng) -> tuple[complex, ...]:
+    """Unit zeta with complex phases and, for r > 1, one dead (zero) weight."""
+    w = rng.uniform(0.2, 1.0, r)
+    if r > 1:
+        w[r // 2] = 0.0
+    w /= np.linalg.norm(w)
+    return tuple(w * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, r)))
+
+
+@pytest.mark.parametrize("twice_j,n,subset", CASES)
+def test_array_oracle_matches_loop_reference(twice_j, n, subset):
+    j = SpinQuantum(twice_j)
+    rng = np.random.default_rng(100 * twice_j + n)
+    basis = build_basis(n, j)
+    ref_rows = list(reference_compositions(n, j.dim))
+    assert basis.states.tolist() == [list(occ) for occ in ref_rows]
+    assert basis.occupations == tuple(ref_rows)
+    assert np.array_equal(basis.rank(np.array(ref_rows)), np.arange(len(ref_rows)))
+    assert basis.index[ref_rows[-1]] == len(ref_rows) - 1
+
+    triple = build_su2_triple(VertexSubset(j, frozenset(subset)))
+    index = {occ: i for i, occ in enumerate(ref_rows)}
+    columns = range(basis.size)
+    for m in (triple.o1.matrix, triple.o2.matrix, triple.o3.matrix, random_hermitian(j.dim, rng)):
+        check_operator(m, basis, ref_rows, index, columns)
+
+    r = triple.decomposition.r
+    for theta, phi in ((math.pi / 2, 0.0), (0.7, 2.1)):
+        coherent = CoherentSpec(theta, phi, weights_for(r, rng))
+        check_amplitudes(triple, n, coherent, basis, ref_rows, columns)
+
+
+def test_array_oracle_matches_loop_reference_past_int64_radix():
+    """2J = 24, N = 5: 118 755 states, where sum_k occ_k 6^k would overflow int64."""
+    j, n = SpinQuantum(24), 5
+    assert (n + 1) ** j.dim > 2**63
+    rng = np.random.default_rng(24)
+    basis = build_basis(n, j)
+    ref_rows = list(reference_compositions(n, j.dim))
+    ref = np.array(ref_rows)
+    assert np.array_equal(basis.states, ref)
+    assert np.array_equal(basis.rank(ref), np.arange(len(ref_rows)))
+
+    sample = rng.choice(basis.size, 300, replace=False)
+    triple = build_su2_triple(VertexSubset(j, frozenset({1, 2, 3, 5, 6, 7, 8})))
+    index = {occ: i for i, occ in enumerate(ref_rows)}
+    for m in (triple.o1.matrix, random_hermitian(j.dim, rng, pairs=6)):
+        check_operator(m, basis, ref_rows, index, sample)
+    coherent = CoherentSpec(1.1, 0.4, weights_for(triple.decomposition.r, rng))
+    check_amplitudes(triple, n, coherent, basis, ref_rows, sample)
+
+
+def test_rank_rejects_rows_outside_the_basis():
+    basis = build_basis(3, SpinQuantum(3))
+    assert basis.rank((0, 1, 2, 0)) == basis.index[(0, 1, 2, 0)]
+    with pytest.raises(ValueError):
+        basis.rank((1, 1, 2, 0))
+    with pytest.raises(ValueError):
+        basis.rank((4, -1, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        basis.rank((3, 0, 0))
