@@ -16,7 +16,7 @@ coefficient vectors in the generator basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,20 +82,17 @@ class IrrepDecomposition:
 
     j: SpinQuantum
     twice_subspins: tuple[int, ...]
+    f: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted((int(t) for t in self.twice_subspins), reverse=True))
         object.__setattr__(self, "twice_subspins", ordered)
         # validates the dimension count and that some subspin is nonzero
-        structure_factor(ordered, self.j)
+        object.__setattr__(self, "f", structure_factor(ordered, self.j))
 
     @property
     def r(self) -> int:
         return len(self.twice_subspins)
-
-    @property
-    def f(self) -> float:
-        return structure_factor(self.twice_subspins, self.j)
 
     def subspin_strings(self, ascending: bool = False) -> list[str]:
         vals = sorted(self.twice_subspins) if ascending else list(self.twice_subspins)

@@ -13,7 +13,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,6 +26,8 @@ from .classification import (
     class_representatives,
 )
 from .coherent_dynamics import (
+    CoherentSpec,
+    EnsembleSpec,
     css_expectation_perp,
     css_fluctuation,
     find_limit,
@@ -34,15 +35,12 @@ from .coherent_dynamics import (
     squeeze_trace,
 )
 from .errors import FitDiverged, SpinSqueezeError
-from .exact_oracle import OracleWorkspace
+from .exact_oracle import OracleWorkspace, compare_with_oracle
 from .lie_algebra import SpinQuantum, multipole_basis
 from .root_system import compute_roots, default_cartan
 from .scan_fit import ScanConfig, fit_power_law, zeta_scan
 
 ORACLE_CHECK_TOL = 1e-8
-# xi^2 is compared only where the mean spin retains this fraction of its
-# initial value; beyond that the parameter is numerically unconditioned.
-XI2_MEAN_GUARD = 1e-4
 
 
 class UsageError(Exception):
@@ -173,18 +171,6 @@ def _parse_zeta(text: str, r: int, strict: bool) -> tuple[complex, ...]:
     return vals
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SQUEEZE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"SQUEEZE_THREADS={env!r} is not an integer") from None
-    return 1
-
-
 def _cmd_generators(args) -> int:
     j = _parse_spin(args.j)
     basis = multipole_basis(j)
@@ -244,9 +230,9 @@ def _spec_from_args(args):
 
 
 def _cmd_coherent(args) -> int:
+    if not (math.isfinite(args.theta) and math.isfinite(args.phi)):
+        raise UsageError(f"--theta and --phi must be finite, got {args.theta!r}, {args.phi!r}")
     triple, zeta = _spec_from_args(args)
-    from .coherent_dynamics import CoherentSpec, EnsembleSpec
-
     spec = EnsembleSpec(args.n, triple.decomposition, CoherentSpec(args.theta, args.phi, zeta))
     perp = css_expectation_perp(spec)
     fluct = css_fluctuation(spec)
@@ -266,10 +252,19 @@ def _cmd_coherent(args) -> int:
     return 0
 
 
+def _mu_grid(mu_min: float, mu_max: float, points: int) -> np.ndarray:
+    if points < 1:
+        raise UsageError(f"--mu-points must be at least 1, got {points}")
+    for flag, mu in (("--mu-min", mu_min), ("--mu-max", mu_max)):
+        if not (math.isfinite(mu) and mu >= 0.0):
+            raise UsageError(f"{flag} must be finite and >= 0, got {mu!r}")
+    return np.linspace(mu_min, mu_max, points)
+
+
 def _cmd_oat_sweep(args) -> int:
+    grid = _mu_grid(args.mu_min, args.mu_max, args.mu_points)
     triple, zeta = _spec_from_args(args)
     spec = oat_spec(triple.decomposition, args.n, zeta)
-    grid = np.linspace(args.mu_min, args.mu_max, args.mu_points)
     rows = []
     for mu in grid:
         tr = squeeze_trace(spec, float(mu))
@@ -308,16 +303,18 @@ def _cmd_zeta_scan(args) -> int:
     j = _parse_spin(j_text)
     subset = _parse_class(j, cls_text)
     dec = build_su2_triple(subset).decomposition
-    if "zeta1_sq_grid" in cfg and not args.grid_points:
+    if args.grid_points is None and "zeta1_sq_grid" in cfg:
         grid = tuple(float(w) for w in cfg["zeta1_sq_grid"])
     else:
-        pts = args.grid_points or 101
+        pts = 101 if args.grid_points is None else args.grid_points
+        if pts < 1:
+            raise UsageError(f"--grid-points must be at least 1, got {pts}")
         grid = tuple(np.linspace(0.0, 1.0, pts))
-    config = ScanConfig(dec, int(n), grid)
-    rows = [
-        (r.zeta1_sq, r.xi2_min, r.mu_min, r.status)
-        for r in zeta_scan(config, threads=_threads(args))
-    ]
+    try:
+        config = ScanConfig(dec, int(n), grid)
+    except ValueError as exc:
+        raise UsageError(f"zeta-scan: {exc}") from exc
+    rows = [(r.zeta1_sq, r.xi2_min, r.mu_min, r.status) for r in zeta_scan(config)]
     _emit_table(args, ["zeta1_sq", "xi2_min", "mu_min", "status"], rows)
     return 0
 
@@ -361,37 +358,20 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.mu_points < 1:
-        raise UsageError(f"--mu-points must be at least 1, got {args.mu_points}")
-    if not (math.isfinite(args.mu_max) and args.mu_max >= 0.0):
-        raise UsageError(f"--mu-max must be finite and >= 0, got {args.mu_max!r}")
+    grid = _mu_grid(0.0, args.mu_max, args.mu_points)
     triple, zeta = _spec_from_args(args)
     spec = oat_spec(triple.decomposition, args.n, zeta)
-    ws = OracleWorkspace(triple, args.n)
-    grid = np.linspace(0.0, args.mu_max, args.mu_points)
-    guard = XI2_MEAN_GUARD * abs(css_expectation_perp(spec))
-    rows = []
-    diffs = []
-    for mu in grid:
-        a = squeeze_trace(spec, float(mu))
-        o = ws.squeezing(spec.coherent, float(mu))
-        diffs += [
-            abs(a.perp_expectation - o.perp_expectation),
-            abs(a.var_min - o.var_min),
-            abs(a.var_max - o.var_max),
-        ]
-        if abs(a.perp_expectation) >= guard and math.isfinite(a.xi2) and math.isfinite(o.xi2):
-            diffs.append(abs(a.xi2 - o.xi2) / max(1.0, abs(o.xi2)))
-        rows.append(
-            (a.mu, a.perp_expectation, o.perp_expectation, a.var_min, o.var_min,
-             a.var_max, o.var_max, a.xi2, o.xi2)
-        )
+    pairs, worst = compare_with_oracle(spec, OracleWorkspace(triple, args.n), grid)
+    rows = [
+        (a.mu, a.perp_expectation, o.perp_expectation, a.var_min, o.var_min,
+         a.var_max, o.var_max, a.xi2, o.xi2)
+        for a, o in pairs
+    ]
     header = ["mu", "perp_analytic", "perp_oracle", "var_min_analytic", "var_min_oracle",
               "var_max_analytic", "var_max_oracle", "xi2_analytic", "xi2_oracle"]
     _emit_table(args, header, rows)
-    worst = float(np.max(diffs))  # NaN propagates, and NaN <= tol is False
     print(f"max discrepancy: {worst:.3e}", file=sys.stderr)
-    return 0 if worst <= ORACLE_CHECK_TOL else 2
+    return 0 if worst <= ORACLE_CHECK_TOL else 2  # NaN <= tol is False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--j", help='spin as "p/q", e.g. 3/2')
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
         p.add_argument("--no-banner", action="store_true", help="omit the CSV version banner")
-        p.add_argument("--threads", type=int, default=None, help="worker cap (or SQUEEZE_THREADS)")
         if with_class:
             p.add_argument("--class", dest="cls", required=True,
                            help='vertex subset "1,3" or subspins "1/2+1/2"')

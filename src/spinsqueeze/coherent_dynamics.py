@@ -9,6 +9,12 @@ module for the block-resolved generator).  Transverse fluctuations are
 minimized analytically over the quadrature angle nu, measured in the
 O_2-O_3 plane via O_nu = O_2 cos(nu) - O_3 sin(nu).
 
+Each formula has one home.  `_twisted_moments` gives (C, P, Q) of the
+variance C + P cos(2 nu) - Q sin(2 nu); `_extrema` turns them into
+C -+ sqrt(P^2 + Q^2) and the minimizing angle; `_xi2` holds the squeezing
+parameter and its vanishing-mean guard.  `squeeze_trace` composes them, and
+the exact oracle reuses `_extrema` and `_xi2` on its measured moments.
+
 Large powers such as cos^(2 J_l N)(mu/2) are evaluated in the log domain;
 all exponents are integers, so negative bases are exact by parity.
 """
@@ -173,28 +179,8 @@ def _coeff_b(tj: int, n: int, w: float, mu: float) -> float:
     return 2.0 * sh * total
 
 
-def oat_fluctuation(spec: EnsembleSpec, mu: float, nu: float) -> float:
-    """Transverse variance <(Delta O_nu)^2>(mu) at quadrature angle nu."""
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    f = spec.decomposition.f
-    pref = 0.5 * f * f * spec.n
-    total = 0.0
-    for jl, tj, w in _active(spec):
-        a = _coeff_a(tj, spec.n, w, mu)
-        b = _coeff_b(tj, spec.n, w, mu)
-        total += jl * w * (1.0 + a * (1.0 + math.cos(2 * nu)) - b * math.sin(2 * nu))
-    return pref * total
-
-
-def min_fluctuation(spec: EnsembleSpec, mu: float) -> tuple[float, float, float]:
-    """Extremal transverse variances and the minimizing quadrature angle.
-
-    The nu dependence is C + P cos(2 nu) - Q sin(2 nu), so the extrema are
-    C -+ sqrt(P^2 + Q^2) and the minimum sits at nu = atan2(Q, -P) / 2,
-    reported in [0, pi).  When P = Q = 0 (isotropic, e.g. mu = 0) the
-    returned angle is an arbitrary 0.
-    """
+def _twisted_moments(spec: EnsembleSpec, mu: float) -> tuple[float, float, float]:
+    """(C, P, Q) of the twisted variance C + P cos(2 nu) - Q sin(2 nu)."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
     f = spec.decomposition.f
@@ -206,39 +192,60 @@ def min_fluctuation(spec: EnsembleSpec, mu: float) -> tuple[float, float, float]
         const += jl * w * (1.0 + a)
         p += jl * w * a
         q += jl * w * b
-    const, p, q = pref * const, pref * p, pref * q
+    return pref * const, pref * p, pref * q
+
+
+def _extrema(const: float, p: float, q: float) -> tuple[float, float, float]:
+    """(var_min, var_max, nu_min) of C + P cos(2 nu) - Q sin(2 nu) over nu.
+
+    The extrema are C -+ sqrt(P^2 + Q^2) and the minimum sits at
+    nu = atan2(Q, -P) / 2, reported in [0, pi).  When P = Q = 0 (isotropic,
+    e.g. mu = 0) the returned angle is an arbitrary 0.
+    """
     amp = math.hypot(p, q)
     nu_min = 0.0 if amp == 0.0 else (0.5 * math.atan2(q, -p)) % math.pi
     return const - amp, const + amp, nu_min
 
 
-def squeezing_parameter(spec: EnsembleSpec, mu: float) -> float:
-    """Squeezing parameter xi^2 = 2 N sum(J_l |zeta_l|^2) var_min / <O_perp>^2."""
-    sjz = weighted_subspin_sum(spec)
-    mean = oat_expectation_perp(spec, mu)
-    # threshold relative to the f*N scale of the mean spin
+def _xi2(spec: EnsembleSpec, mean: float, var_min: float) -> float:
+    """xi^2 = 2 N sum(J_l |zeta_l|^2) var_min / <O_perp>^2; inf where the mean vanishes.
+
+    The mean counts as vanished below 1e-12 of its f N scale.
+    """
     if abs(mean) < 1e-12 * spec.decomposition.f * spec.n:
-        raise VanishingMeanSpin(f"<O_perp>({mu}) = {mean:.3e}; xi^2 undefined")
-    var_min, _, _ = min_fluctuation(spec, mu)
-    return 2.0 * spec.n * sjz * var_min / (mean * mean)
+        return math.inf
+    return 2.0 * spec.n * weighted_subspin_sum(spec) * var_min / (mean * mean)
+
+
+def oat_fluctuation(spec: EnsembleSpec, mu: float, nu: float) -> float:
+    """Transverse variance <(Delta O_nu)^2>(mu) at quadrature angle nu.
+
+    C + P cos(2 nu) - Q sin(2 nu), written as the coherent-state variance
+    C - P plus P (1 + cos(2 nu)) - Q sin(2 nu): near the squeezed angle C and
+    P nearly cancel, and the rounding of C would dominate the result.
+    """
+    _, p, q = _twisted_moments(spec, mu)
+    return css_fluctuation(spec) + p * (1.0 + math.cos(2 * nu)) - q * math.sin(2 * nu)
+
+
+def min_fluctuation(spec: EnsembleSpec, mu: float) -> tuple[float, float, float]:
+    """Extremal transverse variances and the minimizing quadrature angle in [0, pi)."""
+    return _extrema(*_twisted_moments(spec, mu))
 
 
 def squeeze_trace(spec: EnsembleSpec, mu: float) -> SqueezeTrace:
     """Full transverse record at one mu; xi2 = inf where the mean vanishes."""
     var_min, var_max, nu_min = min_fluctuation(spec, mu)
     mean = oat_expectation_perp(spec, mu)
-    if abs(mean) < 1e-12 * spec.decomposition.f * spec.n:
-        xi2 = math.inf
-    else:
-        xi2 = 2.0 * spec.n * weighted_subspin_sum(spec) * var_min / (mean * mean)
-    return SqueezeTrace(mu, mean, var_min, var_max, nu_min, xi2)
+    return SqueezeTrace(mu, mean, var_min, var_max, nu_min, _xi2(spec, mean, var_min))
 
 
-def _xi2_or_inf(spec: EnsembleSpec, mu: float) -> float:
-    try:
-        return squeezing_parameter(spec, mu)
-    except VanishingMeanSpin:
-        return math.inf
+def squeezing_parameter(spec: EnsembleSpec, mu: float) -> float:
+    """Squeezing parameter xi^2 of `squeeze_trace`; raises where the mean vanishes."""
+    trace = squeeze_trace(spec, mu)
+    if trace.xi2 == math.inf:
+        raise VanishingMeanSpin(f"<O_perp>({mu}) = {trace.perp_expectation:.3e}; xi^2 undefined")
+    return trace.xi2
 
 
 def find_limit(
@@ -263,7 +270,7 @@ def find_limit(
 
     for _ in range(MAX_EXPANSIONS + 1):
         grid = np.geomspace(mu_hi * 1e-6, mu_hi, grid_points)
-        values = [_xi2_or_inf(spec, float(m)) for m in grid]
+        values = [squeeze_trace(spec, float(m)).xi2 for m in grid]
         evaluations += len(grid)
         best = int(np.argmin(values))
         if best == grid_points - 1 and math.isfinite(values[best]):
@@ -280,17 +287,17 @@ def find_limit(
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = _xi2_or_inf(spec, c), _xi2_or_inf(spec, d)
+    fc, fd = squeeze_trace(spec, c).xi2, squeeze_trace(spec, d).xi2
     evaluations += 2
     while b - a > rel_tol * b:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = _xi2_or_inf(spec, c)
+            fc = squeeze_trace(spec, c).xi2
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = _xi2_or_inf(spec, d)
+            fd = squeeze_trace(spec, d).xi2
         evaluations += 1
     mu_min = c if fc <= fd else d
     xi2_min = min(fc, fd)

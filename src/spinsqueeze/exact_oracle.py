@@ -4,6 +4,10 @@ Ground truth for the closed-form dynamics: states live in the
 (2J+1)-mode bosonic Fock space at fixed particle number N (dimension
 C(N+2J, 2J)), single-particle observables are second-quantized to sparse
 collective operators, and one-axis twisting is a diagonal phase evolution.
+There is one twisting generator, `sector_twist_diagonal`: each irreducible
+block is twisted by the square of its own collective O3, as in the closed
+form.  The transverse extrema and xi^2 come from the same helpers as the
+closed form, and `compare_with_oracle` is the one analytic-vs-oracle loop.
 
 All of it is array code; no Python loop runs over basis states.
 
@@ -44,7 +48,10 @@ from .coherent_dynamics import (
     CoherentSpec,
     EnsembleSpec,
     SqueezeTrace,
-    weighted_subspin_sum,
+    _extrema,
+    _xi2,
+    css_expectation_perp,
+    squeeze_trace,
 )
 from .errors import DimensionMismatch, NotDiagonal, SizeLimit
 from .lie_algebra import HermitianOperator, SpinQuantum, spin_matrices
@@ -54,6 +61,10 @@ NORM_TOL = 1e-10
 # Coherent states kept per OracleWorkspace; a zeta sweep beyond this evicts
 # the least recently used spec instead of growing the workspace.
 COHERENT_CACHE_SIZE = 8
+# compare_with_oracle compares xi^2 only where the analytic mean spin keeps
+# this fraction of its initial value; beyond that the parameter is
+# numerically unconditioned.
+XI2_MEAN_GUARD = 1e-4
 
 
 def _lex_compositions(total: int, slots: int) -> np.ndarray:
@@ -272,17 +283,6 @@ def coherent_state(spec: EnsembleSpec, basis: FockBasis, triple: Su2Triple | Non
     return SymmetricState(basis, amps)
 
 
-def evolve_oat(state: SymmetricState, o3: CollectiveOperator, mu: float, f: float) -> SymmetricState:
-    """Apply exp(-i mu O3^2 / (2 f^2)) using the diagonal of the collective O3."""
-    action = o3.action
-    d = action.diagonal()
-    off = sp.csr_matrix(action - sp.diags(d, shape=action.shape))
-    if off.nnz and np.max(np.abs(off.data)) > 1e-12:
-        raise NotDiagonal("collective O3 has off-diagonal weight; twisting phases undefined")
-    phases = np.exp(-1j * mu / (2.0 * f * f) * np.real(d) ** 2)
-    return SymmetricState(state.basis, state.amplitudes * phases)
-
-
 def expectation(state: SymmetricState, op: CollectiveOperator) -> float:
     """<psi|A|psi> for Hermitian A (real part taken as the symmetrization guard)."""
     if op.basis.size != state.basis.size:
@@ -307,10 +307,14 @@ def sector_twist_diagonal(triple: Su2Triple, basis: FockBasis) -> np.ndarray:
     2 Lambda_{l,3} Lambda_{l',3}; the closed-form dynamics twist each
     irreducible block by the square of its own collective component, so the
     oracle does the same.  Both generators coincide whenever at most one
-    subspace has J_l > 0.
+    subspace has J_l > 0.  Only the diagonal of O3 is read, so a triple whose
+    O3 has off-diagonal weight is refused.
     """
+    o3 = triple.o3.matrix
+    diag3 = np.real(np.diagonal(o3))
+    if np.max(np.abs(o3 - np.diag(np.diagonal(o3)))) > 1e-12:
+        raise NotDiagonal("O3 has off-diagonal weight; twisting phases undefined")
     occ = basis.states
-    diag3 = np.real(np.diagonal(triple.o3.matrix))
     total = np.zeros(basis.size)
     for off, twice_sub in triple.blocks:
         if twice_sub == 0:
@@ -333,11 +337,11 @@ class OracleWorkspace:
         self.triple = triple
         self.n = n
         self.basis = build_basis(n, triple.j)
+        self._twist_sq = sector_twist_diagonal(triple, self.basis)
         self.lam1 = second_quantize(triple.o1, self.basis)
         self.lam2 = second_quantize(triple.o2, self.basis)
         self.lam3 = second_quantize(triple.o3, self.basis)
         self._f = triple.decomposition.f
-        self._twist_sq = sector_twist_diagonal(triple, self.basis)
         self._coherent: dict[CoherentSpec, SymmetricState] = {}
 
     def coherent(self, coherent_spec: CoherentSpec) -> SymmetricState:
@@ -360,10 +364,12 @@ class OracleWorkspace:
     def squeezing(self, coherent_spec: CoherentSpec, mu: float) -> SqueezeTrace:
         """Transverse moments of the twisted state, minimized over nu exactly.
 
-        The variance of O_2 cos(nu) - O_3 sin(nu) is assembled from the
-        second-moment matrix of (O_2, O_3); the extremes follow from its
-        2x2 eigenstructure.  For Hermitian A and B, <{A, B}>/2 is
-        Re <A psi | B psi>, so one product per operator gives every moment.
+        The variance of O_2 cos(nu) - O_3 sin(nu) is C + P cos(2 nu) -
+        Q sin(2 nu), with C and P the half sum and half difference of the
+        O_2 and O_3 variances and Q their covariance; the closed form's own
+        extrema and xi^2 helpers finish the record.  For Hermitian A and B,
+        <{A, B}>/2 is Re <A psi | B psi>, so one product per operator gives
+        every moment.
         """
         amps = self._twisted_amplitudes(coherent_spec, mu)
         w1 = self.lam1.action @ amps
@@ -375,19 +381,9 @@ class OracleWorkspace:
         v22 = float(np.real(np.vdot(w2, w2))) - mean2 * mean2
         v33 = float(np.real(np.vdot(w3, w3))) - mean3 * mean3
         c23 = float(np.real(np.vdot(w2, w3))) - mean2 * mean3
-        const = 0.5 * (v22 + v33)
-        p = 0.5 * (v22 - v33)
-        q = c23
-        amp = math.hypot(p, q)
-        var_min, var_max = const - amp, const + amp
-        nu_min = 0.0 if amp == 0.0 else (0.5 * math.atan2(q, -p)) % math.pi
+        var_min, var_max, nu_min = _extrema(0.5 * (v22 + v33), 0.5 * (v22 - v33), c23)
         spec = EnsembleSpec(self.n, self.triple.decomposition, coherent_spec)
-        sjz = weighted_subspin_sum(spec)
-        if abs(mean1) < 1e-12 * self._f * self.n:
-            xi2 = math.inf
-        else:
-            xi2 = 2.0 * self.n * sjz * var_min / (mean1 * mean1)
-        return SqueezeTrace(mu, mean1, var_min, var_max, nu_min, xi2)
+        return SqueezeTrace(mu, mean1, var_min, var_max, nu_min, _xi2(spec, mean1, var_min))
 
 
 def oracle_squeezing(spec: EnsembleSpec, mu: float, triple: Su2Triple | None = None) -> SqueezeTrace:
@@ -395,3 +391,32 @@ def oracle_squeezing(spec: EnsembleSpec, mu: float, triple: Su2Triple | None = N
     if triple is None:
         triple = build_su2_triple(canonical_subset(spec.decomposition))
     return OracleWorkspace(triple, spec.n).squeezing(spec.coherent, mu)
+
+
+def compare_with_oracle(
+    spec: EnsembleSpec, workspace: OracleWorkspace, mus
+) -> tuple[list[tuple[SqueezeTrace, SqueezeTrace]], float]:
+    """Closed form against the oracle over a mu grid.
+
+    Returns the (analytic, oracle) trace at every mu and the worst
+    discrepancy: absolute in the mean spin and both extremal variances,
+    relative (to max(1, |oracle xi^2|)) in xi^2.  xi^2 is left out where the
+    analytic mean has fallen below XI2_MEAN_GUARD of its initial value or
+    either side reports a vanished mean (xi^2 = inf).  A NaN in any compared
+    quantity makes the worst discrepancy NaN.
+    """
+    guard = XI2_MEAN_GUARD * abs(css_expectation_perp(spec))
+    pairs = []
+    diffs = []
+    for mu in mus:
+        a = squeeze_trace(spec, float(mu))
+        o = workspace.squeezing(spec.coherent, float(mu))
+        pairs.append((a, o))
+        diffs += [
+            abs(a.perp_expectation - o.perp_expectation),
+            abs(a.var_min - o.var_min),
+            abs(a.var_max - o.var_max),
+        ]
+        if abs(a.perp_expectation) >= guard and not (math.isinf(a.xi2) or math.isinf(o.xi2)):
+            diffs.append(abs(a.xi2 - o.xi2) / max(1.0, abs(o.xi2)))
+    return pairs, float(np.max(diffs, initial=0.0))  # NaN propagates, unlike the builtin max

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,29 +63,20 @@ def _scan_point(decomposition: IrrepDecomposition, n: int, zeta1_sq: float) -> S
     return ScanRow(zeta1_sq, res.xi2_min, res.mu_min, res.status)
 
 
-def zeta_scan(config: ScanConfig, threads: int = 1) -> list[ScanRow]:
+def zeta_scan(config: ScanConfig) -> list[ScanRow]:
     """Squeezing limit along the first-subspace weight grid, in grid order."""
-    points = config.zeta1_sq_grid
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda w: _scan_point(config.decomposition, config.n, w), points))
-    return [_scan_point(config.decomposition, config.n, w) for w in points]
+    return [_scan_point(config.decomposition, config.n, w) for w in config.zeta1_sq_grid]
 
 
 def n_scan(
-    decomposition: IrrepDecomposition, zeta1_sq: float, n_values, threads: int = 1
+    decomposition: IrrepDecomposition, zeta1_sq: float, n_values
 ) -> list[tuple[int, float, float, str]]:
     """Squeezing limit versus particle number at a fixed weight split."""
-    ns = [int(n) for n in n_values]
-
-    def point(n: int):
+    rows = []
+    for n in map(int, n_values):
         row = _scan_point(decomposition, n, zeta1_sq)
-        return (n, row.xi2_min, row.mu_min, row.status)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(point, ns))
-    return [point(n) for n in ns]
+        rows.append((n, row.xi2_min, row.mu_min, row.status))
+    return rows
 
 
 @dataclass(frozen=True)

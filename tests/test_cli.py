@@ -213,17 +213,37 @@ def test_oracle_check_rejects_nan_zeta(capsys):
 
 
 def test_oracle_check_counts_nan_discrepancy_as_failure(capsys, monkeypatch):
-    from spinsqueeze import cli
+    from spinsqueeze import exact_oracle
 
-    exact = cli.squeeze_trace
+    exact = exact_oracle.squeeze_trace
 
     def nan_variance(spec, mu):
         return dataclasses.replace(exact(spec, mu), var_max=math.nan)
 
-    monkeypatch.setattr(cli, "squeeze_trace", nan_variance)
+    monkeypatch.setattr(exact_oracle, "squeeze_trace", nan_variance)
     code, _, err = run_cli(capsys, *ORACLE_ARGS, "--n", "4", "--mu-points", "3", "--no-banner")
     assert code == 2
     assert "max discrepancy: nan" in err
+
+
+SWEEP_ARGS = ("oat-sweep", "--j", "3/2", "--class", "1,3", "--n", "4", "--zeta", "0.6,0.8", "--mu-max", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*SWEEP_ARGS, "--mu-min", "-1"),
+        (*SWEEP_ARGS, "--mu-points", "0"),
+        ("zeta-scan", "--j", "3/2", "--class", "1,2,3", "--n", "100"),
+        ("zeta-scan", "--j", "3/2", "--class", "1,3", "--n", "100", "--grid-points", "0"),
+        ("coherent", "--j", "3/2", "--class", "1,3", "--n", "4", "--zeta", "0.6,0.8", "--theta", "nan"),
+    ],
+)
+def test_bad_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_zeta_scan_cli_and_config(tmp_path, capsys):

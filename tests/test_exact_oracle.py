@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from math import gcd
 
@@ -5,22 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from spinsqueeze import (
     CoherentSpec,
     IrrepDecomposition,
     OracleWorkspace,
     SpinQuantum,
+    Su2Triple,
     VertexSubset,
     build_basis,
     build_su2_triple,
     canonical_subset,
     coherent_state,
     commutator,
+    compare_with_oracle,
     css_expectation_perp,
     css_fluctuation,
     enumerate_classes,
-    evolve_oat,
     expectation,
     find_limit,
     multipole_basis,
@@ -29,6 +32,7 @@ from spinsqueeze import (
     oracle_squeezing,
     second_quantize,
     squeeze_trace,
+    squeezing_parameter,
     variance,
 )
 from spinsqueeze.coherent_dynamics import (
@@ -36,7 +40,7 @@ from spinsqueeze.coherent_dynamics import (
     perp_observable,
     transverse_observable,
 )
-from spinsqueeze.errors import DimensionMismatch, NotDiagonal, SizeLimit
+from spinsqueeze.errors import DimensionMismatch, NotDiagonal, SizeLimit, VanishingMeanSpin
 from spinsqueeze.lie_algebra import HermitianOperator
 
 J32 = SpinQuantum(3)
@@ -147,22 +151,21 @@ def test_coherent_state_single_particle_reduction():
 
 def test_evolve_identity_at_zero():
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
-    basis = build_basis(3, J32)
-    lam3 = second_quantize(triple.o3, basis)
+    ws = OracleWorkspace(triple, 3)
     spec = oat_spec(triple.decomposition, 3, (1.0,))
-    state = coherent_state(spec, basis, triple)
-    evolved = evolve_oat(state, lam3, 0.0, triple.decomposition.f)
-    assert np.max(np.abs(evolved.amplitudes - state.amplitudes)) == 0.0
+    evolved = ws.twisted(spec.coherent, 0.0)
+    assert np.max(np.abs(evolved.amplitudes - ws.coherent(spec.coherent).amplitudes)) == 0.0
 
 
 def test_evolve_requires_diagonal():
+    """A rotated triple is a valid su(2) triple, but its O3 is not diagonal."""
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
-    basis = build_basis(2, J32)
-    lam1 = second_quantize(triple.o1, basis)
-    spec = oat_spec(triple.decomposition, 2, (1.0,))
-    state = coherent_state(spec, basis, triple)
+    f = triple.decomposition.f
+    u = expm(-0.4j * triple.o1.matrix / f)
+    o1, o2, o3 = (HermitianOperator(u @ op.matrix @ u.conj().T) for op in (triple.o1, triple.o2, triple.o3))
+    rotated = Su2Triple(triple.j, o1, o2, o3, triple.decomposition, triple.blocks)
     with pytest.raises(NotDiagonal):
-        evolve_oat(state, lam1, 0.1, triple.decomposition.f)
+        OracleWorkspace(rotated, 2)
 
 
 @pytest.mark.parametrize("subset,zeta", [({1, 2, 3}, (1.0,)), ({1}, (0.8, 0.6j, 0.0))])
@@ -171,9 +174,8 @@ def test_evolve_phase_recurrence(subset, zeta):
     of the squared diagonal values (computed from the actual diagonal)."""
     triple = build_su2_triple(VertexSubset(J32, frozenset(subset)))
     f = triple.decomposition.f
-    basis = build_basis(3, J32)
-    lam3 = second_quantize(triple.o3, basis)
-    d2 = np.real(lam3.action.diagonal()) ** 2
+    ws = OracleWorkspace(triple, 3)
+    d2 = np.real(ws.lam3.action.diagonal()) ** 2
     # d = f * (half-integer) so 4 d^2 / f^2 is a non-negative integer
     ints = np.round(4.0 * d2 / (f * f)).astype(int)
     assert np.max(np.abs(4.0 * d2 / (f * f) - ints)) < 1e-9
@@ -183,19 +185,16 @@ def test_evolve_phase_recurrence(subset, zeta):
     granularity = g_int * f * f / 4.0
     period = 4 * math.pi * f * f / granularity
     spec = oat_spec(triple.decomposition, 3, zeta)
-    state = coherent_state(spec, basis, triple)
-    a = evolve_oat(state, lam3, 0.7, f)
-    b = evolve_oat(state, lam3, 0.7 + period, f)
+    a = ws.twisted(spec.coherent, 0.7)
+    b = ws.twisted(spec.coherent, 0.7 + period)
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-9
 
 
 def test_evolve_preserves_norm():
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
-    basis = build_basis(6, J32)
-    lam3 = second_quantize(triple.o3, basis)
+    ws = OracleWorkspace(triple, 6)
     spec = oat_spec(triple.decomposition, 6, (0.6, 0.8))
-    state = coherent_state(spec, basis, triple)
-    evolved = evolve_oat(state, lam3, 1.37, triple.decomposition.f)
+    evolved = ws.twisted(spec.coherent, 1.37)
     assert abs(np.sum(np.abs(evolved.amplitudes) ** 2) - 1.0) < 1e-12
 
 
@@ -249,11 +248,9 @@ def test_css_minimum_uncertainty_relation_oracle():
 def test_twisted_mean_matches_closed_form():
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
     spec = oat_spec(triple.decomposition, 3, (1.0,))
-    basis = build_basis(3, J32)
-    lam3 = second_quantize(triple.o3, basis)
-    lam1 = second_quantize(triple.o1, basis)
-    state = evolve_oat(coherent_state(spec, basis, triple), lam3, 0.5, triple.decomposition.f)
-    assert expectation(state, lam1) == pytest.approx(oat_expectation_perp(spec, 0.5), abs=1e-12)
+    ws = OracleWorkspace(triple, 3)
+    state = ws.twisted(spec.coherent, 0.5)
+    assert expectation(state, ws.lam1) == pytest.approx(oat_expectation_perp(spec, 0.5), abs=1e-12)
 
 
 def test_twisted_mean_matches_closed_form_mixed_weights():
@@ -425,3 +422,48 @@ def test_analytic_equals_oracle_property(cls, n, levels, phases, mu):
         w[0] = 1.0
     zeta = tuple(w / np.linalg.norm(w) * np.exp(1j * np.array(phases[:r])))
     assert_oracle_agrees(triple, n, zeta, [mu])
+
+
+def test_vanishing_mean_guard_is_shared():
+    """At a collapsed mean the closed form, its xi^2 and the oracle agree: inf, raise, inf."""
+    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
+    spec = oat_spec(triple.decomposition, 6, (1.0,))
+    assert squeeze_trace(spec, math.pi).xi2 == math.inf
+    with pytest.raises(VanishingMeanSpin):
+        squeezing_parameter(spec, math.pi)
+    assert OracleWorkspace(triple, 6).squeezing(spec.coherent, math.pi).xi2 == math.inf
+
+
+class _StandIn:
+    """Workspace stand-in: the analytic trace with chosen fields replaced."""
+
+    def __init__(self, spec, **changes):
+        self.spec = spec
+        self.changes = changes
+
+    def squeezing(self, coherent, mu):
+        trace = squeeze_trace(self.spec, mu)
+        return dataclasses.replace(trace, **{k: f(trace) for k, f in self.changes.items()})
+
+
+@pytest.mark.parametrize("field", ["perp_expectation", "var_min", "var_max", "xi2"])
+def test_compare_with_oracle_propagates_nan(field):
+    spec = oat_spec(IrrepDecomposition(J32, (1, 1)), 6, (0.6, 0.8))
+    stand_in = _StandIn(spec, **{field: lambda t: math.nan if t.mu == 0.2 else getattr(t, field)})
+    pairs, worst = compare_with_oracle(spec, stand_in, [0.1, 0.2, 0.3])
+    assert [a.mu for a, _ in pairs] == [0.1, 0.2, 0.3]
+    assert math.isnan(worst)
+
+
+def test_compare_with_oracle_skips_xi2_at_collapsed_mean():
+    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
+    spec = oat_spec(triple.decomposition, 6, (1.0,))
+    collapsed = 2.0 * math.acos(0.4)  # mean 9 * 0.4^17: under the 1e-4 guard, xi^2 finite
+    mean0 = css_expectation_perp(spec)
+    assert 0.0 < oat_expectation_perp(spec, collapsed) < 1e-4 * mean0
+    assert math.isfinite(squeeze_trace(spec, collapsed).xi2)
+    shifted = _StandIn(spec, xi2=lambda t: t.xi2 + 0.5)
+    assert compare_with_oracle(spec, shifted, [collapsed])[1] == 0.0
+    assert compare_with_oracle(spec, shifted, [0.1])[1] > 0.1
+    _, worst = compare_with_oracle(spec, OracleWorkspace(triple, 6), [0.1, collapsed])
+    assert worst <= 1e-9

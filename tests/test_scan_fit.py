@@ -36,11 +36,6 @@ def test_zeta_scan_rows_ordered_and_deterministic():
     assert all(r.status == "ok" for r in rows_a)
 
 
-def test_zeta_scan_threaded_matches_serial():
-    config = ScanConfig(DEC_III, 1000, tuple(np.linspace(0.2, 0.8, 5)))
-    assert zeta_scan(config, threads=4) == zeta_scan(config)
-
-
 def test_zeta_scan_symmetry_for_equal_subspins():
     """Swapping the two J=1/2 weights relabels identical blocks."""
     grid = tuple(np.round(np.linspace(0.1, 0.9, 9), 12))

@@ -22,11 +22,13 @@ def test_oracle_audit_passes(oracle_audit, capsys):
 
 
 def test_oracle_audit_counts_nan_discrepancy_as_failure(oracle_audit, capsys, monkeypatch):
-    exact = oracle_audit.squeeze_trace
+    from spinsqueeze import exact_oracle
+
+    exact = exact_oracle.squeeze_trace
 
     def nan_mean(spec, mu):
         return dataclasses.replace(exact(spec, mu), perp_expectation=math.nan)
 
-    monkeypatch.setattr(oracle_audit, "squeeze_trace", nan_mean)
+    monkeypatch.setattr(exact_oracle, "squeeze_trace", nan_mean)
     assert oracle_audit.main(["--n-max", "2", "--mu-points", "2"]) == 2
     assert "overall: nan" in capsys.readouterr().out
