@@ -30,13 +30,13 @@ def write_csv(path: Path, rows) -> None:
             fh.write(f"{n},{xi:.17g},{mu:.17g},{status}\n")
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--n-lo", type=float, default=1e3)
     ap.add_argument("--n-hi", type=float, default=1e6)
     ap.add_argument("--points", type=int, default=12)
     ap.add_argument("--outdir", default="out_scaling")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

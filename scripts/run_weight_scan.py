@@ -16,13 +16,13 @@ import numpy as np
 from spinsqueeze import ScanConfig, SpinQuantum, enumerate_classes, zeta_scan
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--j", default="3/2")
     ap.add_argument("--n", type=int, default=100_000)
     ap.add_argument("--points", type=int, default=201)
     ap.add_argument("--outdir", default="out_weight_scan")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -2,10 +2,12 @@
 
 A class is fixed by the multiset of "subspins" {J_l} in the block
 decomposition O_k = f * direct_sum_l lambda_{J_l,k} with sum_l (2J_l+1) =
-2J+1.  Choosing vertices on the A_{2J} Dynkin diagram generates every class:
-each maximal run of l consecutive chosen vertices contributes a spin-l/2
-block over its l+1 magnetic sublevels, and every untouched sublevel
-contributes a one-dimensional (subspin 0) block.  The structure factor
+2J+1, so the classes are the partitions of 2J+1 with a part > 1.  Vertices
+chosen on the A_{2J} Dynkin diagram realise a class: each maximal run of l
+consecutive chosen vertices contributes a spin-l/2 block over its l+1
+magnetic sublevels, and every untouched sublevel a one-dimensional (subspin
+0) block; `canonical_subset` lays the blocks out largest first.  The
+structure factor
 
     f = sqrt[ J(J+1)(2J+1) / sum_l J_l(J_l+1)(2J_l+1) ]
 
@@ -15,6 +17,7 @@ coefficient vectors in the generator basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -49,17 +52,9 @@ class VertexSubset:
 
     def runs(self) -> list[tuple[int, int]]:
         """Maximal runs of consecutive vertices as (first_vertex, length)."""
-        ordered = sorted(self.chosen)
-        out = []
-        start = prev = ordered[0]
-        for k in ordered[1:]:
-            if k == prev + 1:
-                prev = k
-                continue
-            out.append((start, prev - start + 1))
-            start = prev = k
-        out.append((start, prev - start + 1))
-        return out
+        # consecutive vertices share the same vertex - position in sorted order
+        groups = itertools.groupby(enumerate(sorted(self.chosen)), key=lambda p: p[1] - p[0])
+        return [(run[0][1], len(run)) for run in (list(g) for _, g in groups)]
 
 
 def structure_factor(twice_subspins, j: SpinQuantum) -> float:
@@ -99,16 +94,20 @@ class IrrepDecomposition:
         return [half_integer_str(t) for t in vals]
 
 
+def _subset_blocks(subset: VertexSubset) -> list[tuple[int, int]]:
+    """The run-length rule as (level offset, 2J_l) blocks in subspin order.
+
+    Runs come longest first, then left to right; untouched levels follow as singlets.
+    """
+    runs = sorted(((start - 1, t) for start, t in subset.runs()), key=lambda b: (-b[1], b[0]))
+    covered = {level for off, t in runs for level in range(off, off + t + 1)}
+    singles = [(level, 0) for level in range(subset.j.dim) if level not in covered]
+    return runs + singles
+
+
 def decompose_subset(subset: VertexSubset) -> IrrepDecomposition:
     """Decomposition produced by a vertex subset via the run-length rule."""
-    covered = set()
-    twice = []
-    for start, length in subset.runs():
-        twice.append(length)
-        covered.update(range(start, start + length + 1))  # levels touched by the run
-    singles = subset.j.dim - len(covered)
-    twice.extend([0] * singles)
-    return IrrepDecomposition(subset.j, tuple(twice))
+    return IrrepDecomposition(subset.j, tuple(t for _, t in _subset_blocks(subset)))
 
 
 def canonical_subset(decomposition: IrrepDecomposition) -> VertexSubset:
@@ -123,23 +122,30 @@ def canonical_subset(decomposition: IrrepDecomposition) -> VertexSubset:
     return VertexSubset(decomposition.j, frozenset(chosen))
 
 
+def _partitions(total: int, largest: int) -> list[tuple[int, ...]]:
+    """Partitions of total into parts of at most `largest`, each descending."""
+    if total == 0:
+        return [()]
+    firsts = range(min(total, largest), 0, -1)
+    return [(p,) + rest for p in firsts for rest in _partitions(total - p, p)]
+
+
 def enumerate_classes(j: SpinQuantum) -> list[IrrepDecomposition]:
-    """All distinct classes, sorted by (r, subspins descending-lexicographic)."""
-    return [dec for dec, _ in class_representatives(j)]
+    """All distinct classes, sorted by (r, subspins descending-lexicographic).
+
+    One class per partition of 2J+1 with a part > 1; part 2J_l+1 is one block.
+    """
+    if j.twice_j < 1:
+        raise ValueError("classification needs 2J >= 1")
+    parts = (p for p in _partitions(j.dim, j.dim) if p[0] > 1)
+    classes = [IrrepDecomposition(j, tuple(t - 1 for t in p)) for p in parts]
+    classes.sort(key=lambda dec: (dec.r, tuple(-t for t in dec.twice_subspins)))
+    return classes
 
 
 def class_representatives(j: SpinQuantum) -> list[tuple[IrrepDecomposition, VertexSubset]]:
-    """Distinct classes paired with the first vertex subset that produces each."""
-    if j.twice_j < 1:
-        raise ValueError("classification needs 2J >= 1")
-    seen: dict[tuple[int, ...], VertexSubset] = {}
-    for mask in range(1, 1 << j.twice_j):
-        subset = VertexSubset(j, frozenset(k + 1 for k in range(j.twice_j) if mask >> k & 1))
-        dec = decompose_subset(subset)
-        seen.setdefault(dec.twice_subspins, subset)
-    pairs = [(IrrepDecomposition(j, key), sub) for key, sub in seen.items()]
-    pairs.sort(key=lambda p: (p[0].r, tuple(-t for t in p[0].twice_subspins)))
-    return pairs
+    """Distinct classes paired with their canonical vertex subsets."""
+    return [(dec, canonical_subset(dec)) for dec in enumerate_classes(j)]
 
 
 @dataclass(frozen=True)
@@ -176,21 +182,11 @@ def build_su2_triple(subset: VertexSubset) -> Su2Triple:
     Each run of chosen vertices carries the spin matrices of its subspin,
     scaled by f; untouched levels stay zero.  O3 is diagonal by construction.
     """
-    dec = decompose_subset(subset)
+    blocks = tuple(_subset_blocks(subset))
+    dec = IrrepDecomposition(subset.j, tuple(t for _, t in blocks))
     f = dec.f
     dim = subset.j.dim
     mats = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
-
-    # blocks from runs (subspin > 0), then singlets, ordered like dec.twice_subspins
-    run_blocks = sorted(
-        ((start - 1, length) for start, length in subset.runs()),
-        key=lambda b: (-b[1], b[0]),
-    )
-    covered = set()
-    for off, length in run_blocks:
-        covered.update(range(off, off + length + 1))
-    singles = [(lev, 0) for lev in range(dim) if lev not in covered]
-    blocks = tuple(run_blocks + singles)
 
     for off, twice_sub in blocks:
         if twice_sub == 0:

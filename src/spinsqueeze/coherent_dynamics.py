@@ -34,6 +34,7 @@ from .lie_algebra import HermitianOperator
 GRID_POINTS = 128
 GOLDEN_REL_TOL = 1e-6
 MAX_EXPANSIONS = 8
+MU_MAX = 2.0 * math.pi  # xi^2 repeats every 4 pi and mirrors about 2 pi
 
 
 @dataclass(frozen=True)
@@ -248,33 +249,27 @@ def squeezing_parameter(spec: EnsembleSpec, mu: float) -> float:
     return trace.xi2
 
 
-def find_limit(
-    spec: EnsembleSpec,
-    mu_hi: float | None = None,
-    grid_points: int = GRID_POINTS,
-    rel_tol: float = GOLDEN_REL_TOL,
-) -> LimitResult:
-    """Minimize xi^2 over mu > 0: log-spaced coarse grid, then golden section.
+def find_limit(spec: EnsembleSpec) -> LimitResult:
+    """Minimize xi^2 over mu in (0, 2 pi]: log-spaced coarse grid, then golden section.
 
-    The sweep covers (0, mu_hi], defaulting to 200 (J_1 N)^(-2/3) and doubling
-    twice per expansion whenever the coarse minimum lands on the upper edge.
+    The sweep covers (0, mu_hi], starting at 200 (J_1 N)^(-2/3) and quadrupled
+    whenever the coarse minimum lands on the upper edge, never past MU_MAX.
     A search that never sees xi^2 < 1 reports status "no_squeezing" instead of
     raising.
     """
     if weighted_subspin_sum(spec) <= 0.0:
         raise VanishingMeanSpin("no weight on nontrivial subspaces")
     j1 = spec.decomposition.twice_subspins[0] / 2.0
-    if mu_hi is None:
-        mu_hi = 200.0 * (j1 * spec.n) ** (-2.0 / 3.0)
+    mu_hi = min(200.0 * (j1 * spec.n) ** (-2.0 / 3.0), MU_MAX)
     evaluations = 0
 
     for _ in range(MAX_EXPANSIONS + 1):
-        grid = np.geomspace(mu_hi * 1e-6, mu_hi, grid_points)
+        grid = np.geomspace(mu_hi * 1e-6, mu_hi, GRID_POINTS)
         values = [squeeze_trace(spec, float(m)).xi2 for m in grid]
         evaluations += len(grid)
         best = int(np.argmin(values))
-        if best == grid_points - 1 and math.isfinite(values[best]):
-            mu_hi *= 4.0
+        if best == GRID_POINTS - 1 and math.isfinite(values[best]) and mu_hi < MU_MAX:
+            mu_hi = min(4.0 * mu_hi, MU_MAX)
             continue
         break
 
@@ -282,14 +277,14 @@ def find_limit(
         return LimitResult(math.inf, math.nan, evaluations, "no_squeezing")
 
     lo = float(grid[best - 1]) if best > 0 else float(grid[0]) * 1e-3
-    hi = float(grid[best + 1]) if best < grid_points - 1 else float(grid[-1])
+    hi = float(grid[best + 1]) if best < GRID_POINTS - 1 else float(grid[-1])
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = squeeze_trace(spec, c).xi2, squeeze_trace(spec, d).xi2
     evaluations += 2
-    while b - a > rel_tol * b:
+    while b - a > GOLDEN_REL_TOL * b:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

@@ -37,11 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .classification import Su2Triple, build_su2_triple, canonical_subset
 from .coherent_dynamics import (
@@ -55,6 +53,9 @@ from .coherent_dynamics import (
 )
 from .errors import DimensionMismatch, NotDiagonal, SizeLimit
 from .lie_algebra import HermitianOperator, SpinQuantum, spin_matrices
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 BASIS_SIZE_LIMIT = 5_000_000
 NORM_TOL = 1e-10
@@ -168,6 +169,8 @@ class FockBasis:
     @cached_property
     def half_log_multinomial(self) -> np.ndarray:
         """log sqrt(N! / prod_k occ_k!) per state."""
+        from scipy.special import gammaln
+
         log_fact = gammaln(np.arange(self.n + 1) + 1.0)
         return 0.5 * (log_fact[self.n] - log_fact[self.states].sum(axis=1))
 
@@ -221,6 +224,10 @@ class CollectiveOperator:
 
 def second_quantize(op: HermitianOperator, basis: FockBasis) -> CollectiveOperator:
     """Collective operator sum_{mn} op_mn c+_m c_n on the occupation basis."""
+    # scipy is imported where the oracle uses it: at module level, scipy.sparse,
+    # .linalg and .special add 33 MB of resident memory to every import.
+    import scipy.sparse as sp
+
     if op.dim != basis.modes:
         raise DimensionMismatch(f"operator dim {op.dim} != mode count {basis.modes}")
     m = op.matrix
@@ -242,6 +249,8 @@ def second_quantize(op: HermitianOperator, basis: FockBasis) -> CollectiveOperat
 
 def _single_particle_vector(triple: Su2Triple, coherent: CoherentSpec) -> np.ndarray:
     """zeta-weighted direct sum of rotated highest-weight block states."""
+    from scipy.linalg import expm
+
     psi = np.zeros(triple.j.dim, dtype=complex)
     for (off, twice_sub), zeta in zip(triple.blocks, coherent.zeta):
         if twice_sub == 0:

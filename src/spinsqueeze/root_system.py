@@ -92,19 +92,13 @@ def adjoint_representation(basis: GeneratorSet, cartan: CartanChoice) -> list[np
     matrix is real and indexed by the non-Cartan generators in basis order.
     """
     _check_cartan(basis, cartan)
-    k2 = norm_squared(basis.j)
-    rest = [i for i in range(len(basis)) if i not in cartan.indices]
-    mats = []
-    for c in cartan.indices:
-        gc = basis.generators[c].matrix
-        f = np.zeros((len(rest), len(rest)))
-        for a, m_idx in enumerate(rest):
-            gm = basis.generators[m_idx].matrix
-            comm = -1j * (gc @ gm - gm @ gc)
-            for b, n_idx in enumerate(rest):
-                f[a, b] = np.trace(comm @ basis.generators[n_idx].matrix).real / k2
-        mats.append(f)
-    return mats
+    gens = np.array(basis.matrices())
+    gc = gens[list(cartan.indices)][:, None]
+    gm = np.delete(gens, cartan.indices, axis=0)
+    comm = -1j * (gc @ gm - gm @ gc)  # -i[g_c, g_m], shape (cartan, rest, d, d)
+    # tr(A B) = sum_ij A_ij B_ji: one product against the transposed non-Cartan stack
+    traces = comm.reshape(*comm.shape[:2], -1) @ gm.transpose(0, 2, 1).reshape(len(gm), -1).T
+    return list(traces.real / norm_squared(basis.j))
 
 
 def compute_roots(basis: GeneratorSet, cartan: CartanChoice) -> list[RootDatum]:
@@ -117,8 +111,7 @@ def compute_roots(basis: GeneratorSet, cartan: CartanChoice) -> list[RootDatum]:
     real and positive.
     """
     adj = adjoint_representation(basis, cartan)
-    rest = [i for i in range(len(basis)) if i not in cartan.indices]
-    dim_ad = len(rest)
+    dim_ad = len(basis) - len(cartan.indices)
     hermitians = [1j * f.T for f in adj]
 
     # Each entry is (eigenvalue-prefix, orthonormal column block).
@@ -142,18 +135,15 @@ def compute_roots(basis: GeneratorSet, cartan: CartanChoice) -> list[RootDatum]:
         if block.shape[1] != 1:
             raise DegenerateRootSpace(f"root tuple {tuple(prefix)} has multiplicity {block.shape[1]}")
 
-    gen_mats = [basis.generators[i].matrix for i in rest]
+    gen_mats = np.delete(np.array(basis.matrices()), cartan.indices, axis=0)
     cartan_mats = [basis.generators[i].matrix for i in cartan.indices]
     scale = math.sqrt(norm_squared(basis.j))
+    coeffs = np.array([block[:, 0] for _, block in spaces])
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
     out = []
-    for _, block in spaces:
-        coeff = block[:, 0]
-        coeff = coeff / np.linalg.norm(coeff)
-        ladder = sum(c * g for c, g in zip(coeff, gen_mats))
+    for ladder in np.tensordot(coeffs, gen_mats, axes=1):
         # fix the global phase: largest-magnitude entry real positive
-        flat = np.abs(ladder).ravel()
-        top = flat.argmax()
-        phase = ladder.ravel()[top]
+        phase = ladder.flat[np.abs(ladder).argmax()]
         ladder = ladder * (abs(phase) / phase)
         # the coefficient normalization already gives tr(L^dag L) = norm^2;
         # renormalize defensively against round-off
@@ -165,7 +155,8 @@ def compute_roots(basis: GeneratorSet, cartan: CartanChoice) -> list[RootDatum]:
         )
         out.append(RootDatum(root, ladder))
 
-    out.sort(key=lambda rd: rd.root, reverse=True)
+    # components equal in exact arithmetic must compare equal, not by round-off
+    out.sort(key=lambda rd: tuple(round(x / EIGENVALUE_CLUSTER_TOL) for x in rd.root), reverse=True)
     _validate_roots(basis, cartan, out)
     return out
 

@@ -29,6 +29,8 @@ class ScanConfig:
         object.__setattr__(self, "zeta1_sq_grid", grid)
         if self.decomposition.r < 2:
             raise ValueError("weight scans need at least two subspaces")
+        if not grid:
+            raise ValueError("the weight grid is empty")
         if any(not 0.0 <= w <= 1.0 for w in grid):
             raise ValueError("grid weights must lie in [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -72,8 +74,11 @@ def n_scan(
     decomposition: IrrepDecomposition, zeta1_sq: float, n_values
 ) -> list[tuple[int, float, float, str]]:
     """Squeezing limit versus particle number at a fixed weight split."""
+    ns = [int(n) for n in n_values]
+    if not ns:
+        raise ValueError("no particle numbers to scan")
     rows = []
-    for n in map(int, n_values):
+    for n in ns:
         row = _scan_point(decomposition, n, zeta1_sq)
         rows.append((n, row.xi2_min, row.mu_min, row.status))
     return rows

@@ -80,6 +80,9 @@ def test_class_counts_small_spins():
     assert len(enumerate_classes(SpinQuantum(1))) == 1
     assert len(enumerate_classes(SpinQuantum(2))) == 2
     assert len(enumerate_classes(SpinQuantum(3))) == 4
+    # p(2J+1) - 1, beyond the reach of a search over all 2^(2J) vertex masks
+    assert len(enumerate_classes(SpinQuantum(16))) == 296
+    assert len(enumerate_classes(SpinQuantum(20))) == 791
 
 
 def test_class_representative_subsets():

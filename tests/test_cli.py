@@ -259,6 +259,15 @@ def test_zeta_scan_cli_and_config(tmp_path, capsys):
     assert [float(l.split(",")[0]) for l in lines[1:]] == [0.3, 0.5, 0.7]
 
 
+def test_zeta_scan_empty_config_grid_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"j": "3/2", "class": "1,3", "n": 1000, "zeta1_sq_grid": []}))
+    code, out, err = run_cli(capsys, "zeta-scan", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_fit_cli(tmp_path, capsys):
     path = tmp_path / "points.csv"
     rows = ["n,xi2_min"]

@@ -195,6 +195,21 @@ def test_find_limit_no_squeezing_for_single_half_spin():
     assert res.status == "no_squeezing"
 
 
+def test_find_limit_stays_in_one_period_for_irreducible_class():
+    """J_1 N = 15: an uncapped first sweep reaches 32.8 and lands on mu = 12.777."""
+    res = find_limit(oat_spec(DEC_I, 10, (1,)))
+    assert res.status == "ok"
+    assert res.mu_min == pytest.approx(0.2109, abs=1e-3)
+    assert res.xi2_min == pytest.approx(0.149612, rel=1e-5)
+
+
+def test_find_limit_stays_in_one_period_for_small_n():
+    res = find_limit(oat_spec(DEC_IV, 2, (1, 0, 0)))
+    assert res.status == "ok"
+    assert 0.0 < res.mu_min <= 2 * math.pi
+    assert res.xi2_min == pytest.approx(0.5, rel=1e-5)
+
+
 def test_find_limit_requires_active_weight():
     with pytest.raises(VanishingMeanSpin):
         find_limit(oat_spec(DEC_IV, 100, (0, 1, 0)))

@@ -85,6 +85,19 @@ def test_adjoint_structure_constants_antisymmetric(basis32):
             assert np.max(np.abs(f_cm + f_mc)) < 1e-10
 
 
+@pytest.mark.parametrize("twice_j", range(1, 10))
+def test_root_order_ignores_round_off(twice_j):
+    """Roots come sorted descending on the clustering scale, not by float noise."""
+    from spinsqueeze.root_system import EIGENVALUE_CLUSTER_TOL
+
+    basis = multipole_basis(SpinQuantum(twice_j))
+    keys = [
+        tuple(round(x / EIGENVALUE_CLUSTER_TOL) for x in rd.root)
+        for rd in compute_roots(basis, default_cartan(basis))
+    ]
+    assert keys == sorted(keys, reverse=True)
+
+
 def test_su4_root_count_and_pairing(basis32):
     roots = compute_roots(basis32, default_cartan(basis32))
     assert len(roots) == 12

@@ -27,6 +27,16 @@ def test_scan_config_validation():
         ScanConfig(DEC_III, 10, (0.2, 1.4))  # outside [0, 1]
 
 
+def test_scan_config_rejects_empty_grid():
+    with pytest.raises(ValueError):
+        ScanConfig(DEC_III, 100, ())
+
+
+def test_n_scan_rejects_empty_n_values():
+    with pytest.raises(ValueError):
+        n_scan(DEC_III, 0.5, [])
+
+
 def test_zeta_scan_rows_ordered_and_deterministic():
     config = ScanConfig(DEC_III, 2000, tuple(np.linspace(0.1, 0.9, 9)))
     rows_a = zeta_scan(config)

@@ -8,12 +8,16 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.fixture
-def oracle_audit():
-    spec = importlib.util.spec_from_file_location("run_oracle_audit", SCRIPTS / "run_oracle_audit.py")
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def oracle_audit():
+    return _load_script("run_oracle_audit")
 
 
 def test_oracle_audit_passes(oracle_audit, capsys):
@@ -32,3 +36,33 @@ def test_oracle_audit_counts_nan_discrepancy_as_failure(oracle_audit, capsys, mo
     monkeypatch.setattr(exact_oracle, "squeeze_trace", nan_mean)
     assert oracle_audit.main(["--n-max", "2", "--mu-points", "2"]) == 2
     assert "overall: nan" in capsys.readouterr().out
+
+
+def test_weight_scan_writes_one_csv_per_multiblock_class(tmp_path, capsys):
+    script = _load_script("run_weight_scan")
+    assert script.main(["--n", "1000", "--points", "5", "--outdir", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("scan_*_n1000.csv"))
+    assert [p.name for p in paths] == [
+        "scan_1-0_n1000.csv",
+        "scan_1o2-0-0_n1000.csv",
+        "scan_1o2-1o2_n1000.csv",
+    ]
+    for path in paths:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "zeta1_sq,xi2_min,mu_min,status"
+        assert len(lines) == 6
+    assert capsys.readouterr().out.count("wrote") == 3
+
+
+def test_scaling_fit_writes_both_datasets(tmp_path, capsys):
+    script = _load_script("run_scaling_fit")
+    argv = ["--n-lo", "1e3", "--n-hi", "1e4", "--points", "5", "--outdir", str(tmp_path)]
+    assert script.main(argv) == 0
+    for name in ("irreducible.csv", "pair_at_maximum.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == "n,xi2_min,mu_min,status"
+        assert len(lines) == 6
+        assert all(line.endswith(",ok") for line in lines[1:])
+    out = capsys.readouterr().out
+    assert "irreducible: xi2_min ~" in out
+    assert "pair @ |zeta1|^2=1-pi/4" in out
