@@ -5,7 +5,8 @@ structure factor f, weights |zeta_l|^2, particle number N); no state vectors
 are built.  The one-axis-twisting protocol starts from the coherent state at
 theta = pi/2, phi = 0 and applies exp(-i mu Lambda_{l,3}^2 / (2 f^2)) inside
 each irreducible block, with mu the rescaled time (see the exact_oracle
-module for the block-resolved generator).  Transverse fluctuations are
+module for the block-resolved generator); the twisting closed forms refuse
+any other start with NotOatStart.  Transverse fluctuations are
 minimized analytically over the quadrature angle nu, measured in the
 O_2-O_3 plane via O_nu = O_2 cos(nu) - O_3 sin(nu).
 
@@ -28,13 +29,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classification import IrrepDecomposition, Su2Triple
-from .errors import DimensionMismatch, NonFiniteInput, NormalizationError, VanishingMeanSpin, WrongClass
+from .errors import (
+    DimensionMismatch,
+    NonFiniteInput,
+    NormalizationError,
+    NotOatStart,
+    VanishingMeanSpin,
+    WrongClass,
+)
 from .lie_algebra import HermitianOperator
 
 GRID_POINTS = 128
 GOLDEN_REL_TOL = 1e-6
 MAX_EXPANSIONS = 8
 MU_MAX = 2.0 * math.pi  # xi^2 repeats every 4 pi and mirrors about 2 pi
+OAT_ANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -141,10 +150,18 @@ def css_fluctuation(spec: EnsembleSpec, nu: float = 0.0) -> float:
     return 0.5 * f * f * spec.n * weighted_subspin_sum(spec)
 
 
-def oat_expectation_perp(spec: EnsembleSpec, mu: float) -> float:
-    """Mean spin <O_1>(mu) of the one-axis-twisted state."""
+def _check_oat(spec: EnsembleSpec, mu: float) -> None:
+    """Refuse mu < 0 and a start off theta = pi/2, phi = 0, which the closed forms assume."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
+    c = spec.coherent
+    if abs(c.theta - math.pi / 2) > OAT_ANGLE_TOL or abs(c.phi) > OAT_ANGLE_TOL:
+        raise NotOatStart(f"closed forms need theta = pi/2, phi = 0, got {c.theta!r}, {c.phi!r}")
+
+
+def oat_expectation_perp(spec: EnsembleSpec, mu: float) -> float:
+    """Mean spin <O_1>(mu) of the one-axis-twisted state."""
+    _check_oat(spec, mu)
     ch = math.cos(mu / 2.0)
     total = 0.0
     for jl, tj, w in _active(spec):
@@ -182,8 +199,7 @@ def _coeff_b(tj: int, n: int, w: float, mu: float) -> float:
 
 def _twisted_moments(spec: EnsembleSpec, mu: float) -> tuple[float, float, float]:
     """(C, P, Q) of the twisted variance C + P cos(2 nu) - Q sin(2 nu)."""
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
+    _check_oat(spec, mu)
     f = spec.decomposition.f
     pref = 0.5 * f * f * spec.n
     const = p = q = 0.0
@@ -357,8 +373,7 @@ def type_iii_xi(spec: EnsembleSpec, mu: float) -> float:
     """
     if spec.decomposition.twice_subspins != (1, 1):
         raise WrongClass(f"needs subspins (1/2, 1/2), got {spec.decomposition.twice_subspins}")
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
+    _check_oat(spec, mu)
     n = spec.n
     sh2 = math.sin(mu / 2.0)
     sq4 = math.sin(mu / 4.0) ** 2

@@ -26,7 +26,7 @@ class NonDiagonalCartan(SpinSqueezeError):
 
 
 class DegenerateRootSpace(SpinSqueezeError):
-    """Simultaneous diagonalization produced a repeated root tuple."""
+    """A Cartan choice gives two ladder operators the same root tuple."""
 
 
 class NotAnSu2Triple(SpinSqueezeError):
@@ -41,8 +41,8 @@ class VanishingMeanSpin(SpinSqueezeError):
     """The mean-spin expectation is too small for the squeezing parameter."""
 
 
-class NoSqueezingFound(SpinSqueezeError):
-    """A limit search saw no squeezing anywhere in its sweep."""
+class NotOatStart(SpinSqueezeError):
+    """A closed-form twisting formula got a coherent state off theta = pi/2, phi = 0."""
 
 
 class WrongClass(SpinSqueezeError):

@@ -15,7 +15,9 @@ symmetrized-product form (spin, quadrupole Qxy Qyz Qzx Dxy Y, octupole
 Ta/Tb/Txyz).  For any other J they are built from normalized irreducible
 tensor operators combined into Hermitian "cosine/sine" components; the order
 within each rank (c1, s1, c2, s2, ..., diagonal last) is a convention of this
-library, fixed so that rank 1 comes out as (Jx, Jy, Jz).
+library, fixed so that rank 1 comes out as (Jx, Jy, Jz).  Each component of
+rank d and magnetic band |q| is made orthogonal to the lower-rank components
+of the same band; components of different bands are orthogonal by support.
 """
 
 from __future__ import annotations
@@ -186,33 +188,35 @@ def _general_multipoles(j: SpinQuantum) -> tuple[list[np.ndarray], list[str]]:
     Rank 1 is the spin vector verbatim.  Each higher rank d contributes the
     Hermitian combinations c_q, s_q (q = 1..d) and the diagonal q = 0
     component, ordered (c1, s1, ..., cd, sd, diagonal).  Every matrix is
-    projected against the lower ranks (a numerical no-op by construction) and
-    rescaled to the common trace norm.
+    projected against the lower-rank matrices of its magnetic band |q| (a
+    numerical no-op by construction) and rescaled to the common trace norm.
+    Matrices of different bands live on different diagonals, so they are
+    orthogonal by support and need no projection.
     """
     scale = math.sqrt(norm_squared(j))
     jx, jy, jz = spin_matrices(j)
     mats = [jx.matrix.copy(), jy.matrix.copy(), jz.matrix.copy()]
     names = ["Jx", "Jy", "Jz"]
+    bands: dict[int, list[np.ndarray]] = {1: mats[:2], 0: mats[2:]}
     for rank in range(2, j.twice_j + 1):
         comps = _tensor_components(j, rank)
-        block: list[np.ndarray] = []
-        block_names: list[str] = []
+        block: list[tuple[int, np.ndarray]] = []
         for q in range(1, rank + 1):
             t = comps[rank - q]
             sign = (-1.0) ** q
-            block.append(sign * (t + t.conj().T) / math.sqrt(2))
-            block.append(sign * (t - t.conj().T) / (1j * math.sqrt(2)))
-            block_names.append(f"T{rank}c{q}")
-            block_names.append(f"T{rank}s{q}")
-        block.append(comps[rank])  # q = 0, diagonal
-        block_names.append(f"T{rank}z")
-        for m in block:
-            # Gram-Schmidt against everything already accepted, then renormalize.
-            for prev in mats:
+            block.append((q, sign * (t + t.conj().T) / math.sqrt(2)))
+            block.append((q, sign * (t - t.conj().T) / (1j * math.sqrt(2))))
+            names.extend([f"T{rank}c{q}", f"T{rank}s{q}"])
+        block.append((0, comps[rank]))  # q = 0, diagonal
+        names.append(f"T{rank}z")
+        for q, m in block:
+            # Gram-Schmidt against the band's accepted matrices, then renormalize.
+            band = bands.setdefault(q, [])
+            for prev in band:
                 m -= (np.trace(prev.conj().T @ m) / np.trace(prev.conj().T @ prev)) * prev
             m *= scale / np.linalg.norm(m)
+            band.append(m)
             mats.append(m)
-        names.extend(block_names)
     return mats, names
 
 

@@ -1,10 +1,11 @@
 """Root system of su(2J+1) over the diagonal Cartan subalgebra.
 
 The 2J diagonal generators (Jz plus one diagonal multipole per rank) span the
-Cartan subalgebra.  Their adjoint actions on the remaining generators commute
-and are diagonalized simultaneously; the joint eigenvalue tuples are the
-roots and the eigen-operators are the ladder matrices.  With the quantization
-axis along z, the simple roots are realized as single-entry raising matrices
+Cartan subalgebra.  Because they are diagonal in the m_z basis, every
+single-entry matrix E_ab (a != b) is a joint eigen-operator of their adjoint
+action, with eigenvalue h[a] - h[b] for each Cartan generator h: the roots
+and their ladder matrices are read off the Cartan diagonals, with no
+eigensolver.  The simple roots are the single-entry raising matrices
 connecting adjacent magnetic sublevels.
 """
 
@@ -19,7 +20,7 @@ from .errors import DegenerateRootSpace, DimensionMismatch, NonDiagonalCartan
 from .lie_algebra import GeneratorSet, SpinQuantum, norm_squared
 
 ROOT_RESIDUAL_TOL = 1e-9
-EIGENVALUE_CLUSTER_TOL = 1e-8
+ROOT_KEY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class CartanChoice:
             )
         if 2 not in self.indices:
             raise ValueError("the Cartan choice must contain Jz (index 2)")
+        if len(set(self.indices)) != len(self.indices):
+            raise ValueError(f"the Cartan choice repeats an index: {self.indices}")
 
 
 @dataclass(frozen=True)
@@ -102,63 +105,35 @@ def adjoint_representation(basis: GeneratorSet, cartan: CartanChoice) -> list[np
 
 
 def compute_roots(basis: GeneratorSet, cartan: CartanChoice) -> list[RootDatum]:
-    """All (2J+1)^2 - 1 - 2J roots with their normalized ladder operators.
+    """All (2J+1)^2 - 1 - 2J roots with their ladder operators, in closed form.
 
-    The Hermitian matrices i f_c^T commute; they are diagonalized sequentially,
-    refining degenerate eigenspaces Cartan generator by Cartan generator.  Each
-    one-dimensional joint eigenspace yields a root tuple and a ladder matrix
-    normalized to the common generator trace norm, with the largest entry made
-    real and positive.
+    For diagonal Cartan generators h_c, [h_c, E_ab] = (h_c[a] - h_c[b]) E_ab,
+    so each ordered pair a != b of sublevels gives the root tuple
+    (h_c[a] - h_c[b])_c with the ladder sqrt(norm^2) E_ab, normalized to the
+    common generator trace norm.  A Cartan set that gives two pairs the same
+    root tuple raises DegenerateRootSpace.
     """
-    adj = adjoint_representation(basis, cartan)
-    dim_ad = len(basis) - len(cartan.indices)
-    hermitians = [1j * f.T for f in adj]
-
-    # Each entry is (eigenvalue-prefix, orthonormal column block).
-    spaces: list[tuple[list[float], np.ndarray]] = [([], np.eye(dim_ad, dtype=complex))]
-    for h in hermitians:
-        refined: list[tuple[list[float], np.ndarray]] = []
-        for prefix, block in spaces:
-            sub = block.conj().T @ h @ block
-            vals, vecs = np.linalg.eigh(sub)
-            start = 0
-            while start < len(vals):
-                stop = start + 1
-                while stop < len(vals) and vals[stop] - vals[start] < EIGENVALUE_CLUSTER_TOL:
-                    stop += 1
-                mean = float(np.mean(vals[start:stop]))
-                refined.append((prefix + [mean], block @ vecs[:, start:stop]))
-                start = stop
-        spaces = refined
-
-    for prefix, block in spaces:
-        if block.shape[1] != 1:
-            raise DegenerateRootSpace(f"root tuple {tuple(prefix)} has multiplicity {block.shape[1]}")
-
-    gen_mats = np.delete(np.array(basis.matrices()), cartan.indices, axis=0)
-    cartan_mats = [basis.generators[i].matrix for i in cartan.indices]
+    _check_cartan(basis, cartan)
+    diag = np.array([np.diagonal(basis.generators[c].matrix).real for c in cartan.indices])
     scale = math.sqrt(norm_squared(basis.j))
-    coeffs = np.array([block[:, 0] for _, block in spaces])
-    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-    out = []
-    for ladder in np.tensordot(coeffs, gen_mats, axes=1):
-        # fix the global phase: largest-magnitude entry real positive
-        phase = ladder.flat[np.abs(ladder).argmax()]
-        ladder = ladder * (abs(phase) / phase)
-        # the coefficient normalization already gives tr(L^dag L) = norm^2;
-        # renormalize defensively against round-off
-        ladder *= scale / np.linalg.norm(ladder)
-        # Rayleigh quotients sharpen the eigenvalues to machine precision
-        root = tuple(
-            float(np.trace(ladder.conj().T @ (h @ ladder - ladder @ h)).real / (scale * scale))
-            for h in cartan_mats
-        )
-        out.append(RootDatum(root, ladder))
-
-    # components equal in exact arithmetic must compare equal, not by round-off
-    out.sort(key=lambda rd: tuple(round(x / EIGENVALUE_CLUSTER_TOL) for x in rd.root), reverse=True)
+    dim = basis.j.dim
+    out = [
+        RootDatum(diag[:, a] - diag[:, b], _elementary(dim, a, b, scale))
+        for a in range(dim)
+        for b in range(dim)
+        if a != b
+    ]
+    out.sort(key=_root_key, reverse=True)
+    for prev, rd in zip(out, out[1:]):
+        if _root_key(prev) == _root_key(rd):
+            raise DegenerateRootSpace(f"root tuple {rd.root} has multiplicity > 1")
     _validate_roots(basis, cartan, out)
     return out
+
+
+def _root_key(rd: RootDatum) -> tuple[int, ...]:
+    # components equal in exact arithmetic must compare equal, not by round-off
+    return tuple(round(x / ROOT_KEY_TOL) for x in rd.root)
 
 
 def _validate_roots(basis: GeneratorSet, cartan: CartanChoice, roots: list[RootDatum]) -> None:
@@ -181,9 +156,11 @@ def simple_root_matrices(j: SpinQuantum) -> list[SimpleRootMatrix]:
     if j.twice_j < 1:
         raise ValueError("simple roots need 2J >= 1")
     value = math.sqrt(norm_squared(j))
-    out = []
-    for k in range(1, j.twice_j + 1):
-        m = np.zeros((j.dim, j.dim), dtype=complex)
-        m[k - 1, k] = value
-        out.append(SimpleRootMatrix(k, m))
-    return out
+    return [SimpleRootMatrix(k, _elementary(j.dim, k - 1, k, value)) for k in range(1, j.twice_j + 1)]
+
+
+def _elementary(dim: int, row: int, col: int, value: float) -> np.ndarray:
+    """value * E_{row,col}, the single-entry matrix."""
+    m = np.zeros((dim, dim), dtype=complex)
+    m[row, col] = value
+    return m

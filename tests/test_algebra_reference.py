@@ -1,12 +1,18 @@
 """The constructed algebra layer against the searches it replaced.
 
 The reference functions below are the vertex-mask search over all 2^(2J)
-Dynkin subsets and the generator-pair loop over structure constants, kept
-here so that the partition construction in `spinsqueeze.classification`
-and the stacked adjoint in `spinsqueeze.root_system` are compared with
-them: classes, factors and example subsets exactly, structure constants to
-1e-12.
+Dynkin subsets, the generator-pair loop over structure constants, the
+simultaneous diagonalization of the adjoint Cartan action, and the
+Gram-Schmidt loop over every earlier generator.  They are kept here so that
+the partition construction in `spinsqueeze.classification`, the stacked
+adjoint and the closed-form roots in `spinsqueeze.root_system`, and the
+band-wise Gram-Schmidt in `spinsqueeze.lie_algebra` are compared with them:
+classes, factors, example subsets and generators exactly, structure
+constants to 1e-12, roots and ladders to 1e-13.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,14 +22,25 @@ from spinsqueeze import (
     VertexSubset,
     adjoint_representation,
     class_representatives,
+    compute_roots,
     decompose_subset,
     default_cartan,
     multipole_basis,
 )
 from spinsqueeze.classification import IrrepDecomposition
-from spinsqueeze.lie_algebra import commutator, expansion_coefficients
+from spinsqueeze.errors import DegenerateRootSpace
+from spinsqueeze.lie_algebra import (
+    _general_multipoles,
+    _tensor_components,
+    commutator,
+    expansion_coefficients,
+    norm_squared,
+    spin_matrices,
+)
 
 ADJOINT_TOL = 1e-12
+ROOT_TOL = 1e-13
+CLUSTER_TOL = 1e-8
 
 
 def reference_class_representatives(j: SpinQuantum):
@@ -58,3 +75,92 @@ def test_adjoint_matches_commutator_expansion(twice_j):
             ]
         )
         assert np.max(np.abs(got - want)) <= ADJOINT_TOL
+
+
+def reference_roots(basis, cartan):
+    """(root, ladder) pairs from refining the eigenspaces of i f_c^T, Cartan
+    generator by Cartan generator, with Rayleigh-quotient roots."""
+    dim_ad = len(basis) - len(cartan.indices)
+    spaces = [([], np.eye(dim_ad, dtype=complex))]
+    for f in adjoint_representation(basis, cartan):
+        refined = []
+        for prefix, block in spaces:
+            vals, vecs = np.linalg.eigh(block.conj().T @ (1j * f.T) @ block)
+            start = 0
+            while start < len(vals):
+                stop = start + 1
+                while stop < len(vals) and vals[stop] - vals[start] < CLUSTER_TOL:
+                    stop += 1
+                refined.append((prefix + [float(np.mean(vals[start:stop]))], block @ vecs[:, start:stop]))
+                start = stop
+        spaces = refined
+    for prefix, block in spaces:
+        if block.shape[1] != 1:
+            raise DegenerateRootSpace(f"root tuple {tuple(prefix)} has multiplicity {block.shape[1]}")
+
+    gen_mats = np.delete(np.array(basis.matrices()), cartan.indices, axis=0)
+    cartan_mats = [basis.generators[i].matrix for i in cartan.indices]
+    scale = math.sqrt(norm_squared(basis.j))
+    coeffs = np.array([block[:, 0] for _, block in spaces])
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    out = []
+    for ladder in np.tensordot(coeffs, gen_mats, axes=1):
+        phase = ladder.flat[np.abs(ladder).argmax()]  # largest entry real positive
+        ladder = ladder * (abs(phase) / phase)
+        ladder *= scale / np.linalg.norm(ladder)
+        root = tuple(
+            float(np.trace(ladder.conj().T @ (h @ ladder - ladder @ h)).real / (scale * scale))
+            for h in cartan_mats
+        )
+        out.append((root, ladder))
+    out.sort(key=lambda p: tuple(round(x / CLUSTER_TOL) for x in p[0]), reverse=True)
+    return out
+
+
+def reference_general_multipoles(j: SpinQuantum):
+    """Rank-by-rank multipoles, each projected against every earlier generator."""
+    scale = math.sqrt(norm_squared(j))
+    mats = [m.matrix.copy() for m in spin_matrices(j)]
+    for rank in range(2, j.twice_j + 1):
+        comps = _tensor_components(j, rank)
+        block = []
+        for q in range(1, rank + 1):
+            t = comps[rank - q]
+            sign = (-1.0) ** q
+            block.append(sign * (t + t.conj().T) / math.sqrt(2))
+            block.append(sign * (t - t.conj().T) / (1j * math.sqrt(2)))
+        block.append(comps[rank])
+        for m in block:
+            for prev in mats:
+                m -= (np.trace(prev.conj().T @ m) / np.trace(prev.conj().T @ prev)) * prev
+            m *= scale / np.linalg.norm(m)
+            mats.append(m)
+    return mats
+
+
+@pytest.mark.parametrize("twice_j", range(1, 10))
+def test_roots_match_simultaneous_diagonalization(twice_j):
+    basis = multipole_basis(SpinQuantum(twice_j))
+    cartan = default_cartan(basis)
+    got = compute_roots(basis, cartan)
+    want = reference_roots(basis, cartan)
+    assert len(got) == len(want)
+    for rd, (root, ladder) in zip(got, want):
+        assert np.max(np.abs(np.subtract(rd.root, root))) <= ROOT_TOL
+        assert np.max(np.abs(rd.ladder - ladder)) <= ROOT_TOL
+
+
+@pytest.mark.parametrize("twice_j", range(1, 13))
+def test_multipoles_match_all_pairs_gram_schmidt(twice_j):
+    j = SpinQuantum(twice_j)
+    got, _ = _general_multipoles(j)
+    assert np.array_equal(np.array(got), np.array(reference_general_multipoles(j)))
+
+
+def test_cartan_without_y_is_degenerate(basis32):
+    """With Y replaced by a copy of Jz, E_12 and E_34 share one root tuple."""
+    jz = basis32.generators[basis32.names.index("Jz")]
+    gens = tuple(jz if name == "Y" else g for name, g in zip(basis32.names, basis32.generators))
+    broken = dataclasses.replace(basis32, generators=gens)
+    with pytest.raises(DegenerateRootSpace):
+        compute_roots(broken, default_cartan(broken))

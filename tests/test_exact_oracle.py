@@ -26,13 +26,16 @@ from spinsqueeze import (
     enumerate_classes,
     expectation,
     find_limit,
+    min_fluctuation,
     multipole_basis,
     oat_expectation_perp,
+    oat_fluctuation,
     oat_spec,
     oracle_squeezing,
     second_quantize,
     squeeze_trace,
     squeezing_parameter,
+    type_iii_xi,
     variance,
 )
 from spinsqueeze.coherent_dynamics import (
@@ -40,7 +43,7 @@ from spinsqueeze.coherent_dynamics import (
     perp_observable,
     transverse_observable,
 )
-from spinsqueeze.errors import DimensionMismatch, NotDiagonal, SizeLimit, VanishingMeanSpin
+from spinsqueeze.errors import DimensionMismatch, NotDiagonal, NotOatStart, SizeLimit, VanishingMeanSpin
 from spinsqueeze.lie_algebra import HermitianOperator
 
 J32 = SpinQuantum(3)
@@ -259,6 +262,40 @@ def test_twisted_mean_matches_closed_form_mixed_weights():
     ws = OracleWorkspace(triple, 8)
     rec = ws.squeezing(spec.coherent, 0.3)
     assert rec.perp_expectation == pytest.approx(oat_expectation_perp(spec, 0.3), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "theta,phi,field,oracle_value,closed_form_value",
+    [
+        (0.3, 0.0, "xi2", 0.8515140537285713, 0.15064221547460624),
+        (math.pi / 2, 0.5, "perp_expectation", 11.384168334142908, 12.972190684396258),
+    ],
+)
+def test_closed_form_refuses_a_start_off_the_twisting_axis(theta, phi, field, oracle_value, closed_form_value):
+    """Irreducible J = 3/2, N = 10, mu = 0.2: the closed forms assume theta = pi/2,
+    phi = 0 and used to return the on-axis number (closed_form_value) here."""
+    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
+    ws = OracleWorkspace(triple, 10)
+    spec = EnsembleSpec(10, triple.decomposition, CoherentSpec(theta, phi, (1.0,)))
+    assert getattr(ws.squeezing(spec.coherent, 0.2), field) == pytest.approx(oracle_value, abs=1e-9)
+    assert getattr(squeeze_trace(oat_spec(triple.decomposition, 10, (1.0,)), 0.2), field) == pytest.approx(
+        closed_form_value, abs=1e-9
+    )
+    for call in (
+        lambda: oat_expectation_perp(spec, 0.2),
+        lambda: min_fluctuation(spec, 0.2),
+        lambda: oat_fluctuation(spec, 0.2, 0.0),
+        lambda: squeeze_trace(spec, 0.2),
+        lambda: find_limit(spec),
+        lambda: compare_with_oracle(spec, ws, [0.2]),
+    ):
+        with pytest.raises(NotOatStart):
+            call()
+    assert css_expectation_perp(spec) == pytest.approx(15.0, abs=1e-12)  # valid at any angle
+    spec_iii = EnsembleSpec(10, IrrepDecomposition(J32, (1, 1)), CoherentSpec(theta, phi, (0.6, 0.8)))
+    with pytest.raises(NotOatStart):
+        type_iii_xi(spec_iii, 0.2)
+    assert css_fluctuation(spec_iii) > 0.0
 
 
 def test_oracle_squeezing_unity_at_zero():

@@ -43,6 +43,8 @@ def test_cartan_choice_validation(basis32):
         CartanChoice(basis32.j, (2, 7))
     with pytest.raises(ValueError):
         CartanChoice(basis32.j, (0, 7, 10))  # misses Jz
+    with pytest.raises(ValueError):
+        CartanChoice(basis32.j, (2, 2, 7))  # repeats Jz
     bad = CartanChoice(basis32.j, (2, 7, 0))  # Jx is not diagonal
     with pytest.raises(NonDiagonalCartan):
         adjoint_representation(basis32, bad)
@@ -87,12 +89,12 @@ def test_adjoint_structure_constants_antisymmetric(basis32):
 
 @pytest.mark.parametrize("twice_j", range(1, 10))
 def test_root_order_ignores_round_off(twice_j):
-    """Roots come sorted descending on the clustering scale, not by float noise."""
-    from spinsqueeze.root_system import EIGENVALUE_CLUSTER_TOL
+    """Roots come sorted descending on the rounding scale, not by float noise."""
+    from spinsqueeze.root_system import ROOT_KEY_TOL
 
     basis = multipole_basis(SpinQuantum(twice_j))
     keys = [
-        tuple(round(x / EIGENVALUE_CLUSTER_TOL) for x in rd.root)
+        tuple(round(x / ROOT_KEY_TOL) for x in rd.root)
         for rd in compute_roots(basis, default_cartan(basis))
     ]
     assert keys == sorted(keys, reverse=True)
