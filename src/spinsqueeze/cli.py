@@ -294,17 +294,25 @@ def _cmd_zeta_scan(args) -> int:
     cfg = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"--config: {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise UsageError(f"--config: {args.config} must hold a JSON object")
     j_text = args.j or cfg.get("j")
     cls_text = args.cls or cfg.get("class")
     n = args.n if args.n is not None else cfg.get("n")
     if not j_text or not cls_text or n is None:
         raise UsageError("zeta-scan needs --j, --class and --n (flags or --config)")
     j = _parse_spin(j_text)
-    subset = _parse_class(j, cls_text)
+    subset = _parse_class(j, str(cls_text))
     dec = build_su2_triple(subset).decomposition
     if args.grid_points is None and "zeta1_sq_grid" in cfg:
-        grid = tuple(float(w) for w in cfg["zeta1_sq_grid"])
+        try:
+            grid = tuple(float(w) for w in cfg["zeta1_sq_grid"])
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"--config: zeta1_sq_grid must be a list of numbers: {exc}") from exc
     else:
         pts = 101 if args.grid_points is None else args.grid_points
         if pts < 1:
@@ -312,7 +320,7 @@ def _cmd_zeta_scan(args) -> int:
         grid = tuple(np.linspace(0.0, 1.0, pts))
     try:
         config = ScanConfig(dec, int(n), grid)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"zeta-scan: {exc}") from exc
     rows = [(r.zeta1_sq, r.xi2_min, r.mu_min, r.status) for r in zeta_scan(config)]
     _emit_table(args, ["zeta1_sq", "xi2_min", "mu_min", "status"], rows)
@@ -338,11 +346,15 @@ def _cmd_fit(args) -> int:
         points = [(float(r[args.x_col]), float(r[args.y_col])) for r in rows if r.get("status", "ok") == "ok"]
     except KeyError as exc:
         raise UsageError(f"column {exc} missing from {args.input}") from exc
+    except ValueError as exc:
+        raise UsageError(f"{args.input}: {exc}") from exc
     try:
         res = fit_power_law(points, model=args.model)
     except FitDiverged as exc:
         print(f"fit diverged: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        raise UsageError(f"{args.input}: {exc}") from exc
     payload = {
         "schema": "1",
         "model": res.model,

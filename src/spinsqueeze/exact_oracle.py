@@ -373,12 +373,12 @@ class OracleWorkspace:
     def squeezing(self, coherent_spec: CoherentSpec, mu: float) -> SqueezeTrace:
         """Transverse moments of the twisted state, minimized over nu exactly.
 
-        The variance of O_2 cos(nu) - O_3 sin(nu) is C + P cos(2 nu) -
-        Q sin(2 nu), with C and P the half sum and half difference of the
-        O_2 and O_3 variances and Q their covariance; the closed form's own
-        extrema and xi^2 helpers finish the record.  For Hermitian A and B,
-        <{A, B}>/2 is Re <A psi | B psi>, so one product per operator gives
-        every moment.
+        The variance of O_2 cos(nu) - O_3 sin(nu) is
+        v33 + P (1 + cos 2 nu) - Q sin 2 nu, with v33 the O_3 variance, P half
+        the difference of the O_2 and O_3 variances and Q their covariance;
+        the closed form's own extrema and xi^2 helpers finish the record.
+        For Hermitian A and B, <{A, B}>/2 is Re <A psi | B psi>, so one
+        product per operator gives every moment.
         """
         amps = self._twisted_amplitudes(coherent_spec, mu)
         w1 = self.lam1.action @ amps
@@ -390,16 +390,9 @@ class OracleWorkspace:
         v22 = float(np.real(np.vdot(w2, w2))) - mean2 * mean2
         v33 = float(np.real(np.vdot(w3, w3))) - mean3 * mean3
         c23 = float(np.real(np.vdot(w2, w3))) - mean2 * mean3
-        var_min, var_max, nu_min = _extrema(0.5 * (v22 + v33), 0.5 * (v22 - v33), c23)
+        var_min, var_max, nu_min = _extrema(v33, 0.5 * (v22 - v33), c23)
         spec = EnsembleSpec(self.n, self.triple.decomposition, coherent_spec)
         return SqueezeTrace(mu, mean1, var_min, var_max, nu_min, _xi2(spec, mean1, var_min))
-
-
-def oracle_squeezing(spec: EnsembleSpec, mu: float, triple: Su2Triple | None = None) -> SqueezeTrace:
-    """One-shot exact squeezing record for an ensemble at rescaled time mu."""
-    if triple is None:
-        triple = build_su2_triple(canonical_subset(spec.decomposition))
-    return OracleWorkspace(triple, spec.n).squeezing(spec.coherent, mu)
 
 
 def compare_with_oracle(

@@ -39,6 +39,9 @@ class CartanChoice:
             raise ValueError("the Cartan choice must contain Jz (index 2)")
         if len(set(self.indices)) != len(self.indices):
             raise ValueError(f"the Cartan choice repeats an index: {self.indices}")
+        top = self.j.dim * self.j.dim - 2
+        if any(not 0 <= i <= top for i in self.indices):
+            raise ValueError(f"Cartan indices must lie in 0..{top}, got {self.indices}")
 
 
 @dataclass(frozen=True)
@@ -86,22 +89,6 @@ def _check_cartan(basis: GeneratorSet, cartan: CartanChoice) -> None:
         off = np.max(np.abs(g - np.diag(np.diagonal(g))))
         if off > 1e-12:
             raise NonDiagonalCartan(f"generator {basis.names[i]} is not diagonal (off-diag {off:.3e})")
-
-
-def adjoint_representation(basis: GeneratorSet, cartan: CartanChoice) -> list[np.ndarray]:
-    """Adjoint matrices f_{cm}^n of each Cartan generator over the non-Cartan basis.
-
-    Structure constants follow [g_c, g_m] = i sum_n f_{cm}^n g_n; each returned
-    matrix is real and indexed by the non-Cartan generators in basis order.
-    """
-    _check_cartan(basis, cartan)
-    gens = np.array(basis.matrices())
-    gc = gens[list(cartan.indices)][:, None]
-    gm = np.delete(gens, cartan.indices, axis=0)
-    comm = -1j * (gc @ gm - gm @ gc)  # -i[g_c, g_m], shape (cartan, rest, d, d)
-    # tr(A B) = sum_ij A_ij B_ji: one product against the transposed non-Cartan stack
-    traces = comm.reshape(*comm.shape[:2], -1) @ gm.transpose(0, 2, 1).reshape(len(gm), -1).T
-    return list(traces.real / norm_squared(basis.j))
 
 
 def compute_roots(basis: GeneratorSet, cartan: CartanChoice) -> list[RootDatum]:

@@ -382,7 +382,8 @@ def test_criterion_11_property_bundle(capsys):
     # minimum-uncertainty product at mu = 0 via the oracle
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2})))
     ws = OracleWorkspace(triple, 4)
-    from spinsqueeze.coherent_dynamics import CoherentSpec, perp_observable, transverse_observable
+    from observables import perp_observable, transverse_observable
+    from spinsqueeze.coherent_dynamics import CoherentSpec
     from spinsqueeze.exact_oracle import expectation as oracle_expectation
     from spinsqueeze.exact_oracle import variance as oracle_variance
 

@@ -4,8 +4,8 @@ The reference functions below are the vertex-mask search over all 2^(2J)
 Dynkin subsets, the generator-pair loop over structure constants, the
 simultaneous diagonalization of the adjoint Cartan action, and the
 Gram-Schmidt loop over every earlier generator.  They are kept here so that
-the partition construction in `spinsqueeze.classification`, the stacked
-adjoint and the closed-form roots in `spinsqueeze.root_system`, and the
+the partition construction in `spinsqueeze.classification`, the closed-form
+roots in `spinsqueeze.root_system`, and the
 band-wise Gram-Schmidt in `spinsqueeze.lie_algebra` are compared with them:
 classes, factors, example subsets and generators exactly, structure
 constants to 1e-12, roots and ladders to 1e-13.
@@ -20,7 +20,6 @@ import pytest
 from spinsqueeze import (
     SpinQuantum,
     VertexSubset,
-    adjoint_representation,
     class_representatives,
     compute_roots,
     decompose_subset,
@@ -62,12 +61,27 @@ def test_class_representatives_match_mask_search(twice_j):
     assert got == want
 
 
+def reference_adjoint(basis, cartan):
+    """Adjoint matrices f_{cm}^n of each Cartan generator over the non-Cartan basis.
+
+    Structure constants follow [g_c, g_m] = i sum_n f_{cm}^n g_n; each matrix
+    is real and indexed by the non-Cartan generators in basis order.
+    """
+    gens = np.array(basis.matrices())
+    gc = gens[list(cartan.indices)][:, None]
+    gm = np.delete(gens, cartan.indices, axis=0)
+    comm = -1j * (gc @ gm - gm @ gc)  # -i[g_c, g_m], shape (cartan, rest, d, d)
+    # tr(A B) = sum_ij A_ij B_ji: one product against the transposed non-Cartan stack
+    traces = comm.reshape(*comm.shape[:2], -1) @ gm.transpose(0, 2, 1).reshape(len(gm), -1).T
+    return list(traces.real / norm_squared(basis.j))
+
+
 @pytest.mark.parametrize("twice_j", [3, 5, 7])
 def test_adjoint_matches_commutator_expansion(twice_j):
     basis = multipole_basis(SpinQuantum(twice_j))
     cartan = default_cartan(basis)
     rest = [i for i in range(len(basis)) if i not in cartan.indices]
-    for c, got in zip(cartan.indices, adjoint_representation(basis, cartan)):
+    for c, got in zip(cartan.indices, reference_adjoint(basis, cartan)):
         want = np.array(
             [
                 expansion_coefficients(basis, commutator(basis.generators[c], basis.generators[m]))[rest]
@@ -82,7 +96,7 @@ def reference_roots(basis, cartan):
     generator by Cartan generator, with Rayleigh-quotient roots."""
     dim_ad = len(basis) - len(cartan.indices)
     spaces = [([], np.eye(dim_ad, dtype=complex))]
-    for f in adjoint_representation(basis, cartan):
+    for f in reference_adjoint(basis, cartan):
         refined = []
         for prefix, block in spaces:
             vals, vecs = np.linalg.eigh(block.conj().T @ (1j * f.T) @ block)

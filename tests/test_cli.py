@@ -227,6 +227,15 @@ def test_oracle_check_counts_nan_discrepancy_as_failure(capsys, monkeypatch):
 
 
 SWEEP_ARGS = ("oat-sweep", "--j", "3/2", "--class", "1,3", "--n", "4", "--zeta", "0.6,0.8", "--mu-max", "1")
+# input files named in argv as "{name}", written to a temporary directory first
+INPUT_FILES = {
+    "few.csv": "n,xi2_min,status\n10,0.1,ok\n100,0.05,ok\n1000,0.02,ok\n10000,0.01,no_squeezing\n",
+    "text.csv": "n,xi2_min\n10,0.1\n100,abc\n1000,0.02\n10000,0.01\n",
+    "repeated.csv": "n,xi2_min\n10,0.1\n10,0.05\n1000,0.02\n10000,0.01\n",
+    "broken.json": '{"j": "3/2", "class": ',
+    "list.json": '["3/2", "1,3", 100]',
+    "fields.json": '{"j": "3/2", "class": 13, "n": [100], "zeta1_sq_grid": ["x"]}',
+}
 
 
 @pytest.mark.parametrize(
@@ -237,9 +246,20 @@ SWEEP_ARGS = ("oat-sweep", "--j", "3/2", "--class", "1,3", "--n", "4", "--zeta",
         ("zeta-scan", "--j", "3/2", "--class", "1,2,3", "--n", "100"),
         ("zeta-scan", "--j", "3/2", "--class", "1,3", "--n", "100", "--grid-points", "0"),
         ("coherent", "--j", "3/2", "--class", "1,3", "--n", "4", "--zeta", "0.6,0.8", "--theta", "nan"),
+        ("fit", "--input", "{few.csv}"),
+        ("fit", "--input", "{text.csv}"),
+        ("fit", "--input", "{repeated.csv}"),
+        ("zeta-scan", "--config", "{broken.json}"),
+        ("zeta-scan", "--config", "{list.json}"),
+        ("zeta-scan", "--config", "{fields.json}"),
+        ("zeta-scan", "--config", "{fields.json}", "--class", "1,3"),
+        ("zeta-scan", "--config", "{fields.json}", "--class", "1,3", "--grid-points", "3"),
     ],
 )
-def test_bad_inputs_are_usage_errors(capsys, argv):
+def test_bad_inputs_are_usage_errors(capsys, tmp_path, argv):
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:-1]) if a[1:-1] in INPUT_FILES else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

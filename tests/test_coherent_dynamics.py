@@ -22,7 +22,6 @@ from spinsqueeze import (
     squeezing_parameter,
     type_iii_xi,
 )
-from spinsqueeze.coherent_dynamics import r1_xi2_series
 from spinsqueeze.errors import (
     DimensionMismatch,
     NonFiniteInput,
@@ -36,6 +35,18 @@ DEC_I = IrrepDecomposition(J32, (3,))
 DEC_II = IrrepDecomposition(J32, (2, 0))
 DEC_III = IrrepDecomposition(J32, (1, 1))
 DEC_IV = IrrepDecomposition(J32, (1, 0, 0))
+
+
+def r1_xi2_series(twice_j_sub: int, n: int, mu: float) -> float:
+    """Second-order small-time expansion of xi^2 for a single weighted subspace.
+
+    Uses alpha = J N mu / 2 and beta = J N mu^2 / 4; valid for alpha >> 1 and
+    beta << 1.
+    """
+    jn = (twice_j_sub / 2.0) * n
+    alpha = 0.5 * jn * mu
+    beta = 0.25 * jn * mu * mu
+    return 1.0 / (4.0 * alpha * alpha) + (2.0 / 3.0) * beta * beta + beta / (2.0 * alpha * alpha)
 
 
 def test_spec_validation():

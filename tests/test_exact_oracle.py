@@ -31,22 +31,26 @@ from spinsqueeze import (
     oat_expectation_perp,
     oat_fluctuation,
     oat_spec,
-    oracle_squeezing,
     second_quantize,
     squeeze_trace,
     squeezing_parameter,
     type_iii_xi,
     variance,
 )
-from spinsqueeze.coherent_dynamics import (
-    EnsembleSpec,
-    perp_observable,
-    transverse_observable,
-)
+from spinsqueeze.coherent_dynamics import EnsembleSpec
 from spinsqueeze.errors import DimensionMismatch, NotDiagonal, NotOatStart, SizeLimit, VanishingMeanSpin
 from spinsqueeze.lie_algebra import HermitianOperator
 
+from observables import oat_transverse_observable, perp_observable, transverse_observable
+
 J32 = SpinQuantum(3)
+
+
+def oracle_squeezing(spec: EnsembleSpec, mu: float, triple: Su2Triple | None = None):
+    """One-shot exact squeezing record for an ensemble at rescaled time mu."""
+    if triple is None:
+        triple = build_su2_triple(canonical_subset(spec.decomposition))
+    return OracleWorkspace(triple, spec.n).squeezing(spec.coherent, mu)
 
 
 def test_basis_counts():
@@ -313,8 +317,6 @@ def test_oracle_variance_nu_minimum_vs_grid():
     mu = 0.9
     rec = ws.squeezing(coherent, mu)
     state = ws.twisted(coherent, mu)
-    from spinsqueeze.coherent_dynamics import oat_transverse_observable
-
     grid = []
     for nu in np.linspace(0, math.pi, 720, endpoint=False):
         op = second_quantize(oat_transverse_observable(triple, nu), ws.basis)

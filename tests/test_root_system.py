@@ -6,7 +6,6 @@ import pytest
 from spinsqueeze import (
     CartanChoice,
     SpinQuantum,
-    adjoint_representation,
     compute_roots,
     default_cartan,
     multipole_basis,
@@ -45,15 +44,23 @@ def test_cartan_choice_validation(basis32):
         CartanChoice(basis32.j, (0, 7, 10))  # misses Jz
     with pytest.raises(ValueError):
         CartanChoice(basis32.j, (2, 2, 7))  # repeats Jz
+    with pytest.raises(ValueError):
+        CartanChoice(basis32.j, (2, 7, 99))  # past the 15 generators
+    with pytest.raises(ValueError):
+        CartanChoice(basis32.j, (2, 7, -5))  # would pick Taz by negative indexing
     bad = CartanChoice(basis32.j, (2, 7, 0))  # Jx is not diagonal
     with pytest.raises(NonDiagonalCartan):
-        adjoint_representation(basis32, bad)
+        compute_roots(basis32, bad)
 
 
 def test_su2_adjoint_of_jz():
+    from spinsqueeze.lie_algebra import commutator, expansion_coefficients
+
     basis = multipole_basis(SpinQuantum(1))
-    cartan = default_cartan(basis)
-    (ad,) = adjoint_representation(basis, cartan)
+    (c,) = default_cartan(basis).indices
+    gens = basis.generators
+    # structure constants f_{cm}^n of Jz over the non-Cartan generators (Jx, Jy)
+    ad = np.array([expansion_coefficients(basis, commutator(gens[c], gens[m]))[:2] for m in (0, 1)])
     # [Jz, Jx] = i Jy, [Jz, Jy] = -i Jx: the rotation generator in the xy plane
     assert np.allclose(ad, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
     eig = np.linalg.eigvals(1j * ad.T)
