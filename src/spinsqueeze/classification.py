@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllTrivialSubspins, DimensionMismatch, NotAnSu2Triple
+from .errors import AllTrivialSubspins, DimensionMismatch, InvalidInput, NotAnSu2Triple
 from .lie_algebra import (
     HermitianOperator,
     SpinQuantum,
@@ -45,10 +45,10 @@ class VertexSubset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "chosen", frozenset(int(k) for k in self.chosen))
         if not self.chosen:
-            raise ValueError("at least one vertex must be chosen")
+            raise InvalidInput("at least one vertex must be chosen, got none")
         bad = [k for k in self.chosen if not 1 <= k <= self.j.twice_j]
         if bad:
-            raise ValueError(f"vertices {bad} outside 1..{self.j.twice_j}")
+            raise InvalidInput(f"vertices {bad} outside 1..{self.j.twice_j}")
 
     def runs(self) -> list[tuple[int, int]]:
         """Maximal runs of consecutive vertices as (first_vertex, length)."""
@@ -136,7 +136,7 @@ def enumerate_classes(j: SpinQuantum) -> list[IrrepDecomposition]:
     One class per partition of 2J+1 with a part > 1; part 2J_l+1 is one block.
     """
     if j.twice_j < 1:
-        raise ValueError("classification needs 2J >= 1")
+        raise InvalidInput(f"classification needs 2J >= 1, got 2J = {j.twice_j}")
     parts = (p for p in _partitions(j.dim, j.dim) if p[0] > 1)
     classes = [IrrepDecomposition(j, tuple(t - 1 for t in p)) for p in parts]
     classes.sort(key=lambda dec: (dec.r, tuple(-t for t in dec.twice_subspins)))

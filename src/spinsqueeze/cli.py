@@ -2,15 +2,19 @@
 
 All numeric output uses 17 significant digits and deterministic ordering, so
 identical invocations produce byte-identical files.  JSON payloads carry
-"schema": "1"; CSV payloads start with a version banner unless --no-banner
-is given.  Exit codes: 0 success, 1 usage error, 2 numerical status (no
-squeezing found, oracle discrepancy, fit divergence).
+"schema": "1"; the table subcommands write CSV that starts with a version
+banner unless --no-banner is given, or JSON rows under --format json.
+
+The library holds every input check; this module only parses text.  Exit
+codes: 0 success; 1 refused input (an argparse error, InvalidInput from the
+library or from parsing, an unreadable file); 2 numerical status (no
+squeezing found, oracle discrepancy, any other library error such as a fit
+divergence or an oversized basis).
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -20,13 +24,14 @@ import numpy as np
 from . import __version__
 from .classification import (
     IrrepDecomposition,
+    Su2Triple,
     VertexSubset,
     build_su2_triple,
     canonical_subset,
     class_representatives,
 )
 from .coherent_dynamics import (
-    CoherentSpec,
+    WEIGHT_NORM_TOL,
     EnsembleSpec,
     css_expectation_perp,
     css_fluctuation,
@@ -34,17 +39,13 @@ from .coherent_dynamics import (
     oat_spec,
     squeeze_trace,
 )
-from .errors import FitDiverged, SpinSqueezeError
+from .errors import InvalidInput, SpinSqueezeError
 from .exact_oracle import OracleWorkspace, compare_with_oracle
 from .lie_algebra import SpinQuantum, multipole_basis
 from .root_system import compute_roots, default_cartan
 from .scan_fit import ScanConfig, fit_power_law, zeta_scan
 
 ORACLE_CHECK_TOL = 1e-8
-
-
-class UsageError(Exception):
-    pass
 
 
 def _fmt(x: float) -> str:
@@ -117,62 +118,50 @@ def _csv_lines(header: list[str], rows, banner: bool) -> str:
 
 def _emit_table(args, header: list[str], rows) -> None:
     """Write a row table as CSV (default) or as a JSON row list."""
-    if getattr(args, "format", "csv") == "json":
+    if args.format == "json":
         payload = {"schema": "1", "rows": [dict(zip(header, row)) for row in rows]}
         _write(_render_json(payload), args.output)
     else:
         _write(_csv_lines(header, rows, not args.no_banner), args.output)
 
 
-def _parse_spin(text: str) -> SpinQuantum:
-    try:
-        j = SpinQuantum.from_string(text)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"--j: cannot parse spin {text!r}: {exc}") from exc
-    if j.twice_j < 1:
-        raise UsageError("--j must be at least 1/2")
-    return j
-
-
 def _parse_class(j: SpinQuantum, text: str) -> VertexSubset:
     """Class selector: "1,3" chooses Dynkin vertices, "1/2+1/2" subspins."""
     text = text.strip()
-    if "+" in text or "/" in text:
-        try:
+    try:
+        if "+" in text or "/" in text:
             twice = tuple(SpinQuantum.from_string(t).twice_j for t in text.split("+"))
-            dec = IrrepDecomposition(j, twice)
-            return canonical_subset(dec)
-        except (ValueError, SpinSqueezeError) as exc:
-            raise UsageError(f"--class: bad subspin list {text!r}: {exc}") from exc
-    try:
-        vertices = frozenset(int(t) for t in text.split(","))
-        return VertexSubset(j, vertices)
-    except (ValueError, SpinSqueezeError) as exc:
-        raise UsageError(f"--class: bad vertex subset {text!r}: {exc}") from exc
+            return canonical_subset(IrrepDecomposition(j, twice))
+        return VertexSubset(j, frozenset(int(t) for t in text.split(",")))
+    except ValueError as exc:  # InvalidInput from the library, or an unparsable vertex
+        raise InvalidInput(f"--class: bad class {text!r}: {exc}") from exc
 
 
-def _parse_zeta(text: str, r: int, strict: bool) -> tuple[complex, ...]:
+def _spec_from_args(args) -> tuple[Su2Triple, EnsembleSpec]:
+    """Triple and twisting spec; the library refuses N, the weight count and NaNs.
+
+    Weights off unit norm are rescaled, or refused under --strict.  The
+    warning is kept in args.warning and printed only if the command succeeds.
+    """
+    triple = build_su2_triple(_parse_class(SpinQuantum.from_string(args.j), args.cls))
     try:
-        vals = tuple(complex(t.strip().replace("i", "j")) for t in text.split(","))
+        zeta = tuple(complex(t.strip().replace("i", "j")) for t in args.zeta.split(","))
     except ValueError as exc:
-        raise UsageError(f"--zeta: cannot parse {text!r}: {exc}") from exc
-    if len(vals) != r:
-        raise UsageError(f"--zeta: got {len(vals)} weights, class has r = {r} subspaces")
-    if not all(map(cmath.isfinite, vals)):
-        raise UsageError(f"--zeta: weights must be finite, got {text!r}")
-    norm2 = sum(abs(v) ** 2 for v in vals)
+        raise InvalidInput(f"--zeta: cannot parse {args.zeta!r}: {exc}") from exc
+    norm2 = sum(abs(v) ** 2 for v in zeta)
     if norm2 == 0.0:
-        raise UsageError("--zeta: all weights vanish")
-    if abs(norm2 - 1.0) > 1e-9:
-        if strict:
-            raise UsageError(f"--zeta: sum |zeta|^2 = {norm2!r} != 1 (strict mode)")
-        print(f"warning: renormalizing zeta (sum |zeta|^2 was {norm2!r})", file=sys.stderr)
-        vals = tuple(v / math.sqrt(norm2) for v in vals)
-    return vals
+        raise InvalidInput("--zeta: all weights vanish")
+    rescale = abs(norm2 - 1.0) > WEIGHT_NORM_TOL
+    if rescale and args.strict:
+        raise InvalidInput(f"--zeta: sum |zeta|^2 = {norm2!r} != 1 (strict mode)")
+    if rescale:
+        zeta = tuple(v / math.sqrt(norm2) for v in zeta)
+        args.warning = f"warning: renormalizing zeta (sum |zeta|^2 was {norm2!r})"
+    return triple, oat_spec(triple.decomposition, args.n, zeta)
 
 
 def _cmd_generators(args) -> int:
-    j = _parse_spin(args.j)
+    j = SpinQuantum.from_string(args.j)
     basis = multipole_basis(j)
     payload = {
         "schema": "1",
@@ -187,7 +176,7 @@ def _cmd_generators(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    j = _parse_spin(args.j)
+    j = SpinQuantum.from_string(args.j)
     basis = multipole_basis(j)
     roots = compute_roots(basis, default_cartan(basis))
     payload = {"schema": "1", "j": str(j), "roots": []}
@@ -199,7 +188,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    j = _parse_spin(args.j)
+    j = SpinQuantum.from_string(args.j)
     payload = {"schema": "1", "j": str(j), "classes": []}
     for dec, subset in class_representatives(j):
         entry = {
@@ -219,21 +208,8 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _spec_from_args(args):
-    if args.n < 1:
-        raise UsageError(f"--n must be at least 1, got {args.n}")
-    j = _parse_spin(args.j)
-    subset = _parse_class(j, args.cls)
-    triple = build_su2_triple(subset)
-    zeta = _parse_zeta(args.zeta, triple.decomposition.r, args.strict)
-    return triple, zeta
-
-
 def _cmd_coherent(args) -> int:
-    if not (math.isfinite(args.theta) and math.isfinite(args.phi)):
-        raise UsageError(f"--theta and --phi must be finite, got {args.theta!r}, {args.phi!r}")
-    triple, zeta = _spec_from_args(args)
-    spec = EnsembleSpec(args.n, triple.decomposition, CoherentSpec(args.theta, args.phi, zeta))
+    triple, spec = _spec_from_args(args)
     perp = css_expectation_perp(spec)
     fluct = css_fluctuation(spec)
     payload = {
@@ -241,7 +217,7 @@ def _cmd_coherent(args) -> int:
         "j": str(triple.j),
         "subspins": triple.decomposition.subspin_strings(ascending=True),
         "f": triple.decomposition.f,
-        "n": args.n,
+        "n": spec.n,
         "perp_expectation": perp,
         "fluctuation": fluct,
         "uncertainty_product": fluct * fluct,
@@ -253,18 +229,16 @@ def _cmd_coherent(args) -> int:
 
 
 def _mu_grid(mu_min: float, mu_max: float, points: int) -> np.ndarray:
+    """The mu grid; the library refuses its negative or non-finite points."""
     if points < 1:
-        raise UsageError(f"--mu-points must be at least 1, got {points}")
-    for flag, mu in (("--mu-min", mu_min), ("--mu-max", mu_max)):
-        if not (math.isfinite(mu) and mu >= 0.0):
-            raise UsageError(f"{flag} must be finite and >= 0, got {mu!r}")
-    return np.linspace(mu_min, mu_max, points)
+        raise InvalidInput(f"--mu-points must be at least 1, got {points}")
+    with np.errstate(invalid="ignore"):  # an infinite end makes NaN points
+        return np.linspace(mu_min, mu_max, points)
 
 
 def _cmd_oat_sweep(args) -> int:
     grid = _mu_grid(args.mu_min, args.mu_max, args.mu_points)
-    triple, zeta = _spec_from_args(args)
-    spec = oat_spec(triple.decomposition, args.n, zeta)
+    _, spec = _spec_from_args(args)
     rows = []
     for mu in grid:
         tr = squeeze_trace(spec, float(mu))
@@ -276,8 +250,7 @@ def _cmd_oat_sweep(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    triple, zeta = _spec_from_args(args)
-    spec = oat_spec(triple.decomposition, args.n, zeta)
+    _, spec = _spec_from_args(args)
     res = find_limit(spec)
     payload = {
         "schema": "1",
@@ -297,40 +270,35 @@ def _cmd_zeta_scan(args) -> int:
             try:
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise UsageError(f"--config: {args.config} is not valid JSON: {exc}") from exc
+                raise InvalidInput(f"--config: {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
-            raise UsageError(f"--config: {args.config} must hold a JSON object")
+            raise InvalidInput(f"--config: {args.config} must hold a JSON object")
     j_text = args.j or cfg.get("j")
     cls_text = args.cls or cfg.get("class")
     n = args.n if args.n is not None else cfg.get("n")
     if not j_text or not cls_text or n is None:
-        raise UsageError("zeta-scan needs --j, --class and --n (flags or --config)")
-    j = _parse_spin(j_text)
-    subset = _parse_class(j, str(cls_text))
+        raise InvalidInput("zeta-scan needs --j, --class and --n (flags or --config)")
+    subset = _parse_class(SpinQuantum.from_string(str(j_text)), str(cls_text))
     dec = build_su2_triple(subset).decomposition
     if args.grid_points is None and "zeta1_sq_grid" in cfg:
-        try:
-            grid = tuple(float(w) for w in cfg["zeta1_sq_grid"])
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"--config: zeta1_sq_grid must be a list of numbers: {exc}") from exc
+        grid = cfg["zeta1_sq_grid"]
     else:
         pts = 101 if args.grid_points is None else args.grid_points
         if pts < 1:
-            raise UsageError(f"--grid-points must be at least 1, got {pts}")
+            raise InvalidInput(f"--grid-points must be at least 1, got {pts}")
         grid = tuple(np.linspace(0.0, 1.0, pts))
     try:
-        config = ScanConfig(dec, int(n), grid)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"zeta-scan: {exc}") from exc
-    rows = [(r.zeta1_sq, r.xi2_min, r.mu_min, r.status) for r in zeta_scan(config)]
+        n = int(n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"--config: n must be an integer, got {n!r}") from exc
+    rows = [(r.zeta1_sq, r.xi2_min, r.mu_min, r.status) for r in zeta_scan(ScanConfig(dec, n, grid))]
     _emit_table(args, ["zeta1_sq", "xi2_min", "mu_min", "status"], rows)
     return 0
 
 
 def _cmd_fit(args) -> int:
-    rows = []
+    header, rows = None, []
     with open(args.input, encoding="utf-8") as fh:
-        header = None
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -338,23 +306,21 @@ def _cmd_fit(args) -> int:
             parts = line.split(",")
             if header is None:
                 header = parts
-                continue
-            rows.append(dict(zip(header, parts)))
+            elif len(parts) != len(header):
+                raise InvalidInput(
+                    f"{args.input}: row {len(rows) + 1} has {len(parts)} cells, header has {len(header)}"
+                )
+            else:
+                rows.append(dict(zip(header, parts)))
     if not rows:
-        raise UsageError(f"no data rows in {args.input}")
+        raise InvalidInput(f"no data rows in {args.input}")
     try:
         points = [(float(r[args.x_col]), float(r[args.y_col])) for r in rows if r.get("status", "ok") == "ok"]
     except KeyError as exc:
-        raise UsageError(f"column {exc} missing from {args.input}") from exc
+        raise InvalidInput(f"column {exc} missing from {args.input}") from exc
     except ValueError as exc:
-        raise UsageError(f"{args.input}: {exc}") from exc
-    try:
-        res = fit_power_law(points, model=args.model)
-    except FitDiverged as exc:
-        print(f"fit diverged: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        raise UsageError(f"{args.input}: {exc}") from exc
+        raise InvalidInput(f"{args.input}: {exc}") from exc
+    res = fit_power_law(points, model=args.model)
     payload = {
         "schema": "1",
         "model": res.model,
@@ -371,8 +337,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     grid = _mu_grid(0.0, args.mu_max, args.mu_points)
-    triple, zeta = _spec_from_args(args)
-    spec = oat_spec(triple.decomposition, args.n, zeta)
+    triple, spec = _spec_from_args(args)
     pairs, worst = compare_with_oracle(spec, OracleWorkspace(triple, args.n), grid)
     rows = [
         (a.mu, a.perp_expectation, o.perp_expectation, a.var_min, o.var_min,
@@ -394,95 +359,77 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spinsqueeze {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_class=False, with_zeta=False):
-        p.add_argument("--j", help='spin as "p/q", e.g. 3/2')
+    def add(name, func, help, spin=True, ensemble=False, table=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-        p.add_argument("--no-banner", action="store_true", help="omit the CSV version banner")
-        if with_class:
+        if spin:
+            p.add_argument("--j", required=True, help='spin as "p/q", e.g. 3/2')
+        if ensemble:
             p.add_argument("--class", dest="cls", required=True,
                            help='vertex subset "1,3" or subspins "1/2+1/2"')
             p.add_argument("--n", type=int, required=True, help="particle count N")
-        if with_zeta:
             p.add_argument("--zeta", required=True, help="comma list of complex weights")
             p.add_argument("--strict", action="store_true",
                            help="reject unnormalized zeta instead of renormalizing")
+        if table:
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
+            p.add_argument("--no-banner", action="store_true", help="omit the CSV version banner")
+        return p
 
-    p = sub.add_parser("generators", help="emit the generator basis as JSON")
-    common(p)
-    p.set_defaults(func=_cmd_generators)
-
-    p = sub.add_parser("roots", help="emit the root system as JSON")
-    common(p)
-    p.set_defaults(func=_cmd_roots)
-
-    p = sub.add_parser("classify", help="enumerate unitary equivalence classes")
-    common(p)
+    add("generators", _cmd_generators, "emit the generator basis as JSON")
+    add("roots", _cmd_roots, "emit the root system as JSON")
+    p = add("classify", _cmd_classify, "enumerate unitary equivalence classes")
     p.add_argument("--emit-matrices", action="store_true", help="include the triple matrices")
-    p.set_defaults(func=_cmd_classify)
+    add("coherent", _cmd_coherent, "coherent-state expectations for one class", ensemble=True)
 
-    p = sub.add_parser("coherent", help="coherent-state expectations for one class")
-    common(p, with_class=True, with_zeta=True)
-    p.add_argument("--theta", type=float, default=math.pi / 2)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.set_defaults(func=_cmd_coherent)
-
-    p = sub.add_parser("oat-sweep", help="twisting dynamics over a mu grid (CSV)")
-    common(p, with_class=True, with_zeta=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p = add("oat-sweep", _cmd_oat_sweep, "twisting dynamics over a mu grid (CSV)",
+            ensemble=True, table=True)
     p.add_argument("--mu-min", type=float, default=0.0)
     p.add_argument("--mu-max", type=float, required=True)
     p.add_argument("--mu-points", type=int, default=101)
-    p.set_defaults(func=_cmd_oat_sweep)
 
-    p = sub.add_parser("limits", help="squeezing limit over mu (JSON)")
-    common(p, with_class=True, with_zeta=True)
-    p.set_defaults(func=_cmd_limits)
+    add("limits", _cmd_limits, "squeezing limit over mu (JSON)", ensemble=True)
 
-    p = sub.add_parser("zeta-scan", help="squeezing limit along the weight grid (CSV)")
-    common(p)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p = add("zeta-scan", _cmd_zeta_scan, "squeezing limit along the weight grid (CSV)",
+            spin=False, table=True)
+    p.add_argument("--j", help='spin as "p/q", e.g. 3/2')
     p.add_argument("--class", dest="cls", default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--grid-points", type=int, default=None, help="points on [0, 1] (default 101)")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.set_defaults(func=_cmd_zeta_scan)
 
-    p = sub.add_parser("fit", help="power-law fit of a scan CSV (JSON out)")
-    common(p)
+    p = add("fit", _cmd_fit, "power-law fit of a scan CSV (JSON out)", spin=False)
     p.add_argument("--input", required=True, help="CSV with a header row")
     p.add_argument("--model", choices=["power", "offset-power"], default="power")
     p.add_argument("--x-col", default="n")
     p.add_argument("--y-col", default="xi2_min")
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("oracle-check", help="analytic vs exact-simulation comparison (CSV)")
-    common(p, with_class=True, with_zeta=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p = add("oracle-check", _cmd_oracle_check, "analytic vs exact-simulation comparison (CSV)",
+            ensemble=True, table=True)
     p.add_argument("--mu-points", type=int, default=50)
     p.add_argument("--mu-max", type=float, default=math.pi)
-    p.set_defaults(func=_cmd_oracle_check)
 
     return parser
 
 
 def parse_and_dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors; remap to the documented code 1
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = args.func(args)
+    except (InvalidInput, OSError) as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1
     except SpinSqueezeError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if hasattr(args, "warning"):
+        print(args.warning, file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:

@@ -43,6 +43,7 @@ import numpy as np
 from .classification import IrrepDecomposition
 from .errors import (
     DimensionMismatch,
+    InvalidInput,
     NonFiniteInput,
     NormalizationError,
     NotOatStart,
@@ -55,6 +56,7 @@ GOLDEN_REL_TOL = 1e-6
 MAX_EXPANSIONS = 8
 MU_MAX = 2.0 * math.pi  # xi^2 repeats every 4 pi and mirrors about 2 pi
 OAT_ANGLE_TOL = 1e-12
+WEIGHT_NORM_TOL = 1e-12  # |sum |zeta_l|^2 - 1| accepted as normalized
 
 
 @dataclass(frozen=True)
@@ -69,9 +71,12 @@ class CoherentSpec:
         z = tuple(complex(v) for v in self.zeta)
         object.__setattr__(self, "zeta", z)
         if not (math.isfinite(self.theta) and math.isfinite(self.phi) and all(map(cmath.isfinite, z))):
-            raise NonFiniteInput(f"theta = {self.theta!r}, phi = {self.phi!r}, zeta = {z!r}")
+            raise NonFiniteInput(
+                f"coherent-state parameters must be finite, got theta = {self.theta!r}, "
+                f"phi = {self.phi!r}, zeta = {z!r}"
+            )
         total = sum(abs(v) ** 2 for v in z)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > WEIGHT_NORM_TOL:
             raise NormalizationError(f"sum |zeta|^2 = {total!r}, expected 1")
 
     @property
@@ -89,7 +94,7 @@ class EnsembleSpec:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("particle count must be >= 1")
+            raise InvalidInput(f"particle count must be >= 1, got {self.n}")
         if len(self.coherent.zeta) != self.decomposition.r:
             raise DimensionMismatch(
                 f"{len(self.coherent.zeta)} weights for r = {self.decomposition.r} subspaces"
@@ -148,9 +153,14 @@ def css_fluctuation(spec: EnsembleSpec, nu: float = 0.0) -> float:
 
 
 def _check_oat(spec: EnsembleSpec, mu: float) -> None:
-    """Refuse mu < 0 and a start off theta = pi/2, phi = 0, which the closed forms assume."""
+    """Refuse a non-finite or negative mu and a start off theta = pi/2, phi = 0.
+
+    The closed forms assume that start; NaN slips past mu < 0, so finiteness comes first.
+    """
+    if not math.isfinite(mu):
+        raise NonFiniteInput(f"mu must be finite, got {mu!r}")
     if mu < 0:
-        raise ValueError("mu must be >= 0")
+        raise InvalidInput(f"mu must be >= 0, got {mu!r}")
     c = spec.coherent
     if abs(c.theta - math.pi / 2) > OAT_ANGLE_TOL or abs(c.phi) > OAT_ANGLE_TOL:
         raise NotOatStart(f"closed forms need theta = pi/2, phi = 0, got {c.theta!r}, {c.phi!r}")
@@ -346,9 +356,9 @@ def asymptotic_limit_r1(twice_j_sub: int, n: int) -> R1Limit:
     beta <= 0.1 at the optimum.
     """
     if twice_j_sub < 1:
-        raise ValueError("the weighted subspace must have J_l > 0")
+        raise InvalidInput(f"the weighted subspace must have J_l > 0, got 2J_l = {twice_j_sub}")
     if n < 2:
-        raise ValueError("asymptotics need N >= 2")
+        raise InvalidInput(f"asymptotics need N >= 2, got {n}")
     jn = (twice_j_sub / 2.0) * n
     mu = 12.0 ** (1.0 / 6.0) * jn ** (-2.0 / 3.0)
     xi2 = 0.5 * (1.5 / jn) ** (2.0 / 3.0) + 0.5 / jn

@@ -1,19 +1,32 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Every public call either returns its answer or raises a SpinSqueezeError.
+Arguments outside a call's domain (a count below 1, a NaN, a weight vector of
+the wrong length or norm, a class the formula does not cover) raise
+InvalidInput or one of its subclasses; InvalidInput is also a ValueError.
+The checks live in the library only: the command line maps InvalidInput to
+exit code 1 and every other SpinSqueezeError, a numerical status such as a
+vanished mean spin or an oversized basis, to exit code 2.
+"""
 
 
 class SpinSqueezeError(Exception):
     """Base class for all library-specific errors."""
 
 
-class DimensionMismatch(SpinSqueezeError):
+class InvalidInput(SpinSqueezeError, ValueError):
+    """An argument lies outside the domain of the call."""
+
+
+class DimensionMismatch(InvalidInput):
     """Operands act on spaces of incompatible dimension."""
 
 
-class NormalizationError(SpinSqueezeError):
+class NormalizationError(InvalidInput):
     """A coefficient or amplitude vector is not normalized."""
 
 
-class NonFiniteInput(SpinSqueezeError):
+class NonFiniteInput(InvalidInput):
     """An input that must be a finite number is NaN or infinite."""
 
 
@@ -33,7 +46,7 @@ class NotAnSu2Triple(SpinSqueezeError):
     """Three operators fail the su(2) commutation relations."""
 
 
-class AllTrivialSubspins(SpinSqueezeError):
+class AllTrivialSubspins(InvalidInput):
     """Every subspin in a decomposition is zero; the structure factor diverges."""
 
 
@@ -41,11 +54,11 @@ class VanishingMeanSpin(SpinSqueezeError):
     """The mean-spin expectation is too small for the squeezing parameter."""
 
 
-class NotOatStart(SpinSqueezeError):
+class NotOatStart(InvalidInput):
     """A closed-form twisting formula got a coherent state off theta = pi/2, phi = 0."""
 
 
-class WrongClass(SpinSqueezeError):
+class WrongClass(InvalidInput):
     """An operation specialized to one equivalence class got another."""
 
 

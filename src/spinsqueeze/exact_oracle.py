@@ -51,7 +51,7 @@ from .coherent_dynamics import (
     css_expectation_perp,
     squeeze_trace,
 )
-from .errors import DimensionMismatch, NotDiagonal, SizeLimit
+from .errors import DimensionMismatch, InvalidInput, NormalizationError, NotDiagonal, SizeLimit
 from .lie_algebra import HermitianOperator, SpinQuantum, spin_matrices
 
 if TYPE_CHECKING:
@@ -141,14 +141,14 @@ class FockBasis:
         if occ.shape[-1:] != (self.modes,):
             raise DimensionMismatch(f"occupation shape {occ.shape} does not end in {self.modes} modes")
         if occ.size and occ.min() < 0:
-            raise ValueError("occupations must be non-negative")
+            raise InvalidInput(f"occupations must be non-negative, got {occ.min()}")
         left = np.full(occ.shape[:-1], self.n, dtype=np.int64)
         rank = np.full(occ.shape[:-1], self.size - 1, dtype=np.int64)
         for j in range(1, self.modes):
             left -= occ[..., j - 1]
             rank += self._rank_terms[:, j].take(left, mode="clip")
         if np.any(left != occ[..., -1]):
-            raise ValueError(f"occupations must sum to N = {self.n}")
+            raise InvalidInput(f"occupations must sum to N = {self.n}")
         return rank
 
     def hop(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +186,7 @@ class FockBasis:
 def build_basis(n: int, j: SpinQuantum) -> FockBasis:
     """Complete occupation basis for N particles with 2J+1 sublevels each."""
     if n < 1:
-        raise ValueError("particle count must be >= 1")
+        raise InvalidInput(f"particle count must be >= 1, got {n}")
     modes = j.dim
     size = math.comb(n + modes - 1, modes - 1)
     if size > BASIS_SIZE_LIMIT:
@@ -209,7 +209,7 @@ class SymmetricState:
             raise DimensionMismatch(f"amplitudes shape {amps.shape} != basis size {self.basis.size}")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm^2 = {norm!r}, expected 1")
+            raise NormalizationError(f"state norm^2 = {norm!r}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -405,14 +405,17 @@ def compare_with_oracle(
     relative (to max(1, |oracle xi^2|)) in xi^2.  xi^2 is left out where the
     analytic mean has fallen below XI2_MEAN_GUARD of its initial value or
     either side reports a vanished mean (xi^2 = inf).  A NaN in any compared
-    quantity makes the worst discrepancy NaN.
+    quantity makes the worst discrepancy NaN; an empty grid is refused.
     """
+    mus = [float(mu) for mu in mus]
+    if not mus:
+        raise InvalidInput("the mu grid is empty")
     guard = XI2_MEAN_GUARD * abs(css_expectation_perp(spec))
     pairs = []
     diffs = []
     for mu in mus:
-        a = squeeze_trace(spec, float(mu))
-        o = workspace.squeezing(spec.coherent, float(mu))
+        a = squeeze_trace(spec, mu)
+        o = workspace.squeezing(spec.coherent, mu)
         pairs.append((a, o))
         diffs += [
             abs(a.perp_expectation - o.perp_expectation),

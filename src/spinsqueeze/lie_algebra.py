@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, NormalizationError, NotTraceless
+from .errors import DimensionMismatch, InvalidInput, NormalizationError, NotTraceless
 
 HERMITIAN_TOL = 1e-12
 TRACELESS_TOL = 1e-12
@@ -43,7 +43,7 @@ class SpinQuantum:
 
     def __post_init__(self) -> None:
         if not isinstance(self.twice_j, (int, np.integer)) or self.twice_j < 0:
-            raise ValueError(f"twice_j must be a non-negative integer, got {self.twice_j!r}")
+            raise InvalidInput(f"twice_j must be a non-negative integer, got {self.twice_j!r}")
 
     @property
     def dim(self) -> int:
@@ -57,16 +57,14 @@ class SpinQuantum:
     @classmethod
     def from_string(cls, text: str) -> "SpinQuantum":
         """Parse "3/2", "1", "1/2", ... into a SpinQuantum."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            p, q = int(num), int(den)
-            if q == 2:
-                return cls(p)
-            if q == 1:
-                return cls(2 * p)
-            raise ValueError(f"spin must be a half-integer, got {text!r}")
-        return cls(2 * int(text))
+        num, slash, den = text.strip().partition("/")
+        try:
+            p, q = int(num), int(den) if slash else 1
+        except ValueError:
+            q = 0
+        if q not in (1, 2):
+            raise InvalidInput(f"spin must be a half-integer, got {text!r}")
+        return cls(2 * p // q)
 
     def __str__(self) -> str:
         return half_integer_str(self.twice_j)
@@ -101,7 +99,7 @@ class HermitianOperator:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
         if dev > HERMITIAN_TOL:
-            raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
+            raise InvalidInput(f"matrix is not Hermitian (deviation {dev:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -146,7 +144,7 @@ def spin_matrices(j: SpinQuantum) -> tuple[HermitianOperator, HermitianOperator,
     entries J ... -J and [Jx, Jy] = i Jz.
     """
     if j.twice_j < 1:
-        raise ValueError("spin matrices need 2J >= 1")
+        raise InvalidInput(f"spin matrices need 2J >= 1, got 2J = {j.twice_j}")
     dim = j.dim
     jj = j.j
     m = jj - np.arange(dim)  # m_z values, descending
@@ -289,7 +287,7 @@ def multipole_basis(j: SpinQuantum) -> GeneratorSet:
     conventional matrices are returned.
     """
     if j.twice_j < 1:
-        raise ValueError("generator sets need 2J >= 1")
+        raise InvalidInput(f"generator sets need 2J >= 1, got 2J = {j.twice_j}")
     return _multipole_basis_cached(j.twice_j)
 
 

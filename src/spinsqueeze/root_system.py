@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRootSpace, DimensionMismatch, NonDiagonalCartan
+from .errors import DegenerateRootSpace, DimensionMismatch, InvalidInput, NonDiagonalCartan
 from .lie_algebra import GeneratorSet, SpinQuantum, norm_squared
 
 ROOT_RESIDUAL_TOL = 1e-9
@@ -36,12 +36,12 @@ class CartanChoice:
                 f"Cartan rank of su({self.j.dim}) is {self.j.twice_j}, got {len(self.indices)} indices"
             )
         if 2 not in self.indices:
-            raise ValueError("the Cartan choice must contain Jz (index 2)")
+            raise InvalidInput(f"the Cartan choice must contain Jz (index 2), got {self.indices}")
         if len(set(self.indices)) != len(self.indices):
-            raise ValueError(f"the Cartan choice repeats an index: {self.indices}")
+            raise InvalidInput(f"the Cartan choice repeats an index: {self.indices}")
         top = self.j.dim * self.j.dim - 2
         if any(not 0 <= i <= top for i in self.indices):
-            raise ValueError(f"Cartan indices must lie in 0..{top}, got {self.indices}")
+            raise InvalidInput(f"Cartan indices must lie in 0..{top}, got {self.indices}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def simple_root_matrices(j: SpinQuantum) -> list[SimpleRootMatrix]:
     common generator trace norm.
     """
     if j.twice_j < 1:
-        raise ValueError("simple roots need 2J >= 1")
+        raise InvalidInput(f"simple roots need 2J >= 1, got 2J = {j.twice_j}")
     value = math.sqrt(norm_squared(j))
     return [SimpleRootMatrix(k, _elementary(j.dim, k - 1, k, value)) for k in range(1, j.twice_j + 1)]
 

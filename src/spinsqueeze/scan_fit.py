@@ -9,7 +9,7 @@ import numpy as np
 
 from .classification import IrrepDecomposition
 from .coherent_dynamics import LimitResult, find_limit, oat_spec
-from .errors import FitDiverged, VanishingMeanSpin
+from .errors import FitDiverged, InvalidInput, NonFiniteInput, VanishingMeanSpin
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,20 @@ class ScanConfig:
     zeta1_sq_grid: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        grid = tuple(float(w) for w in self.zeta1_sq_grid)
+        try:
+            grid = tuple(float(w) for w in self.zeta1_sq_grid)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"the weight grid must be a sequence of numbers: {exc}") from exc
         object.__setattr__(self, "zeta1_sq_grid", grid)
         if self.decomposition.r < 2:
-            raise ValueError("weight scans need at least two subspaces")
+            raise InvalidInput(f"weight scans need at least two subspaces, got r = {self.decomposition.r}")
         if not grid:
-            raise ValueError("the weight grid is empty")
-        if any(not 0.0 <= w <= 1.0 for w in grid):
-            raise ValueError("grid weights must lie in [0, 1]")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("grid must be strictly increasing")
+            raise InvalidInput("the weight grid is empty")
+        for w in grid:
+            _check_weight(w)
+        for a, b in zip(grid, grid[1:]):
+            if b <= a:
+                raise InvalidInput(f"grid must be strictly increasing, got {b!r} after {a!r}")
 
 
 @dataclass(frozen=True)
@@ -45,10 +49,15 @@ class ScanRow:
     status: str
 
 
+def _check_weight(zeta1_sq: float) -> None:
+    if not 0.0 <= zeta1_sq <= 1.0:  # also refuses NaN
+        raise InvalidInput(f"zeta1_sq must lie in [0, 1], got {zeta1_sq!r}")
+
+
 def _two_weight_zeta(r: int, zeta1_sq: float) -> tuple[float, ...]:
     if r == 1:
         if abs(zeta1_sq - 1.0) > 1e-12:
-            raise ValueError("a single-subspace class only admits zeta1_sq = 1")
+            raise InvalidInput(f"a single-subspace class only admits zeta1_sq = 1, got {zeta1_sq!r}")
         return (1.0,)
     zeta = [0.0] * r
     zeta[0] = math.sqrt(zeta1_sq)
@@ -74,9 +83,10 @@ def n_scan(
     decomposition: IrrepDecomposition, zeta1_sq: float, n_values
 ) -> list[tuple[int, float, float, str]]:
     """Squeezing limit versus particle number at a fixed weight split."""
+    _check_weight(zeta1_sq)
     ns = [int(n) for n in n_values]
     if not ns:
-        raise ValueError("no particle numbers to scan")
+        raise InvalidInput("no particle numbers to scan")
     rows = []
     for n in ns:
         row = _scan_point(decomposition, n, zeta1_sq)
@@ -120,29 +130,35 @@ def fit_power_law(points, model: str = "power", maxfev: int = 10_000) -> FitResu
     """Nonlinear least squares for y(N) = a N^-p or y(N) = c + a N^-p + b/N.
 
     Initial values come from log-log linear regression (for the offset model
-    the smallest sample is first subtracted as a constant guess); the
+    a constant just below the smallest sample is first subtracted); the
     refinement is Levenberg-Marquardt on the model residuals.  Standard errors
     are read off the Jacobian-based covariance at the optimum.
     """
     pts = [(float(n), float(y)) for n, y in points]
     if len(pts) < 4:
-        raise ValueError("need at least 4 points to fit")
+        raise InvalidInput(f"need at least 4 points to fit, got {len(pts)}")
+    for n_i, y_i in pts:
+        if not (math.isfinite(n_i) and math.isfinite(y_i)):
+            raise NonFiniteInput(f"fits need finite samples, got (n, y) = ({n_i!r}, {y_i!r})")
     n = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     if np.any(n <= 0) or len(set(n.tolist())) != len(n):
-        raise ValueError("sample positions must be positive and distinct")
+        raise InvalidInput(f"sample positions must be positive and distinct, got {sorted(n.tolist())}")
 
     if model == "power":
+        if np.any(y <= 0):
+            raise InvalidInput(f"the power model needs y > 0, got y = {float(np.min(y))!r}")
         func, names = _pure_power, ("a", "p")
         a0, p0 = _loglog_init(n, y)
         p0vec = [a0, p0]
     elif model == "offset-power":
         func, names = _offset_power, ("c", "a", "p", "b")
-        c0 = 0.9 * float(np.min(y))
+        y_min = float(np.min(y))
+        c0 = (0.9 if y_min > 0 else 1.1) * y_min  # just below the smallest sample
         a0, p0 = _loglog_init(n, np.maximum(y - c0, 1e-300))
         p0vec = [c0, a0, p0, 0.0]
     else:
-        raise ValueError(f"unknown model {model!r}")
+        raise InvalidInput(f"unknown model {model!r}")
 
     # Imported here, not at module level: scipy.optimize adds about 16 MB of
     # resident memory to every process that imports the package, and only

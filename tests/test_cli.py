@@ -232,6 +232,9 @@ INPUT_FILES = {
     "few.csv": "n,xi2_min,status\n10,0.1,ok\n100,0.05,ok\n1000,0.02,ok\n10000,0.01,no_squeezing\n",
     "text.csv": "n,xi2_min\n10,0.1\n100,abc\n1000,0.02\n10000,0.01\n",
     "repeated.csv": "n,xi2_min\n10,0.1\n10,0.05\n1000,0.02\n10000,0.01\n",
+    "neg.csv": "n,xi2_min\n10,0.1\n100,0.05\n1000,0.02\n10000,-0.01\n",
+    "inf.csv": "n,xi2_min\n10,0.1\n100,inf\n1000,0.02\n10000,0.01\n",
+    "short.csv": "n,xi2_min\n10,0.1\n100,0.05\n1000\n10000,0.01\n",
     "broken.json": '{"j": "3/2", "class": ',
     "list.json": '["3/2", "1,3", 100]',
     "fields.json": '{"j": "3/2", "class": 13, "n": [100], "zeta1_sq_grid": ["x"]}',
@@ -245,7 +248,7 @@ INPUT_FILES = {
         (*SWEEP_ARGS, "--mu-points", "0"),
         ("zeta-scan", "--j", "3/2", "--class", "1,2,3", "--n", "100"),
         ("zeta-scan", "--j", "3/2", "--class", "1,3", "--n", "100", "--grid-points", "0"),
-        ("coherent", "--j", "3/2", "--class", "1,3", "--n", "4", "--zeta", "0.6,0.8", "--theta", "nan"),
+        ("zeta-scan", "--j", "3/2", "--class", "1,3", "--n", "0", "--grid-points", "3"),
         ("fit", "--input", "{few.csv}"),
         ("fit", "--input", "{text.csv}"),
         ("fit", "--input", "{repeated.csv}"),
@@ -254,6 +257,9 @@ INPUT_FILES = {
         ("zeta-scan", "--config", "{fields.json}"),
         ("zeta-scan", "--config", "{fields.json}", "--class", "1,3"),
         ("zeta-scan", "--config", "{fields.json}", "--class", "1,3", "--grid-points", "3"),
+        ("fit", "--input", "{neg.csv}"),
+        ("fit", "--input", "{inf.csv}"),
+        ("fit", "--input", "{short.csv}"),
     ],
 )
 def test_bad_inputs_are_usage_errors(capsys, tmp_path, argv):
@@ -263,7 +269,47 @@ def test_bad_inputs_are_usage_errors(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {argv[0]}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_fit_short_row_names_row_and_cell_counts(capsys, tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(INPUT_FILES["short.csv"])
+    code, _, err = run_cli(capsys, "fit", "--input", str(path))
+    assert code == 1
+    assert "row 3 has 1 cells, header has 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generators", "--j", "3/2", "--no-banner"),
+        ("fit", "--input", "points.csv", "--j", "3/2"),
+        ("coherent", "--j", "3/2", "--class", "1,3", "--n", "4", "--zeta", "0.6,0.8", "--theta", "1"),
+    ],
+)
+def test_removed_options_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("limits", "--j", "3/2", "--class", "1,3", "--n", "5", "--zeta", "0.5"),
+        ("limits", "--j", "3/2", "--class", "1,2,3", "--n", "0", "--zeta", "0.5"),
+        ("oat-sweep", "--j", "3/2", "--class", "1,2,3", "--n", "4", "--zeta", "0.5", "--mu-max", "nan"),
+    ],
+)
+def test_no_renormalizing_warning_before_a_refusal(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "renormalizing" not in err
+    assert err.startswith(f"error: {argv[0]}: ")
 
 
 def test_zeta_scan_cli_and_config(tmp_path, capsys):

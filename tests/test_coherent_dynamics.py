@@ -24,6 +24,7 @@ from spinsqueeze import (
 )
 from spinsqueeze.errors import (
     DimensionMismatch,
+    InvalidInput,
     NonFiniteInput,
     NormalizationError,
     VanishingMeanSpin,
@@ -71,6 +72,17 @@ def test_spec_validation():
 def test_spec_rejects_non_finite_input(theta, phi, zeta):
     with pytest.raises(NonFiniteInput):
         CoherentSpec(theta, phi, zeta)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_squeeze_trace_rejects_non_finite_mu(mu):
+    with pytest.raises(NonFiniteInput, match="mu must be finite"):
+        squeeze_trace(oat_spec(DEC_III, 10, (0.6, 0.8)), mu)
+
+
+def test_squeeze_trace_rejects_negative_mu():
+    with pytest.raises(InvalidInput, match="got -0.5"):
+        squeeze_trace(oat_spec(DEC_I, 10, (1,)), -0.5)
 
 
 def test_css_expectation_values():

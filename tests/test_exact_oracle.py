@@ -38,7 +38,14 @@ from spinsqueeze import (
     variance,
 )
 from spinsqueeze.coherent_dynamics import EnsembleSpec
-from spinsqueeze.errors import DimensionMismatch, NotDiagonal, NotOatStart, SizeLimit, VanishingMeanSpin
+from spinsqueeze.errors import (
+    DimensionMismatch,
+    InvalidInput,
+    NotDiagonal,
+    NotOatStart,
+    SizeLimit,
+    VanishingMeanSpin,
+)
 from spinsqueeze.lie_algebra import HermitianOperator
 
 from observables import oat_transverse_observable, perp_observable, transverse_observable
@@ -492,6 +499,12 @@ def test_compare_with_oracle_propagates_nan(field):
     pairs, worst = compare_with_oracle(spec, stand_in, [0.1, 0.2, 0.3])
     assert [a.mu for a, _ in pairs] == [0.1, 0.2, 0.3]
     assert math.isnan(worst)
+
+
+def test_compare_with_oracle_refuses_an_empty_grid():
+    spec = oat_spec(IrrepDecomposition(J32, (1, 1)), 4, (0.6, 0.8))
+    with pytest.raises(InvalidInput, match="empty"):
+        compare_with_oracle(spec, _StandIn(spec), np.linspace(0.0, 1.0, 0))
 
 
 def test_compare_with_oracle_skips_xi2_at_collapsed_mean():

@@ -11,7 +11,7 @@ from spinsqueeze import (
     n_scan,
     zeta_scan,
 )
-from spinsqueeze.errors import FitDiverged
+from spinsqueeze.errors import FitDiverged, InvalidInput, NonFiniteInput
 
 J32 = SpinQuantum(3)
 DEC_II = IrrepDecomposition(J32, (2, 0))
@@ -25,6 +25,12 @@ def test_scan_config_validation():
         ScanConfig(DEC_III, 10, (0.5, 0.5))  # not strictly increasing
     with pytest.raises(ValueError):
         ScanConfig(DEC_III, 10, (0.2, 1.4))  # outside [0, 1]
+
+
+@pytest.mark.parametrize("grid", [("x",), (0.5, None), 0.5])
+def test_scan_config_rejects_non_numeric_grid(grid):
+    with pytest.raises(InvalidInput, match="sequence of numbers"):
+        ScanConfig(DEC_III, 100, grid)
 
 
 def test_scan_config_rejects_empty_grid():
@@ -102,6 +108,31 @@ def test_fit_input_validation():
         fit_power_law([(1, 1.0), (2, 0.5), (3, 0.3), (4, 0.2)], model="cubic")
 
 
+def test_power_fit_refuses_non_positive_y():
+    pts = [(10, 0.1), (100, 0.05), (1000, 0.02), (10000, -0.01)]
+    with pytest.raises(InvalidInput, match="y > 0"):
+        fit_power_law(pts, model="power")
+    with pytest.raises(InvalidInput, match="y > 0"):
+        fit_power_law(pts[:3] + [(10000, 0.0)], model="power")
+
+
+def test_offset_fit_accepts_negative_y():
+    ns = np.geomspace(10, 1e4, 8)
+    pts = [(n, 1.7 * n ** (-0.4) - 0.1) for n in ns]
+    assert pts[-1][1] < 0
+    res = fit_power_law(pts, model="offset-power")
+    assert res.param("c")[0] == pytest.approx(-0.1, abs=1e-6)
+    assert res.param("p")[0] == pytest.approx(0.4, rel=1e-6)
+
+
+@pytest.mark.parametrize("model", ["power", "offset-power"])
+@pytest.mark.parametrize("bad", [(100, math.inf), (100, math.nan), (math.inf, 0.05), (math.nan, 0.05)])
+def test_fit_refuses_non_finite_samples(model, bad):
+    pts = [(10, 0.1), bad, (1000, 0.02), (10000, 0.01)]
+    with pytest.raises(NonFiniteInput, match="finite"):
+        fit_power_law(pts, model=model)
+
+
 def test_fit_diverged_on_starved_iterations():
     ns = np.geomspace(10, 1e4, 8)
     pts = [(n, 1.7 * n ** (-0.4) + 0.03) for n in ns]
@@ -122,6 +153,12 @@ def test_n_scan_single_subspace_class():
     assert all(r[3] == "ok" for r in rows)
     with pytest.raises(ValueError):
         n_scan(dec, 0.5, [1000])
+
+
+@pytest.mark.parametrize("zeta1_sq", [-0.5, 1.5, math.nan])
+def test_n_scan_refuses_weight_outside_unit_interval(zeta1_sq):
+    with pytest.raises(InvalidInput, match="zeta1_sq must lie in"):
+        n_scan(DEC_III, zeta1_sq, [100])
 
 
 def test_fit_on_generated_type_i_scaling():

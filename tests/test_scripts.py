@@ -25,6 +25,14 @@ def test_oracle_audit_passes(oracle_audit, capsys):
     assert "overall: " in capsys.readouterr().out
 
 
+def test_oracle_audit_refuses_an_empty_mu_grid(oracle_audit, capsys):
+    from spinsqueeze.errors import InvalidInput
+
+    with pytest.raises(InvalidInput, match="empty"):
+        oracle_audit.main(["--n-max", "3", "--mu-points", "0"])
+    assert "overall" not in capsys.readouterr().out
+
+
 def test_oracle_audit_counts_nan_discrepancy_as_failure(oracle_audit, capsys, monkeypatch):
     from spinsqueeze import exact_oracle
 
