@@ -33,6 +33,8 @@ def main(argv=None) -> int:
     ap.add_argument("--n-max", type=int, default=10)
     ap.add_argument("--mu-points", type=int, default=40)
     args = ap.parse_args(argv)
+    if args.n_max < 2:
+        ap.error(f"--n-max must be >= 2 (the audit starts at N = 2), got {args.n_max}")
 
     j32 = SpinQuantum(3)
     mu_grid = np.linspace(0.0, math.pi, args.mu_points)

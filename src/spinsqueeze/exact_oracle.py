@@ -21,15 +21,22 @@ All of it is array code; no Python loop runs over basis states.
   single-particle matrix.  `FockBasis.hop` moves one boson b -> a in every
   state at once; only the rank terms of the modes between a and b change.
 - Coherent amplitudes are exp(log multinomial / 2 + occ @ log|psi|) with
-  phase occ @ arg(psi); the multinomial term is computed once per basis.
-- `OracleWorkspace` caches coherent states per `CoherentSpec`, at most
+  phase occ @ arg(psi); the multinomial term is computed once per basis and
+  each block's rotated state is the closed-form binomial vector.
+- `OracleWorkspace` reads the triple as one su(2) ladder.  It quantizes
+  Lambda+ = O1 + i O2 once, with the same routine as `second_quantize`;
+  Lambda- is its conjugate transpose and Lambda3 the vector occ @ diag(O3).
+  A point costs two sparse matrix-vector products, each over half the
+  nonzeros of one collective O1, and every moment is an inner product of
+  the ladder images.  The twisting phases come from a table of the distinct
+  twist values.  Coherent states are cached per `CoherentSpec`, at most
   COHERENT_CACHE_SIZE of them per workspace (least recently used evicted),
   because twisting only multiplies the cached state by a diagonal phase.
 
-Measured on a 2-CPU x86-64 host (Python 3.11, numpy 2.4), per-state loops
-against this version: a J = 3/2, N = 100 workspace (176 851 states) builds
-in 4.9 s -> 0.23 s, and one squeezing point on it takes 1.25 s -> 18 ms
-(repeated spec).
+Measured on a 2-CPU x86-64 host (Python 3.11, numpy 2.4, medians of three),
+a J = 3/2, N = 100 workspace (176 851 states) builds in 232 ms -> 94 ms
+against the three-operator version, one squeezing point on it takes
+23 ms -> 7.8 ms (repeated spec), and the process peaks at 196 -> 128 MB.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .coherent_dynamics import (
     squeeze_trace,
 )
 from .errors import DimensionMismatch, InvalidInput, NormalizationError, NotDiagonal, SizeLimit
-from .lie_algebra import HermitianOperator, SpinQuantum, spin_matrices
+from .lie_algebra import HermitianOperator, SpinQuantum
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -167,6 +174,13 @@ class FockBasis:
         return src, dst
 
     @cached_property
+    def float_states(self) -> np.ndarray:
+        """`states` as float64, for products with single-particle vectors."""
+        occ = self.states.astype(float)
+        occ.setflags(write=False)
+        return occ
+
+    @cached_property
     def half_log_multinomial(self) -> np.ndarray:
         """log sqrt(N! / prod_k occ_k!) per state."""
         from scipy.special import gammaln
@@ -222,17 +236,18 @@ class CollectiveOperator:
     action: sp.csr_matrix
 
 
-def second_quantize(op: HermitianOperator, basis: FockBasis) -> CollectiveOperator:
-    """Collective operator sum_{mn} op_mn c+_m c_n on the occupation basis."""
-    # scipy is imported where the oracle uses it: at module level, scipy.sparse,
-    # .linalg and .special add 33 MB of resident memory to every import.
+def _quantize(m: np.ndarray, basis: FockBasis) -> sp.csr_matrix:
+    """CSR matrix of sum_{ab} m_ab c+_a c_b for any single-particle matrix m.
+
+    The diagonal is occ @ diag(m); each nonzero off-diagonal pair (a, b)
+    adds one `FockBasis.hop` of b -> a with weight m_ab sqrt(n_b (n_a + 1)).
+    """
+    # scipy is imported where the oracle uses it: at module level, scipy.sparse
+    # and .special add 28 MB of resident memory to every import.
     import scipy.sparse as sp
 
-    if op.dim != basis.modes:
-        raise DimensionMismatch(f"operator dim {op.dim} != mode count {basis.modes}")
-    m = op.matrix
-    occ = basis.states
-    diag = occ @ np.real(np.diagonal(m))
+    occ = basis.float_states
+    diag = occ @ np.diagonal(m)
     keep = np.flatnonzero(diag)
     rows, cols, vals = [keep], [keep], [diag[keep]]
     for a, b in zip(*np.nonzero(m)):
@@ -243,25 +258,29 @@ def second_quantize(op: HermitianOperator, basis: FockBasis) -> CollectiveOperat
         cols.append(src)
         vals.append(m[a, b] * np.sqrt(occ[src, b] * (occ[src, a] + 1.0)))
     coords = (np.concatenate(rows), np.concatenate(cols))
-    action = sp.coo_matrix((np.concatenate(vals), coords), shape=(basis.size, basis.size)).tocsr()
-    return CollectiveOperator(basis, action)
+    return sp.coo_matrix((np.concatenate(vals), coords), shape=(basis.size, basis.size)).tocsr()
+
+
+def second_quantize(op: HermitianOperator, basis: FockBasis) -> CollectiveOperator:
+    """Collective operator sum_{mn} op_mn c+_m c_n on the occupation basis."""
+    if op.dim != basis.modes:
+        raise DimensionMismatch(f"operator dim {op.dim} != mode count {basis.modes}")
+    return CollectiveOperator(basis, _quantize(op.matrix, basis))
 
 
 def _single_particle_vector(triple: Su2Triple, coherent: CoherentSpec) -> np.ndarray:
-    """zeta-weighted direct sum of rotated highest-weight block states."""
-    from scipy.linalg import expm
+    """zeta-weighted direct sum of rotated highest-weight block states.
 
+    Each block holds exp(theta/2 (e^(i phi) J- - e^(-i phi) J+)) |s, s> in
+    closed form: sqrt(C(2s, k)) cos(theta/2)^(2s-k) sin(theta/2)^k e^(i k phi)
+    at m = s - k, k = 0..2s.
+    """
+    cos, sin = math.cos(coherent.theta / 2.0), math.sin(coherent.theta / 2.0)
     psi = np.zeros(triple.j.dim, dtype=complex)
     for (off, twice_sub), zeta in zip(triple.blocks, coherent.zeta):
-        if twice_sub == 0:
-            psi[off] = zeta
-            continue
-        jx, jy, _ = spin_matrices(SpinQuantum(twice_sub))
-        plus = jx.matrix + 1j * jy.matrix
-        gen = -(coherent.theta / 2.0) * (
-            np.exp(-1j * coherent.phi) * plus - np.exp(1j * coherent.phi) * plus.conj().T
-        )
-        rotated = expm(gen)[:, 0]  # highest-weight column
+        k = np.arange(twice_sub + 1)
+        root_binom = np.sqrt([math.comb(twice_sub, i) for i in range(twice_sub + 1)])
+        rotated = root_binom * cos ** (twice_sub - k) * sin**k * np.exp(1j * coherent.phi * k)
         psi[off : off + twice_sub + 1] = zeta * rotated
     return psi
 
@@ -285,7 +304,7 @@ def coherent_state(spec: EnsembleSpec, basis: FockBasis, triple: Su2Triple | Non
     live = psi != 0
     log_mag = np.zeros(basis.modes)
     log_mag[live] = np.log(np.abs(psi[live]))
-    occ = basis.states
+    occ = basis.float_states
     amps = np.exp(basis.half_log_multinomial + occ @ log_mag + 1j * (occ @ np.angle(psi)))
     if not live.all():
         amps[occ[:, ~live].any(axis=1)] = 0.0
@@ -323,7 +342,7 @@ def sector_twist_diagonal(triple: Su2Triple, basis: FockBasis) -> np.ndarray:
     diag3 = np.real(np.diagonal(o3))
     if np.max(np.abs(o3 - np.diag(np.diagonal(o3)))) > 1e-12:
         raise NotDiagonal("O3 has off-diagonal weight; twisting phases undefined")
-    occ = basis.states
+    occ = basis.float_states
     total = np.zeros(basis.size)
     for off, twice_sub in triple.blocks:
         if twice_sub == 0:
@@ -336,9 +355,12 @@ def sector_twist_diagonal(triple: Su2Triple, basis: FockBasis) -> np.ndarray:
 class OracleWorkspace:
     """Cached operators for repeated oracle evaluations of one (class, N) pair.
 
-    Builds the Fock basis, the collective (O1, O2, O3) and the twisting
-    diagonal once; individual (zeta, mu) points then cost three sparse
-    matrix-vector products.  The coherent state of each spec is built once
+    The triple is read as one su(2) ladder: the workspace second-quantizes
+    Lambda+ = O1 + i O2 once, takes Lambda- as its conjugate transpose and
+    Lambda3 as the vector occ @ diag(O3), and tabulates the distinct values
+    of the twisting diagonal.  A (zeta, mu) point then costs one exp per
+    distinct twist value and two sparse matrix-vector products, each over
+    half the nonzeros of O1.  The coherent state of each spec is built once
     and kept until COHERENT_CACHE_SIZE other specs have been used after it.
     """
 
@@ -346,10 +368,11 @@ class OracleWorkspace:
         self.triple = triple
         self.n = n
         self.basis = build_basis(n, triple.j)
-        self._twist_sq = sector_twist_diagonal(triple, self.basis)
-        self.lam1 = second_quantize(triple.o1, self.basis)
-        self.lam2 = second_quantize(triple.o2, self.basis)
-        self.lam3 = second_quantize(triple.o3, self.basis)
+        twist_sq = sector_twist_diagonal(triple, self.basis)
+        self._twist_values, self._twist_index = np.unique(twist_sq, return_inverse=True)
+        self._plus = _quantize(triple.o1.matrix + 1j * triple.o2.matrix, self.basis)
+        self._minus = self._plus.conj().T
+        self._lam3 = self.basis.float_states @ np.real(np.diagonal(triple.o3.matrix))
         self._f = triple.decomposition.f
         self._coherent: dict[CoherentSpec, SymmetricState] = {}
 
@@ -364,8 +387,8 @@ class OracleWorkspace:
         return state
 
     def _twisted_amplitudes(self, coherent_spec: CoherentSpec, mu: float) -> np.ndarray:
-        phases = np.exp(-1j * mu / (2.0 * self._f * self._f) * self._twist_sq)
-        return self.coherent(coherent_spec).amplitudes * phases
+        phases = np.exp(-1j * mu / (2.0 * self._f * self._f) * self._twist_values)
+        return self.coherent(coherent_spec).amplitudes * phases.take(self._twist_index)
 
     def twisted(self, coherent_spec: CoherentSpec, mu: float) -> SymmetricState:
         return SymmetricState(self.basis, self._twisted_amplitudes(coherent_spec, mu))
@@ -377,19 +400,21 @@ class OracleWorkspace:
         v33 + P (1 + cos 2 nu) - Q sin 2 nu, with v33 the O_3 variance, P half
         the difference of the O_2 and O_3 variances and Q their covariance;
         the closed form's own extrema and xi^2 helpers finish the record.
-        For Hermitian A and B, <{A, B}>/2 is Re <A psi | B psi>, so one
-        product per operator gives every moment.
+        Every moment is an inner product of the ladder images
+        u = Lambda+ psi, d = Lambda- psi and w3 = Lambda3 psi:
+        <Lambda+> = <O1> + i <O2>, O2 psi = (u - d) / 2i, and for Hermitian
+        A and B, <{A, B}>/2 = Re <A psi | B psi>.
         """
         amps = self._twisted_amplitudes(coherent_spec, mu)
-        w1 = self.lam1.action @ amps
-        w2 = self.lam2.action @ amps
-        w3 = self.lam3.action @ amps
-        mean1 = float(np.real(np.vdot(amps, w1)))
-        mean2 = float(np.real(np.vdot(amps, w2)))
+        u = self._plus @ amps
+        d = self._minus @ amps
+        w3 = self._lam3 * amps
+        plus = complex(np.vdot(amps, u))
+        mean1, mean2 = plus.real, plus.imag
         mean3 = float(np.real(np.vdot(amps, w3)))
-        v22 = float(np.real(np.vdot(w2, w2))) - mean2 * mean2
+        v22 = float(np.real(np.vdot(u, u) + np.vdot(d, d) - 2.0 * np.vdot(u, d))) / 4.0 - mean2 * mean2
         v33 = float(np.real(np.vdot(w3, w3))) - mean3 * mean3
-        c23 = float(np.real(np.vdot(w2, w3))) - mean2 * mean3
+        c23 = -float(np.imag(np.vdot(u, w3) - np.vdot(d, w3))) / 2.0 - mean2 * mean3
         var_min, var_max, nu_min = _extrema(v33, 0.5 * (v22 - v33), c23)
         spec = EnsembleSpec(self.n, self.triple.decomposition, coherent_spec)
         return SqueezeTrace(mu, mean1, var_min, var_max, nu_min, _xi2(spec, mean1, var_min))

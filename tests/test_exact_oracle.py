@@ -158,9 +158,9 @@ def test_coherent_state_single_particle_reduction():
         coherent = CoherentSpec(theta, phi, tuple(np.sqrt(w) * np.exp(1j * rng.uniform(0, 6.28, 2))))
         state = ws.coherent(coherent)
         psi = _single_particle_vector(triple, coherent)
-        for op, lam in ((triple.o1, ws.lam1), (triple.o2, ws.lam2), (triple.o3, ws.lam3)):
+        for op in (triple.o1, triple.o2, triple.o3):
             single = np.vdot(psi, op.matrix @ psi).real
-            assert expectation(state, lam) == pytest.approx(n * single, abs=1e-10)
+            assert expectation(state, second_quantize(op, ws.basis)) == pytest.approx(n * single, abs=1e-10)
 
 
 def test_evolve_identity_at_zero():
@@ -189,7 +189,7 @@ def test_evolve_phase_recurrence(subset, zeta):
     triple = build_su2_triple(VertexSubset(J32, frozenset(subset)))
     f = triple.decomposition.f
     ws = OracleWorkspace(triple, 3)
-    d2 = np.real(ws.lam3.action.diagonal()) ** 2
+    d2 = np.real(second_quantize(triple.o3, ws.basis).action.diagonal()) ** 2
     # d = f * (half-integer) so 4 d^2 / f^2 is a non-negative integer
     ints = np.round(4.0 * d2 / (f * f)).astype(int)
     assert np.max(np.abs(4.0 * d2 / (f * f) - ints)) < 1e-9
@@ -264,7 +264,8 @@ def test_twisted_mean_matches_closed_form():
     spec = oat_spec(triple.decomposition, 3, (1.0,))
     ws = OracleWorkspace(triple, 3)
     state = ws.twisted(spec.coherent, 0.5)
-    assert expectation(state, ws.lam1) == pytest.approx(oat_expectation_perp(spec, 0.5), abs=1e-12)
+    lam1 = second_quantize(triple.o1, ws.basis)
+    assert expectation(state, lam1) == pytest.approx(oat_expectation_perp(spec, 0.5), abs=1e-12)
 
 
 def test_twisted_mean_matches_closed_form_mixed_weights():

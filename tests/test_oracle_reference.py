@@ -1,25 +1,47 @@
-"""The array oracle against the per-state loop implementations it replaced.
+"""The array oracle against the implementations it replaced.
 
 The reference functions below are the loop versions of the basis
-enumeration, second quantization and coherent-state expansion, kept here
-so that the vectorised code in `spinsqueeze.exact_oracle` is compared
-with them entry by entry: basis rows and ranks exactly, operator entries
-to 1e-12 of the largest entry, amplitudes to 1e-12.
+enumeration, second quantization and coherent-state expansion, the matrix
+exponential that rotated each block's highest-weight state, and the
+three-operator moments that second-quantized O1, O2 and O3 separately.
+The code in `spinsqueeze.exact_oracle` is compared with them: basis rows
+and ranks exactly, operator entries to 1e-12 of the largest entry,
+amplitudes to 1e-12, single-particle vectors to 1e-14, twisted amplitudes
+exactly, and moments to 1e-12.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from spinsqueeze import CoherentSpec, SpinQuantum, VertexSubset, build_basis, build_su2_triple
-from spinsqueeze.coherent_dynamics import EnsembleSpec
+from spinsqueeze import (
+    CoherentSpec,
+    OracleWorkspace,
+    SpinQuantum,
+    VertexSubset,
+    build_basis,
+    build_su2_triple,
+    canonical_subset,
+    enumerate_classes,
+)
+from spinsqueeze.coherent_dynamics import EnsembleSpec, _extrema, _xi2, css_expectation_perp
 from spinsqueeze.errors import DimensionMismatch
-from spinsqueeze.exact_oracle import _single_particle_vector, coherent_state, second_quantize
-from spinsqueeze.lie_algebra import HermitianOperator
+from spinsqueeze.exact_oracle import (
+    XI2_MEAN_GUARD,
+    _single_particle_vector,
+    coherent_state,
+    second_quantize,
+    sector_twist_diagonal,
+)
+from spinsqueeze.lie_algebra import HermitianOperator, spin_matrices
 
 OP_TOL = 1e-12
 AMP_TOL = 1e-12
+VECTOR_TOL = 1e-14
+MOMENT_TOL = 1e-12
+XI2_REL_TOL = 1e-9
 
 
 def reference_compositions(total: int, slots: int):
@@ -62,6 +84,38 @@ def reference_amplitude(psi: np.ndarray, n: int, occ: tuple[int, ...]) -> comple
         log_amp += k * math.log(abs(value))
         arg += k * np.angle(value)
     return math.exp(log_amp) * complex(math.cos(arg), math.sin(arg))
+
+
+def reference_single_particle_vector(triple, coherent: CoherentSpec) -> np.ndarray:
+    """Each block's highest-weight column of exp(theta/2 (e^(i phi) J- - e^(-i phi) J+)), times zeta."""
+    psi = np.zeros(triple.j.dim, dtype=complex)
+    for (off, twice_sub), zeta in zip(triple.blocks, coherent.zeta):
+        if twice_sub == 0:
+            psi[off] = zeta
+            continue
+        jx, jy, _ = spin_matrices(SpinQuantum(twice_sub))
+        plus = jx.matrix + 1j * jy.matrix
+        gen = -(coherent.theta / 2.0) * (
+            np.exp(-1j * coherent.phi) * plus - np.exp(1j * coherent.phi) * plus.conj().T
+        )
+        psi[off : off + twice_sub + 1] = zeta * expm(gen)[:, 0]
+    return psi
+
+
+def reference_squeezing(ws, coherent: CoherentSpec, mu: float):
+    """Twisted amplitudes and (mean, var_min, var_max, xi^2) from O1, O2 and O3 quantized separately."""
+    triple = ws.triple
+    f = triple.decomposition.f
+    phases = np.exp(-1j * mu / (2.0 * f * f) * sector_twist_diagonal(triple, ws.basis))
+    amps = ws.coherent(coherent).amplitudes * phases
+    w1, w2, w3 = (second_quantize(op, ws.basis).action @ amps for op in (triple.o1, triple.o2, triple.o3))
+    mean1, mean2, mean3 = (float(np.real(np.vdot(amps, w))) for w in (w1, w2, w3))
+    v22 = float(np.real(np.vdot(w2, w2))) - mean2 * mean2
+    v33 = float(np.real(np.vdot(w3, w3))) - mean3 * mean3
+    c23 = float(np.real(np.vdot(w2, w3))) - mean2 * mean3
+    var_min, var_max, _ = _extrema(v33, 0.5 * (v22 - v33), c23)
+    spec = EnsembleSpec(ws.n, triple.decomposition, coherent)
+    return amps, (mean1, var_min, var_max, _xi2(spec, mean1, var_min))
 
 
 def random_hermitian(dim: int, rng, pairs: int | None = None) -> np.ndarray:
@@ -170,3 +224,51 @@ def test_rank_rejects_rows_outside_the_basis():
         basis.rank((4, -1, 0, 0))
     with pytest.raises(DimensionMismatch):
         basis.rank((3, 0, 0))
+
+
+def random_coherent(r: int, rng) -> CoherentSpec:
+    """Off-axis (theta, phi) and random weights with random phases."""
+    w = rng.dirichlet(np.ones(r))
+    zeta = tuple(np.sqrt(w) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, r)))
+    return CoherentSpec(rng.uniform(0.1, math.pi - 0.1), rng.uniform(0.0, 2.0 * math.pi), zeta)
+
+
+def test_closed_form_vector_matches_expm_reference():
+    """Every class with 2J <= 9, three random rotations each."""
+    rng = np.random.default_rng(9)
+    for twice_j in range(1, 10):
+        for dec in enumerate_classes(SpinQuantum(twice_j)):
+            triple = build_su2_triple(canonical_subset(dec))
+            for _ in range(3):
+                coherent = random_coherent(dec.r, rng)
+                want = reference_single_particle_vector(triple, coherent)
+                assert np.max(np.abs(_single_particle_vector(triple, coherent) - want)) <= VECTOR_TOL
+
+
+# Every class with 2J in {3, 5} and one with 2J = 7, as (2J, twice_subspins, N).
+LADDER_CASES = [
+    (twice_j, dec.twice_subspins, n)
+    for twice_j, n in ((3, 5), (5, 4))
+    for dec in enumerate_classes(SpinQuantum(twice_j))
+] + [(7, (4, 2), 3)]
+
+
+@pytest.mark.parametrize(
+    "twice_j,twice_subspins,n", LADDER_CASES, ids=[f"2J{t}-{'_'.join(map(str, s))}-N{n}" for t, s, n in LADDER_CASES]
+)
+def test_ladder_moments_match_three_operator_reference(twice_j, twice_subspins, n):
+    (dec,) = [d for d in enumerate_classes(SpinQuantum(twice_j)) if d.twice_subspins == twice_subspins]
+    ws = OracleWorkspace(build_su2_triple(canonical_subset(dec)), n)
+    rng = np.random.default_rng(twice_j * 1000 + n)
+    for _ in range(3):
+        coherent = random_coherent(dec.r, rng)
+        spec = EnsembleSpec(n, dec, coherent)
+        for mu in rng.uniform(0.0, math.pi, 3):
+            amps, (mean, var_min, var_max, xi2) = reference_squeezing(ws, coherent, mu)
+            assert np.array_equal(ws.twisted(coherent, mu).amplitudes, amps)
+            got = ws.squeezing(coherent, mu)
+            assert abs(got.perp_expectation - mean) <= MOMENT_TOL
+            assert abs(got.var_min - var_min) <= MOMENT_TOL
+            assert abs(got.var_max - var_max) <= MOMENT_TOL
+            if abs(mean) >= XI2_MEAN_GUARD * css_expectation_perp(spec) and math.isfinite(xi2):
+                assert got.xi2 == pytest.approx(xi2, rel=XI2_REL_TOL)

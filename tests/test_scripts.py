@@ -33,6 +33,16 @@ def test_oracle_audit_refuses_an_empty_mu_grid(oracle_audit, capsys):
     assert "overall" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n_max", ["1", "0", "-3"])
+def test_oracle_audit_refuses_n_max_below_two(oracle_audit, capsys, n_max):
+    with pytest.raises(SystemExit) as exit_info:
+        oracle_audit.main(["--n-max", n_max, "--mu-points", "3"])
+    assert exit_info.value.code != 0
+    out, err = capsys.readouterr()
+    assert "--n-max must be >= 2" in err
+    assert "overall" not in out
+
+
 def test_oracle_audit_counts_nan_discrepancy_as_failure(oracle_audit, capsys, monkeypatch):
     from spinsqueeze import exact_oracle
 
