@@ -28,6 +28,7 @@ from .lie_algebra import (
     HermitianOperator,
     SpinQuantum,
     half_integer_str,
+    norm_squared,
     spin_matrices,
 )
 
@@ -60,15 +61,15 @@ class VertexSubset:
 def structure_factor(twice_subspins, j: SpinQuantum) -> float:
     """Structure constant f for a subspin multiset inside spin J."""
     twice = [int(t) for t in twice_subspins]
+    norms = {t: norm_squared(SpinQuantum(t)) for t in set(twice)}  # SpinQuantum refuses t < 0
     if sum(t + 1 for t in twice) != j.dim:
         raise DimensionMismatch(
             f"subspins {twice} fill {sum(t + 1 for t in twice)} levels, need {j.dim}"
         )
-    denom = sum(t * (t + 2) * (t + 1) / 12.0 for t in twice)
+    denom = sum(norms[t] for t in twice)
     if denom == 0.0:
         raise AllTrivialSubspins("every subspin is zero")
-    num = j.twice_j * (j.twice_j + 2) * (j.twice_j + 1) / 12.0
-    return math.sqrt(num / denom)
+    return math.sqrt(norm_squared(j) / denom)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,13 @@ closed form, and `compare_with_oracle` is the one analytic-vs-oracle loop.
 All of it is array code; no Python loop runs over basis states.
 
 - The basis is a (size, modes) integer occupation array in lexicographic
-  order, generated by stars and bars.  `FockBasis.rank` maps occupation rows
-  back to row indices with the combinatorial number system: every term is a
-  count of compositions, at most C(N+2J+1, 2J+1) <= (N+1) x size, so int64
-  holds it inside the size limit.  (A mixed-radix code sum_k occ_k (N+1)^k
-  would not: 2J = 24, N = 5 already needs 6^25 > 2^63.)
+  order, generated by stars and bars.
 - `second_quantize` loops over the nonzero mode pairs (a, b) of the
-  single-particle matrix.  `FockBasis.hop` moves one boson b -> a in every
-  state at once; only the rank terms of the modes between a and b change.
+  single-particle matrix, reading each hop off the holder lists (the rows
+  with a particle in each mode, taken once).  Moving one boson b -> a sends
+  the k-th holder of mode b to the k-th holder of mode a: adding the fixed
+  vector e_a - e_b keeps lexicographic order, and it maps the rows with
+  n_b >= 1 one to one onto the rows with n_a >= 1.
 - Coherent amplitudes are exp(log multinomial / 2 + occ @ log|psi|) with
   phase occ @ arg(psi); the multinomial term is computed once per basis and
   each block's rotated state is the closed-form binomial vector.
@@ -58,7 +57,14 @@ from .coherent_dynamics import (
     css_expectation_perp,
     squeeze_trace,
 )
-from .errors import DimensionMismatch, InvalidInput, NormalizationError, NotDiagonal, SizeLimit
+from .errors import (
+    DimensionMismatch,
+    InvalidInput,
+    NonFiniteInput,
+    NormalizationError,
+    NotDiagonal,
+    SizeLimit,
+)
 from .lie_algebra import HermitianOperator, SpinQuantum
 
 if TYPE_CHECKING:
@@ -107,9 +113,9 @@ class FockBasis:
     """Ordered occupation-number basis of the N-particle symmetric subspace.
 
     `states` holds one occupation row per basis state in lexicographic
-    order; `rank` inverts it, and `hop` moves one particle between two modes
-    in every row at once.  The tuple views `occupations` and `index` are
-    built on first access only.
+    order, so moving one particle b -> a (adding e_a - e_b, which keeps that
+    order) sends the k-th row holding mode b to the k-th row holding mode a.
+    The tuple views `occupations` and `index` are built on first access only.
     """
 
     n: int
@@ -119,59 +125,6 @@ class FockBasis:
     @property
     def size(self) -> int:
         return self.states.shape[0]
-
-    @cached_property
-    def _rank_terms(self) -> np.ndarray:
-        """terms[r, j] = C_(m-1-j)(r) - C_(m-j)(r) for m modes, used for j >= 1.
-
-        C_s(r) = C(r + s, s) counts the compositions of r particles into
-        s + 1 modes.  A row's rank counts the rows before it: at each mode k,
-        those that agree on the modes before k and hold fewer particles in k,
-        C_(m-1-k)(L_k) - C_(m-1-k)(L_(k+1)) of them, where L_k is the number
-        of particles in modes k, k+1, ...  Regrouped by L_j, with
-        C_(m-1)(N) = size and C_0 = 1: rank = size - 1 + sum_(j>=1) terms[L_j, j].
-        """
-        counts = np.ones((self.n + 1, self.modes + 1), dtype=np.int64)
-        for s in range(1, self.modes + 1):
-            counts[:, s] = np.cumsum(counts[:, s - 1])
-        s = self.modes - 1 - np.arange(self.modes)
-        return counts[:, s] - counts[:, s + 1]
-
-    @cached_property
-    def _left(self) -> np.ndarray:
-        """left[j, i]: L_j of state i, its particles in modes j, j+1, ..."""
-        return np.cumsum(self.states[:, ::-1], axis=1)[:, ::-1].T.copy()
-
-    def rank(self, occupations) -> np.ndarray:
-        """Row index of each occupation row (array of shape (..., modes))."""
-        occ = np.asarray(occupations, dtype=np.int64)
-        if occ.shape[-1:] != (self.modes,):
-            raise DimensionMismatch(f"occupation shape {occ.shape} does not end in {self.modes} modes")
-        if occ.size and occ.min() < 0:
-            raise InvalidInput(f"occupations must be non-negative, got {occ.min()}")
-        left = np.full(occ.shape[:-1], self.n, dtype=np.int64)
-        rank = np.full(occ.shape[:-1], self.size - 1, dtype=np.int64)
-        for j in range(1, self.modes):
-            left -= occ[..., j - 1]
-            rank += self._rank_terms[:, j].take(left, mode="clip")
-        if np.any(left != occ[..., -1]):
-            raise InvalidInput(f"occupations must sum to N = {self.n}")
-        return rank
-
-    def hop(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows with a particle in mode b, and the rows it reaches moved to mode a.
-
-        The move changes L_j by one for min(a, b) < j <= max(a, b) only, so
-        each target rank is its source row plus the change of those terms.
-        """
-        src = np.flatnonzero(self.states[:, b])
-        dst = src.copy()
-        step = -1 if a < b else 1
-        for j in range(min(a, b) + 1, max(a, b) + 1):
-            terms = self._rank_terms[:, j]
-            left = self._left[j].take(src)
-            dst += terms.take(left + step) - terms.take(left)
-        return src, dst
 
     @cached_property
     def float_states(self) -> np.ndarray:
@@ -240,7 +193,9 @@ def _quantize(m: np.ndarray, basis: FockBasis) -> sp.csr_matrix:
     """CSR matrix of sum_{ab} m_ab c+_a c_b for any single-particle matrix m.
 
     The diagonal is occ @ diag(m); each nonzero off-diagonal pair (a, b)
-    adds one `FockBasis.hop` of b -> a with weight m_ab sqrt(n_b (n_a + 1)).
+    moves one particle b -> a with weight m_ab sqrt(n_b (n_a + 1)).  The k-th
+    row holding mode b lands on the k-th row holding mode a: adding e_a - e_b
+    keeps lexicographic order and maps the one set of rows onto the other.
     """
     # scipy is imported where the oracle uses it: at module level, scipy.sparse
     # and .special add 28 MB of resident memory to every import.
@@ -250,10 +205,11 @@ def _quantize(m: np.ndarray, basis: FockBasis) -> sp.csr_matrix:
     diag = occ @ np.diagonal(m)
     keep = np.flatnonzero(diag)
     rows, cols, vals = [keep], [keep], [diag[keep]]
+    holders = [np.flatnonzero(basis.states[:, k]) for k in range(basis.modes)]
     for a, b in zip(*np.nonzero(m)):
         if a == b:
             continue
-        src, dst = basis.hop(a, b)
+        src, dst = holders[b], holders[a]
         rows.append(dst)
         cols.append(src)
         vals.append(m[a, b] * np.sqrt(occ[src, b] * (occ[src, a] + 1.0)))
@@ -387,6 +343,9 @@ class OracleWorkspace:
         return state
 
     def _twisted_amplitudes(self, coherent_spec: CoherentSpec, mu: float) -> np.ndarray:
+        """Coherent amplitudes twisted to mu; any finite mu, negative included, is valid."""
+        if not math.isfinite(mu):
+            raise NonFiniteInput(f"mu must be finite, got {mu!r}")
         phases = np.exp(-1j * mu / (2.0 * self._f * self._f) * self._twist_values)
         return self.coherent(coherent_spec).amplitudes * phases.take(self._twist_index)
 
@@ -430,8 +389,15 @@ def compare_with_oracle(
     relative (to max(1, |oracle xi^2|)) in xi^2.  xi^2 is left out where the
     analytic mean has fallen below XI2_MEAN_GUARD of its initial value or
     either side reports a vanished mean (xi^2 = inf).  A NaN in any compared
-    quantity makes the worst discrepancy NaN; an empty grid is refused.
+    quantity makes the worst discrepancy NaN; an empty grid, and a workspace
+    of another N or class than the spec, are refused.
     """
+    ws_dec = workspace.triple.decomposition
+    if spec.n != workspace.n or spec.decomposition != ws_dec:
+        raise DimensionMismatch(
+            f"spec has N = {spec.n}, subspins {spec.decomposition.subspin_strings()}; "
+            f"the workspace has N = {workspace.n}, subspins {ws_dec.subspin_strings()}"
+        )
     mus = [float(mu) for mu in mus]
     if not mus:
         raise InvalidInput("the mu grid is empty")

@@ -32,7 +32,6 @@ from .errors import DimensionMismatch, InvalidInput, NormalizationError, NotTrac
 
 HERMITIAN_TOL = 1e-12
 TRACELESS_TOL = 1e-12
-ALGEBRA_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsqueeze import (
+    IrrepDecomposition,
     SpinQuantum,
     VertexSubset,
     build_su2_triple,
@@ -19,7 +20,7 @@ from spinsqueeze import (
     structure_factor,
 )
 from spinsqueeze.classification import Su2Triple
-from spinsqueeze.errors import AllTrivialSubspins, DimensionMismatch, NotAnSu2Triple
+from spinsqueeze.errors import AllTrivialSubspins, DimensionMismatch, InvalidInput, NotAnSu2Triple
 from spinsqueeze.lie_algebra import HermitianOperator
 
 
@@ -57,6 +58,8 @@ def test_structure_factor_values():
         structure_factor((3, 3), j32)
     with pytest.raises(AllTrivialSubspins):
         structure_factor((0, 0, 0, 0), j32)
+    with pytest.raises(InvalidInput, match="non-negative"):  # fills 3 + 0 + 1 = 4 levels
+        IrrepDecomposition(j32, (2, -1, 0))
 
 
 def test_enumerate_classes_smallest_spins():

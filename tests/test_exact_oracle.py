@@ -41,6 +41,7 @@ from spinsqueeze.coherent_dynamics import EnsembleSpec
 from spinsqueeze.errors import (
     DimensionMismatch,
     InvalidInput,
+    NonFiniteInput,
     NotDiagonal,
     NotOatStart,
     SizeLimit,
@@ -486,6 +487,8 @@ class _StandIn:
 
     def __init__(self, spec, **changes):
         self.spec = spec
+        self.n = spec.n
+        self.triple = build_su2_triple(canonical_subset(spec.decomposition))
         self.changes = changes
 
     def squeezing(self, coherent, mu):
@@ -506,6 +509,29 @@ def test_compare_with_oracle_refuses_an_empty_grid():
     spec = oat_spec(IrrepDecomposition(J32, (1, 1)), 4, (0.6, 0.8))
     with pytest.raises(InvalidInput, match="empty"):
         compare_with_oracle(spec, _StandIn(spec), np.linspace(0.0, 1.0, 0))
+
+
+def test_compare_with_oracle_refuses_a_workspace_of_another_system():
+    """Unrefused, these read as a closed-form/oracle disagreement: worst 20.1 and 6.6."""
+    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
+    ws = OracleWorkspace(triple, 6)
+    for spec in (
+        oat_spec(triple.decomposition, 10, (0.6, 0.8)),
+        oat_spec(IrrepDecomposition(J32, (2, 0)), 6, (0.6, 0.8)),
+    ):
+        with pytest.raises(DimensionMismatch, match="the workspace has N = 6"):
+            compare_with_oracle(spec, ws, [0.1, 0.5])
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_oracle_refuses_a_non_finite_mu(mu):
+    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
+    ws = OracleWorkspace(triple, 4)
+    coherent = oat_spec(triple.decomposition, 4, (0.6, 0.8)).coherent
+    for call in (ws.twisted, ws.squeezing):
+        with pytest.raises(NonFiniteInput):
+            call(coherent, mu)
+    assert math.isfinite(ws.squeezing(coherent, -0.3).xi2)  # negative mu stays valid
 
 
 def test_compare_with_oracle_skips_xi2_at_collapsed_mean():

@@ -27,7 +27,6 @@ from spinsqueeze import (
     enumerate_classes,
 )
 from spinsqueeze.coherent_dynamics import EnsembleSpec, _extrema, _xi2, css_expectation_perp
-from spinsqueeze.errors import DimensionMismatch
 from spinsqueeze.exact_oracle import (
     XI2_MEAN_GUARD,
     _single_particle_vector,
@@ -180,7 +179,6 @@ def test_array_oracle_matches_loop_reference(twice_j, n, subset):
     ref_rows = list(reference_compositions(n, j.dim))
     assert basis.states.tolist() == [list(occ) for occ in ref_rows]
     assert basis.occupations == tuple(ref_rows)
-    assert np.array_equal(basis.rank(np.array(ref_rows)), np.arange(len(ref_rows)))
     assert basis.index[ref_rows[-1]] == len(ref_rows) - 1
 
     triple = build_su2_triple(VertexSubset(j, frozenset(subset)))
@@ -204,7 +202,6 @@ def test_array_oracle_matches_loop_reference_past_int64_radix():
     ref_rows = list(reference_compositions(n, j.dim))
     ref = np.array(ref_rows)
     assert np.array_equal(basis.states, ref)
-    assert np.array_equal(basis.rank(ref), np.arange(len(ref_rows)))
 
     sample = rng.choice(basis.size, 300, replace=False)
     triple = build_su2_triple(VertexSubset(j, frozenset({1, 2, 3, 5, 6, 7, 8})))
@@ -213,17 +210,6 @@ def test_array_oracle_matches_loop_reference_past_int64_radix():
         check_operator(m, basis, ref_rows, index, sample)
     coherent = CoherentSpec(1.1, 0.4, weights_for(triple.decomposition.r, rng))
     check_amplitudes(triple, n, coherent, basis, ref_rows, sample)
-
-
-def test_rank_rejects_rows_outside_the_basis():
-    basis = build_basis(3, SpinQuantum(3))
-    assert basis.rank((0, 1, 2, 0)) == basis.index[(0, 1, 2, 0)]
-    with pytest.raises(ValueError):
-        basis.rank((1, 1, 2, 0))
-    with pytest.raises(ValueError):
-        basis.rank((4, -1, 0, 0))
-    with pytest.raises(DimensionMismatch):
-        basis.rank((3, 0, 0))
 
 
 def random_coherent(r: int, rng) -> CoherentSpec:

@@ -26,21 +26,26 @@ def test_oracle_audit_passes(oracle_audit, capsys):
 
 
 def test_oracle_audit_refuses_an_empty_mu_grid(oracle_audit, capsys):
-    from spinsqueeze.errors import InvalidInput
-
-    with pytest.raises(InvalidInput, match="empty"):
-        oracle_audit.main(["--n-max", "3", "--mu-points", "0"])
-    assert "overall" not in capsys.readouterr().out
+    assert oracle_audit.main(["--n-max", "3", "--mu-points", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: the mu grid is empty\n"
+    assert "overall" not in out
 
 
 @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
 def test_oracle_audit_refuses_n_max_below_two(oracle_audit, capsys, n_max):
-    with pytest.raises(SystemExit) as exit_info:
-        oracle_audit.main(["--n-max", n_max, "--mu-points", "3"])
-    assert exit_info.value.code != 0
+    assert oracle_audit.main(["--n-max", n_max, "--mu-points", "3"]) == 1
     out, err = capsys.readouterr()
-    assert "--n-max must be >= 2" in err
+    assert err == f"error: --n-max must be >= 2 (the audit starts at N = 2), got {n_max}\n"
     assert "overall" not in out
+
+
+@pytest.mark.parametrize(
+    "argv,code", [(["--n-max", "x"], 1), (["--mu-points", "-2"], 1), (["--help"], 0)]
+)
+def test_oracle_audit_maps_usage_errors_to_one_and_help_to_zero(oracle_audit, capsys, argv, code):
+    assert oracle_audit.main(argv) == code
+    assert "overall" not in capsys.readouterr().out
 
 
 def test_oracle_audit_counts_nan_discrepancy_as_failure(oracle_audit, capsys, monkeypatch):
