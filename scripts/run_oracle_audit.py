@@ -51,7 +51,7 @@ def audit(n_max: int, mu_points: int) -> float:
             ws = OracleWorkspace(triple, n)
             for w in WEIGHTS[dec.r]:
                 spec = oat_spec(dec, n, tuple(math.sqrt(x) for x in w))
-                _, spec_worst = compare_with_oracle(spec, ws, mu_grid)
+                _, spec_worst = compare_with_oracle(ws, spec.coherent, mu_grid)
                 worst = float(np.max([worst, spec_worst]))  # NaN propagates
         print(f"subspins {dec.subspin_strings()}: worst discrepancy {worst:.3e}")
         overall = float(np.max([overall, worst]))

@@ -16,10 +16,8 @@ import numpy as np
 from spinsqueeze import (
     IrrepDecomposition,
     SpinQuantum,
-    find_limit,
     fit_power_law,
     n_scan,
-    oat_spec,
 )
 
 
@@ -45,10 +43,7 @@ def main(argv=None) -> int:
 
     # irreducible class: pure power law
     dec_full = IrrepDecomposition(j32, (3,))
-    rows = []
-    for n in ns:
-        res = find_limit(oat_spec(dec_full, int(n), (1,)))
-        rows.append((int(n), res.xi2_min, res.mu_min, res.status))
+    rows = n_scan(dec_full, 1.0, ns)
     write_csv(outdir / "irreducible.csv", rows)
     fit = fit_power_law([(n, xi) for n, xi, _, _ in rows], model="power")
     print(f"irreducible: xi2_min ~ {fit.param('a')[0]:.4f} N^-{fit.param('p')[0]:.4f}")

@@ -11,8 +11,8 @@ structure factor
 
     f = sqrt[ J(J+1)(2J+1) / sum_l J_l(J_l+1)(2J_l+1) ]
 
-makes the direct sum satisfy [O_3, O_+-] = +-f O_+- with unit-norm
-coefficient vectors in the generator basis.
+makes the direct sum satisfy [O_3, O_+-] = +-f O_+- and [O_+, O_-] = 2f O_3
+with unit-norm coefficient vectors in the generator basis.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import AllTrivialSubspins, DimensionMismatch, InvalidInput, NotAnSu
 from .lie_algebra import (
     HermitianOperator,
     SpinQuantum,
+    _exact_int,
     half_integer_str,
     norm_squared,
     spin_matrices,
@@ -44,7 +45,7 @@ class VertexSubset:
     chosen: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chosen", frozenset(int(k) for k in self.chosen))
+        object.__setattr__(self, "chosen", frozenset(_exact_int(k, "vertex") for k in self.chosen))
         if not self.chosen:
             raise InvalidInput("at least one vertex must be chosen, got none")
         bad = [k for k in self.chosen if not 1 <= k <= self.j.twice_j]
@@ -60,7 +61,7 @@ class VertexSubset:
 
 def structure_factor(twice_subspins, j: SpinQuantum) -> float:
     """Structure constant f for a subspin multiset inside spin J."""
-    twice = [int(t) for t in twice_subspins]
+    twice = [_exact_int(t, "2J_l") for t in twice_subspins]
     norms = {t: norm_squared(SpinQuantum(t)) for t in set(twice)}  # SpinQuantum refuses t < 0
     if sum(t + 1 for t in twice) != j.dim:
         raise DimensionMismatch(
@@ -81,7 +82,7 @@ class IrrepDecomposition:
     f: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted((int(t) for t in self.twice_subspins), reverse=True))
+        ordered = tuple(sorted((_exact_int(t, "2J_l") for t in self.twice_subspins), reverse=True))
         object.__setattr__(self, "twice_subspins", ordered)
         # validates the dimension count and that some subspin is nonzero
         object.__setattr__(self, "f", structure_factor(ordered, self.j))
@@ -171,10 +172,12 @@ class Su2Triple:
         resid = np.max(np.abs(o3 @ plus - plus @ o3 - f * plus))
         if resid > COMMUTATION_TOL:
             raise NotAnSu2Triple(f"[O3, O+] != f O+ (residual {resid:.3e})")
+        # [O3, O-] = -f O- is the adjoint of the check above (O3 is Hermitian).  Both
+        # are linear in O+, so a rescaled or zero O1, O2 passes them; this one is not.
         minus = plus.conj().T
-        resid = np.max(np.abs(o3 @ minus - minus @ o3 + f * minus))
+        resid = np.max(np.abs(plus @ minus - minus @ plus - 2.0 * f * o3))
         if resid > COMMUTATION_TOL:
-            raise NotAnSu2Triple(f"[O3, O-] != -f O- (residual {resid:.3e})")
+            raise NotAnSu2Triple(f"[O+, O-] != 2f O3 (residual {resid:.3e})")
 
 
 def build_su2_triple(subset: VertexSubset) -> Su2Triple:

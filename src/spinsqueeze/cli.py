@@ -287,10 +287,6 @@ def _cmd_zeta_scan(args) -> int:
         if pts < 1:
             raise InvalidInput(f"--grid-points must be at least 1, got {pts}")
         grid = tuple(np.linspace(0.0, 1.0, pts))
-    try:
-        n = int(n)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"--config: n must be an integer, got {n!r}") from exc
     rows = [(r.zeta1_sq, r.xi2_min, r.mu_min, r.status) for r in zeta_scan(ScanConfig(dec, n, grid))]
     _emit_table(args, ["zeta1_sq", "xi2_min", "mu_min", "status"], rows)
     return 0
@@ -338,7 +334,7 @@ def _cmd_fit(args) -> int:
 def _cmd_oracle_check(args) -> int:
     grid = _mu_grid(0.0, args.mu_max, args.mu_points)
     triple, spec = _spec_from_args(args)
-    pairs, worst = compare_with_oracle(spec, OracleWorkspace(triple, args.n), grid)
+    pairs, worst = compare_with_oracle(OracleWorkspace(triple, args.n), spec.coherent, grid)
     rows = [
         (a.mu, a.perp_expectation, o.perp_expectation, a.var_min, o.var_min,
          a.var_max, o.var_max, a.xi2, o.xi2)

@@ -50,6 +50,7 @@ from .errors import (
     VanishingMeanSpin,
     WrongClass,
 )
+from .lie_algebra import _exact_int
 
 GRID_POINTS = 128
 GOLDEN_REL_TOL = 1e-6
@@ -93,6 +94,7 @@ class EnsembleSpec:
     coherent: CoherentSpec
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _exact_int(self.n, "particle count"))
         if self.n < 1:
             raise InvalidInput(f"particle count must be >= 1, got {self.n}")
         if len(self.coherent.zeta) != self.decomposition.r:
@@ -355,6 +357,7 @@ def asymptotic_limit_r1(twice_j_sub: int, n: int) -> R1Limit:
     mu_min = 12^(1/6) (J N)^(-2/3).  The validity flags report alpha >= 10 and
     beta <= 0.1 at the optimum.
     """
+    twice_j_sub, n = _exact_int(twice_j_sub, "2J_l"), _exact_int(n, "particle count")
     if twice_j_sub < 1:
         raise InvalidInput(f"the weighted subspace must have J_l > 0, got 2J_l = {twice_j_sub}")
     if n < 2:

@@ -8,6 +8,8 @@ There is one twisting generator, `sector_twist_diagonal`: each irreducible
 block is twisted by the square of its own collective O3, as in the closed
 form.  The transverse extrema and xi^2 come from the same helpers as the
 closed form, and `compare_with_oracle` is the one analytic-vs-oracle loop.
+Every call takes each fact once: N from the basis (or workspace), the class
+from the triple, and only the weights and angles from a `CoherentSpec`.
 
 All of it is array code; no Python loop runs over basis states.
 
@@ -47,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .classification import Su2Triple, build_su2_triple, canonical_subset
+from .classification import Su2Triple
 from .coherent_dynamics import (
     CoherentSpec,
     EnsembleSpec,
@@ -65,7 +67,7 @@ from .errors import (
     NotDiagonal,
     SizeLimit,
 )
-from .lie_algebra import HermitianOperator, SpinQuantum
+from .lie_algebra import HermitianOperator, SpinQuantum, _exact_int
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -152,6 +154,7 @@ class FockBasis:
 
 def build_basis(n: int, j: SpinQuantum) -> FockBasis:
     """Complete occupation basis for N particles with 2J+1 sublevels each."""
+    n = _exact_int(n, "particle count")
     if n < 1:
         raise InvalidInput(f"particle count must be >= 1, got {n}")
     modes = j.dim
@@ -179,14 +182,6 @@ class SymmetricState:
             raise NormalizationError(f"state norm^2 = {norm!r}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True)
-class CollectiveOperator:
-    """Second-quantized observable as a sparse matrix on the Fock basis."""
-
-    basis: FockBasis
-    action: sp.csr_matrix
 
 
 def _quantize(m: np.ndarray, basis: FockBasis) -> sp.csr_matrix:
@@ -217,11 +212,11 @@ def _quantize(m: np.ndarray, basis: FockBasis) -> sp.csr_matrix:
     return sp.coo_matrix((np.concatenate(vals), coords), shape=(basis.size, basis.size)).tocsr()
 
 
-def second_quantize(op: HermitianOperator, basis: FockBasis) -> CollectiveOperator:
-    """Collective operator sum_{mn} op_mn c+_m c_n on the occupation basis."""
+def second_quantize(op: HermitianOperator, basis: FockBasis) -> sp.csr_matrix:
+    """Collective operator sum_{mn} op_mn c+_m c_n as a CSR matrix on the occupation basis."""
     if op.dim != basis.modes:
         raise DimensionMismatch(f"operator dim {op.dim} != mode count {basis.modes}")
-    return CollectiveOperator(basis, _quantize(op.matrix, basis))
+    return _quantize(op.matrix, basis)
 
 
 def _single_particle_vector(triple: Su2Triple, coherent: CoherentSpec) -> np.ndarray:
@@ -241,22 +236,19 @@ def _single_particle_vector(triple: Su2Triple, coherent: CoherentSpec) -> np.nda
     return psi
 
 
-def coherent_state(spec: EnsembleSpec, basis: FockBasis, triple: Su2Triple | None = None) -> SymmetricState:
-    """Symmetric product state psi^(x)N expanded over occupations.
+def coherent_state(triple: Su2Triple, basis: FockBasis, coherent: CoherentSpec) -> SymmetricState:
+    """Symmetric product state psi^(x)N, with N from the basis and the class from the triple.
 
     The single-particle state is the block direct sum of rotated
-    highest-weight states weighted by zeta_l; N-particle amplitudes carry the
-    multinomial square roots.  Magnitudes are accumulated in the log domain so
-    large N stays finite; states that occupy a mode where psi vanishes get
-    amplitude zero.
+    highest-weight states weighted by zeta_l (one weight per subspace);
+    N-particle amplitudes carry the multinomial square roots.  Magnitudes are
+    accumulated in the log domain so large N stays finite; states that occupy
+    a mode where psi vanishes get amplitude zero.
     """
-    if triple is None:
-        triple = build_su2_triple(canonical_subset(spec.decomposition))
     if triple.j.dim != basis.modes:
         raise DimensionMismatch(f"triple dim {triple.j.dim} != mode count {basis.modes}")
-    if basis.n != spec.n:
-        raise DimensionMismatch(f"basis particle count {basis.n} != spec n {spec.n}")
-    psi = _single_particle_vector(triple, spec.coherent)
+    EnsembleSpec(basis.n, triple.decomposition, coherent)  # refuses a weight count off r
+    psi = _single_particle_vector(triple, coherent)
     live = psi != 0
     log_mag = np.zeros(basis.modes)
     log_mag[live] = np.log(np.abs(psi[live]))
@@ -267,18 +259,18 @@ def coherent_state(spec: EnsembleSpec, basis: FockBasis, triple: Su2Triple | Non
     return SymmetricState(basis, amps)
 
 
-def expectation(state: SymmetricState, op: CollectiveOperator) -> float:
+def expectation(state: SymmetricState, op: sp.csr_matrix) -> float:
     """<psi|A|psi> for Hermitian A (real part taken as the symmetrization guard)."""
-    if op.basis.size != state.basis.size:
-        raise DimensionMismatch("state and operator bases differ")
-    return float(np.real(np.vdot(state.amplitudes, op.action @ state.amplitudes)))
+    if op.shape != (state.basis.size,) * 2:
+        raise DimensionMismatch(f"operator shape {op.shape} != basis size {state.basis.size}")
+    return float(np.real(np.vdot(state.amplitudes, op @ state.amplitudes)))
 
 
-def variance(state: SymmetricState, op: CollectiveOperator) -> float:
+def variance(state: SymmetricState, op: sp.csr_matrix) -> float:
     """<A^2> - <A>^2 computed as |A psi|^2 - <psi|A psi>^2 (exact for Hermitian A)."""
-    if op.basis.size != state.basis.size:
-        raise DimensionMismatch("state and operator bases differ")
-    w = op.action @ state.amplitudes
+    if op.shape != (state.basis.size,) * 2:
+        raise DimensionMismatch(f"operator shape {op.shape} != basis size {state.basis.size}")
+    w = op @ state.amplitudes
     second = float(np.real(np.vdot(w, w)))
     first = float(np.real(np.vdot(state.amplitudes, w)))
     return second - first * first
@@ -292,8 +284,10 @@ def sector_twist_diagonal(triple: Su2Triple, basis: FockBasis) -> np.ndarray:
     irreducible block by the square of its own collective component, so the
     oracle does the same.  Both generators coincide whenever at most one
     subspace has J_l > 0.  Only the diagonal of O3 is read, so a triple whose
-    O3 has off-diagonal weight is refused.
+    O3 has off-diagonal weight is refused, and so is a basis of another 2J.
     """
+    if triple.j.dim != basis.modes:
+        raise DimensionMismatch(f"triple dim {triple.j.dim} != mode count {basis.modes}")
     o3 = triple.o3.matrix
     diag3 = np.real(np.diagonal(o3))
     if np.max(np.abs(o3 - np.diag(np.diagonal(o3)))) > 1e-12:
@@ -322,8 +316,8 @@ class OracleWorkspace:
 
     def __init__(self, triple: Su2Triple, n: int):
         self.triple = triple
-        self.n = n
         self.basis = build_basis(n, triple.j)
+        self.n = self.basis.n
         twist_sq = sector_twist_diagonal(triple, self.basis)
         self._twist_values, self._twist_index = np.unique(twist_sq, return_inverse=True)
         self._plus = _quantize(triple.o1.matrix + 1j * triple.o2.matrix, self.basis)
@@ -335,8 +329,7 @@ class OracleWorkspace:
     def coherent(self, coherent_spec: CoherentSpec) -> SymmetricState:
         state = self._coherent.pop(coherent_spec, None)
         if state is None:
-            spec = EnsembleSpec(self.n, self.triple.decomposition, coherent_spec)
-            state = coherent_state(spec, self.basis, self.triple)
+            state = coherent_state(self.triple, self.basis, coherent_spec)
             if len(self._coherent) >= COHERENT_CACHE_SIZE:
                 del self._coherent[next(iter(self._coherent))]
         self._coherent[coherent_spec] = state  # most recently used last
@@ -380,24 +373,19 @@ class OracleWorkspace:
 
 
 def compare_with_oracle(
-    spec: EnsembleSpec, workspace: OracleWorkspace, mus
+    workspace: OracleWorkspace, coherent: CoherentSpec, mus
 ) -> tuple[list[tuple[SqueezeTrace, SqueezeTrace]], float]:
-    """Closed form against the oracle over a mu grid.
+    """Closed form at the workspace's N and class against the oracle over a mu grid.
 
     Returns the (analytic, oracle) trace at every mu and the worst
     discrepancy: absolute in the mean spin and both extremal variances,
     relative (to max(1, |oracle xi^2|)) in xi^2.  xi^2 is left out where the
     analytic mean has fallen below XI2_MEAN_GUARD of its initial value or
     either side reports a vanished mean (xi^2 = inf).  A NaN in any compared
-    quantity makes the worst discrepancy NaN; an empty grid, and a workspace
-    of another N or class than the spec, are refused.
+    quantity makes the worst discrepancy NaN; an empty grid and a weight
+    count off the class's r are refused.
     """
-    ws_dec = workspace.triple.decomposition
-    if spec.n != workspace.n or spec.decomposition != ws_dec:
-        raise DimensionMismatch(
-            f"spec has N = {spec.n}, subspins {spec.decomposition.subspin_strings()}; "
-            f"the workspace has N = {workspace.n}, subspins {ws_dec.subspin_strings()}"
-        )
+    spec = EnsembleSpec(workspace.n, workspace.triple.decomposition, coherent)
     mus = [float(mu) for mu in mus]
     if not mus:
         raise InvalidInput("the mu grid is empty")
@@ -406,7 +394,7 @@ def compare_with_oracle(
     diffs = []
     for mu in mus:
         a = squeeze_trace(spec, mu)
-        o = workspace.squeezing(spec.coherent, mu)
+        o = workspace.squeezing(coherent, mu)
         pairs.append((a, o))
         diffs += [
             abs(a.perp_expectation - o.perp_expectation),

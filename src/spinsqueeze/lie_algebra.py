@@ -34,6 +34,19 @@ HERMITIAN_TOL = 1e-12
 TRACELESS_TOL = 1e-12
 
 
+def _exact_int(value, what: str) -> int:
+    """`value` as a Python int; a bool, a float or any other type is refused.
+
+    Counts and indices are never truncated or rounded: N = 100.5 is not a
+    particle number, and True is not 1.
+    """
+    if type(value) is int:  # the common case, first: class enumeration makes ~10^4 calls
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise InvalidInput(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpinQuantum:
     """Spin quantum number stored as 2J so half-integers stay exact."""
@@ -41,8 +54,10 @@ class SpinQuantum:
     twice_j: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twice_j, (int, np.integer)) or self.twice_j < 0:
+        twice_j = _exact_int(self.twice_j, "twice_j")
+        if twice_j < 0:
             raise InvalidInput(f"twice_j must be a non-negative integer, got {self.twice_j!r}")
+        object.__setattr__(self, "twice_j", twice_j)
 
     @property
     def dim(self) -> int:
@@ -219,7 +234,6 @@ def _general_multipoles(j: SpinQuantum) -> tuple[list[np.ndarray], list[str]]:
 
 _SQ3 = math.sqrt(3.0)
 _SQ5 = math.sqrt(5.0)
-_SQ15 = math.sqrt(15.0)
 
 
 def _golden_spin32() -> tuple[list[np.ndarray], list[str]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRootSpace, DimensionMismatch, InvalidInput, NonDiagonalCartan
-from .lie_algebra import GeneratorSet, SpinQuantum, norm_squared
+from .lie_algebra import GeneratorSet, SpinQuantum, _exact_int, norm_squared
 
 ROOT_RESIDUAL_TOL = 1e-9
 ROOT_KEY_TOL = 1e-8
@@ -31,6 +31,7 @@ class CartanChoice:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "indices", tuple(_exact_int(i, "Cartan index") for i in self.indices))
         if len(self.indices) != self.j.twice_j:
             raise DimensionMismatch(
                 f"Cartan rank of su({self.j.dim}) is {self.j.twice_j}, got {len(self.indices)} indices"

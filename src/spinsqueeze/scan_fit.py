@@ -10,6 +10,7 @@ import numpy as np
 from .classification import IrrepDecomposition
 from .coherent_dynamics import LimitResult, find_limit, oat_spec
 from .errors import FitDiverged, InvalidInput, NonFiniteInput, VanishingMeanSpin
+from .lie_algebra import _exact_int
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def n_scan(
 ) -> list[tuple[int, float, float, str]]:
     """Squeezing limit versus particle number at a fixed weight split."""
     _check_weight(zeta1_sq)
-    ns = [int(n) for n in n_values]
+    ns = [_exact_int(n, "particle count") for n in n_values]
     if not ns:
         raise InvalidInput("no particle numbers to scan")
     rows = []

@@ -402,9 +402,9 @@ def test_criterion_11_property_bundle(capsys):
     fock = ws.basis
     gen = multipole_basis(J32).generators
     for a, b in ((0, 1), (3, 9), (5, 12)):
-        lam_a = second_quantize(gen[a], fock).action
-        lam_b = second_quantize(gen[b], fock).action
-        lifted = second_quantize(commutator(gen[a], gen[b]), fock).action
+        lam_a = second_quantize(gen[a], fock)
+        lam_b = second_quantize(gen[b], fock)
+        lifted = second_quantize(commutator(gen[a], gen[b]), fock)
         resid = (lam_a @ lam_b - lam_b @ lam_a) - 1j * lifted
         checks.append(np.max(np.abs(resid.toarray())) < 1e-9)
 

@@ -214,6 +214,24 @@ def test_invalid_triple_rejected(j32, triples):
         )
 
 
+@pytest.mark.parametrize("scale", [0.0, 2.0])
+def test_triple_with_rescaled_transverse_pair_rejected(j32, triples, scale):
+    """[O3, O+-] = +-f O+- is linear in O+, so only [O+, O-] = 2f O3 catches these."""
+    good = triples["iii"]
+    o1, o2 = (HermitianOperator(scale * op.matrix) for op in (good.o1, good.o2))
+    with pytest.raises(NotAnSu2Triple, match=r"\[O\+, O-\]"):
+        Su2Triple(j32, o1, o2, good.o3, good.decomposition, good.blocks)
+
+
+@pytest.mark.parametrize("twice_j", range(1, 15))
+def test_every_built_triple_closes_su2(twice_j):
+    for dec in enumerate_classes(SpinQuantum(twice_j)):
+        triple = build_su2_triple(canonical_subset(dec))
+        o1, o2, o3 = triple.o1.matrix, triple.o2.matrix, triple.o3.matrix
+        resid = np.max(np.abs(o1 @ o2 - o2 @ o1 - 1j * dec.f * o3))
+        assert resid < 1e-12
+
+
 def test_equivalence_rejects_mismatched_spins():
     a = build_su2_triple(_subset(3, {1}))
     b = build_su2_triple(_subset(2, {1}))

@@ -238,6 +238,9 @@ INPUT_FILES = {
     "broken.json": '{"j": "3/2", "class": ',
     "list.json": '["3/2", "1,3", 100]',
     "fields.json": '{"j": "3/2", "class": 13, "n": [100], "zeta1_sq_grid": ["x"]}',
+    "n_float.json": '{"j": "3/2", "class": "1,3", "n": 100.5, "zeta1_sq_grid": [0.5]}',
+    "n_text.json": '{"j": "3/2", "class": "1,3", "n": "100", "zeta1_sq_grid": [0.5]}',
+    "n_bool.json": '{"j": "3/2", "class": "1,3", "n": true, "zeta1_sq_grid": [0.5]}',
 }
 
 
@@ -260,6 +263,9 @@ INPUT_FILES = {
         ("fit", "--input", "{neg.csv}"),
         ("fit", "--input", "{inf.csv}"),
         ("fit", "--input", "{short.csv}"),
+        ("zeta-scan", "--config", "{n_float.json}"),
+        ("zeta-scan", "--config", "{n_text.json}"),
+        ("zeta-scan", "--config", "{n_bool.json}"),
     ],
 )
 def test_bad_inputs_are_usage_errors(capsys, tmp_path, argv):

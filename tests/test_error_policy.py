@@ -4,9 +4,24 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spinsqueeze import cli, errors
+from spinsqueeze import (
+    CartanChoice,
+    IrrepDecomposition,
+    OracleWorkspace,
+    SpinQuantum,
+    VertexSubset,
+    asymptotic_limit_r1,
+    build_basis,
+    build_su2_triple,
+    cli,
+    errors,
+    n_scan,
+    oat_spec,
+    structure_factor,
+)
 
 SRC = Path(cli.__file__).resolve().parent
 
@@ -53,3 +68,43 @@ def test_dispatch_maps_library_errors_to_exit_codes(monkeypatch, capsys, exc, co
     assert captured.out == ""
     assert captured.err.startswith("error: classify: ")
     assert str(exc) in captured.err
+
+
+J32 = SpinQuantum(3)
+PAIR = IrrepDecomposition(J32, (1, 1))
+FULL = IrrepDecomposition(J32, (3,))
+
+
+@pytest.mark.parametrize("bad", [100.5, 10.0, True, "10", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: SpinQuantum(v),
+        lambda v: oat_spec(FULL, v, (1,)),
+        lambda v: build_basis(v, J32),
+        lambda v: OracleWorkspace(build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3}))), v),
+        lambda v: n_scan(PAIR, 0.5, [100, v]),
+        lambda v: asymptotic_limit_r1(3, v),
+        lambda v: asymptotic_limit_r1(v, 100),
+        lambda v: IrrepDecomposition(J32, (v, 1)),
+        lambda v: structure_factor((v, 1), J32),
+        lambda v: VertexSubset(J32, frozenset({3, v})),
+        lambda v: CartanChoice(J32, (2, 7, v)),
+    ],
+    ids=["twice_j", "ensemble_n", "basis_n", "workspace_n", "n_scan", "asymptotic_n", "asymptotic_2j",
+         "subspin", "structure_factor", "vertex", "cartan_index"],
+)
+def test_counts_and_indices_must_be_integers(call, bad):
+    """A float is never truncated or interpolated, and a bool is not a count."""
+    with pytest.raises(errors.InvalidInput, match="must be an integer"):
+        call(bad)
+
+
+def test_numpy_integers_are_counts():
+    i64 = np.int64
+    assert type(SpinQuantum(np.int32(3)).twice_j) is int
+    assert type(oat_spec(FULL, i64(10), (1,)).n) is int
+    assert IrrepDecomposition(J32, (i64(1), i64(1))) == PAIR
+    assert VertexSubset(J32, frozenset({i64(1), i64(3)})).chosen == {1, 3}
+    assert CartanChoice(J32, (i64(2), i64(7), i64(10))).indices == (2, 7, 10)
+    assert [type(row[0]) for row in n_scan(PAIR, 0.5, np.array([100, 200]))] == [int, int]

@@ -47,6 +47,7 @@ from spinsqueeze.errors import (
     SizeLimit,
     VanishingMeanSpin,
 )
+from spinsqueeze.exact_oracle import sector_twist_diagonal
 from spinsqueeze.lie_algebra import HermitianOperator
 
 from observables import oat_transverse_observable, perp_observable, transverse_observable
@@ -82,7 +83,7 @@ def test_basis_size_limit():
 def test_second_quantize_identity_counts_particles():
     basis = build_basis(3, J32)
     number = second_quantize(HermitianOperator(np.eye(4)), basis)
-    assert np.max(np.abs(number.action.toarray() - 3.0 * np.eye(basis.size))) < 1e-15
+    assert np.max(np.abs(number.toarray() - 3.0 * np.eye(basis.size))) < 1e-15
 
 
 def test_second_quantize_jz_eigenvalue():
@@ -90,13 +91,13 @@ def test_second_quantize_jz_eigenvalue():
     jz = multipole_basis(J32).generators[2]
     lam = second_quantize(jz, basis)
     idx = basis.index[(2, 0, 0, 0)]
-    assert lam.action[idx, idx] == pytest.approx(3.0, abs=1e-14)
+    assert lam[idx, idx] == pytest.approx(3.0, abs=1e-14)
 
 
 def test_second_quantize_hermitian_and_dim_check():
     basis = build_basis(2, J32)
     lam = second_quantize(multipole_basis(J32).generators[0], basis)
-    dev = np.max(np.abs((lam.action - lam.action.getH()).toarray()))
+    dev = np.max(np.abs((lam - lam.getH()).toarray()))
     assert dev < 1e-13
     with pytest.raises(DimensionMismatch):
         second_quantize(HermitianOperator(np.eye(2)), basis)
@@ -116,9 +117,9 @@ def test_second_quantization_is_a_homomorphism(twice_j, n):
         if a != b:
             pairs.add((min(a, b), max(a, b)))
     for a, b in sorted(pairs):
-        lam_a = second_quantize(basis_ops.generators[a], fock).action
-        lam_b = second_quantize(basis_ops.generators[b], fock).action
-        lifted = second_quantize(commutator(basis_ops.generators[a], basis_ops.generators[b]), fock).action
+        lam_a = second_quantize(basis_ops.generators[a], fock)
+        lam_b = second_quantize(basis_ops.generators[b], fock)
+        lifted = second_quantize(commutator(basis_ops.generators[a], basis_ops.generators[b]), fock)
         resid = (lam_a @ lam_b - lam_b @ lam_a) - 1j * lifted
         assert np.max(np.abs(resid.toarray())) < 1e-9
 
@@ -127,7 +128,7 @@ def test_coherent_state_highest_weight():
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
     basis = build_basis(4, J32)
     spec = EnsembleSpec(4, triple.decomposition, CoherentSpec(0.0, 0.0, (1.0,)))
-    state = coherent_state(spec, basis, triple)
+    state = coherent_state(triple, basis, spec.coherent)
     idx = basis.index[(4, 0, 0, 0)]
     assert abs(state.amplitudes[idx] - 1.0) < 1e-12
     assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -139,7 +140,7 @@ def test_coherent_state_binomial_amplitudes():
     triple = build_su2_triple(VertexSubset(j12, frozenset({1})))
     basis = build_basis(2, j12)
     spec = oat_spec(dec, 2, (1.0,))
-    state = coherent_state(spec, basis, triple)
+    state = coherent_state(triple, basis, spec.coherent)
     expected = {(2, 0): 0.5, (1, 1): 1 / math.sqrt(2), (0, 2): 0.5}
     for occ, amp in expected.items():
         assert abs(state.amplitudes[basis.index[occ]] - amp) < 1e-12
@@ -190,7 +191,7 @@ def test_evolve_phase_recurrence(subset, zeta):
     triple = build_su2_triple(VertexSubset(J32, frozenset(subset)))
     f = triple.decomposition.f
     ws = OracleWorkspace(triple, 3)
-    d2 = np.real(second_quantize(triple.o3, ws.basis).action.diagonal()) ** 2
+    d2 = np.real(second_quantize(triple.o3, ws.basis).diagonal()) ** 2
     # d = f * (half-integer) so 4 d^2 / f^2 is a non-negative integer
     ints = np.round(4.0 * d2 / (f * f)).astype(int)
     assert np.max(np.abs(4.0 * d2 / (f * f) - ints)) < 1e-9
@@ -300,7 +301,7 @@ def test_closed_form_refuses_a_start_off_the_twisting_axis(theta, phi, field, or
         lambda: oat_fluctuation(spec, 0.2, 0.0),
         lambda: squeeze_trace(spec, 0.2),
         lambda: find_limit(spec),
-        lambda: compare_with_oracle(spec, ws, [0.2]),
+        lambda: compare_with_oracle(ws, spec.coherent, [0.2]),
     ):
         with pytest.raises(NotOatStart):
             call()
@@ -378,9 +379,9 @@ def test_coherent_state_built_once_per_spec_and_cache_bounded(monkeypatch):
 
     built = []
 
-    def counting(spec, basis, triple=None):
-        built.append(spec.coherent)
-        return coherent_state(spec, basis, triple)
+    def counting(triple, basis, coherent):
+        built.append(coherent)
+        return coherent_state(triple, basis, coherent)
 
     monkeypatch.setattr(exact_oracle, "coherent_state", counting)
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
@@ -500,7 +501,7 @@ class _StandIn:
 def test_compare_with_oracle_propagates_nan(field):
     spec = oat_spec(IrrepDecomposition(J32, (1, 1)), 6, (0.6, 0.8))
     stand_in = _StandIn(spec, **{field: lambda t: math.nan if t.mu == 0.2 else getattr(t, field)})
-    pairs, worst = compare_with_oracle(spec, stand_in, [0.1, 0.2, 0.3])
+    pairs, worst = compare_with_oracle(stand_in, spec.coherent, [0.1, 0.2, 0.3])
     assert [a.mu for a, _ in pairs] == [0.1, 0.2, 0.3]
     assert math.isnan(worst)
 
@@ -508,19 +509,38 @@ def test_compare_with_oracle_propagates_nan(field):
 def test_compare_with_oracle_refuses_an_empty_grid():
     spec = oat_spec(IrrepDecomposition(J32, (1, 1)), 4, (0.6, 0.8))
     with pytest.raises(InvalidInput, match="empty"):
-        compare_with_oracle(spec, _StandIn(spec), np.linspace(0.0, 1.0, 0))
+        compare_with_oracle(_StandIn(spec), spec.coherent, np.linspace(0.0, 1.0, 0))
 
 
-def test_compare_with_oracle_refuses_a_workspace_of_another_system():
-    """Unrefused, these read as a closed-form/oracle disagreement: worst 20.1 and 6.6."""
-    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
-    ws = OracleWorkspace(triple, 6)
-    for spec in (
-        oat_spec(triple.decomposition, 10, (0.6, 0.8)),
-        oat_spec(IrrepDecomposition(J32, (2, 0)), 6, (0.6, 0.8)),
-    ):
-        with pytest.raises(DimensionMismatch, match="the workspace has N = 6"):
-            compare_with_oracle(spec, ws, [0.1, 0.5])
+def test_oracle_refuses_weights_of_another_class():
+    """N and the class come from the workspace; a weight count off its r is refused, not zipped."""
+    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))  # {1/2, 1/2}, r = 2
+    ws = OracleWorkspace(triple, 4)
+    for zeta in [(1.0,), (0.6, 0.6, math.sqrt(0.28))]:  # the weights of {3/2} and of {1/2, 0, 0}
+        coherent = CoherentSpec(math.pi / 2, 0.0, zeta)
+        for call in (
+            lambda: coherent_state(triple, ws.basis, coherent),
+            lambda: compare_with_oracle(ws, coherent, [0.1, 0.5]),
+            lambda: ws.squeezing(coherent, 0.1),
+        ):
+            with pytest.raises(DimensionMismatch, match=f"{len(zeta)} weights for r = 2"):
+                call()
+
+
+@pytest.mark.parametrize("twice_j", [1, 5])
+def test_sector_twist_diagonal_refuses_a_basis_of_another_spin(twice_j):
+    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
+    with pytest.raises(DimensionMismatch, match=f"triple dim 4 != mode count {twice_j + 1}"):
+        sector_twist_diagonal(triple, build_basis(3, SpinQuantum(twice_j)))
+
+
+def test_expectation_and_variance_refuse_a_matrix_of_another_basis():
+    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
+    state = OracleWorkspace(triple, 3).coherent(oat_spec(triple.decomposition, 3, (1.0,)).coherent)
+    other = second_quantize(triple.o3, build_basis(4, J32))
+    for call in (expectation, variance):
+        with pytest.raises(DimensionMismatch, match="operator shape"):
+            call(state, other)
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
@@ -542,7 +562,7 @@ def test_compare_with_oracle_skips_xi2_at_collapsed_mean():
     assert 0.0 < oat_expectation_perp(spec, collapsed) < 1e-4 * mean0
     assert math.isfinite(squeeze_trace(spec, collapsed).xi2)
     shifted = _StandIn(spec, xi2=lambda t: t.xi2 + 0.5)
-    assert compare_with_oracle(spec, shifted, [collapsed])[1] == 0.0
-    assert compare_with_oracle(spec, shifted, [0.1])[1] > 0.1
-    _, worst = compare_with_oracle(spec, OracleWorkspace(triple, 6), [0.1, collapsed])
+    assert compare_with_oracle(shifted, spec.coherent, [collapsed])[1] == 0.0
+    assert compare_with_oracle(shifted, spec.coherent, [0.1])[1] > 0.1
+    _, worst = compare_with_oracle(OracleWorkspace(triple, 6), spec.coherent, [0.1, collapsed])
     assert worst <= 1e-9

@@ -107,7 +107,7 @@ def reference_squeezing(ws, coherent: CoherentSpec, mu: float):
     f = triple.decomposition.f
     phases = np.exp(-1j * mu / (2.0 * f * f) * sector_twist_diagonal(triple, ws.basis))
     amps = ws.coherent(coherent).amplitudes * phases
-    w1, w2, w3 = (second_quantize(op, ws.basis).action @ amps for op in (triple.o1, triple.o2, triple.o3))
+    w1, w2, w3 = (second_quantize(op, ws.basis) @ amps for op in (triple.o1, triple.o2, triple.o3))
     mean1, mean2, mean3 = (float(np.real(np.vdot(amps, w))) for w in (w1, w2, w3))
     v22 = float(np.real(np.vdot(w2, w2))) - mean2 * mean2
     v33 = float(np.real(np.vdot(w3, w3))) - mean3 * mean3
@@ -131,7 +131,7 @@ def random_hermitian(dim: int, rng, pairs: int | None = None) -> np.ndarray:
 
 
 def check_operator(m: np.ndarray, basis, ref_rows, index, columns) -> None:
-    action = second_quantize(HermitianOperator(m), basis).action.tocsc()
+    action = second_quantize(HermitianOperator(m), basis).tocsc()
     scale = np.max(np.abs(action.data))
     for col in columns:
         want = reference_column(m, ref_rows[col], index)
@@ -143,7 +143,7 @@ def check_operator(m: np.ndarray, basis, ref_rows, index, columns) -> None:
 
 def check_amplitudes(triple, n: int, coherent: CoherentSpec, basis, ref_rows, rows) -> None:
     spec = EnsembleSpec(n, triple.decomposition, coherent)
-    amps = coherent_state(spec, basis, triple).amplitudes
+    amps = coherent_state(triple, basis, spec.coherent).amplitudes
     psi = _single_particle_vector(triple, coherent)
     dev = max(abs(amps[i] - reference_amplitude(psi, n, ref_rows[i])) for i in rows)
     assert dev <= AMP_TOL
