@@ -28,13 +28,8 @@ from .coherent_dynamics import (
     css_expectation_perp,
     css_fluctuation,
     find_limit,
-    min_fluctuation,
-    oat_expectation_perp,
-    oat_fluctuation,
     oat_spec,
-    squeezing_parameter,
     squeeze_trace,
-    type_iii_xi,
 )
 from .exact_oracle import (
     FockBasis,
@@ -110,20 +105,15 @@ __all__ = [
     "expectation",
     "find_limit",
     "fit_power_law",
-    "min_fluctuation",
     "multipole_basis",
     "n_scan",
     "norm_squared",
-    "oat_expectation_perp",
-    "oat_fluctuation",
     "oat_spec",
     "second_quantize",
     "simple_root_matrices",
     "spin_matrices",
     "squeeze_trace",
-    "squeezing_parameter",
     "structure_factor",
-    "type_iii_xi",
     "variance",
     "zeta_scan",
     "__version__",

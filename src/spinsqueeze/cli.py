@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_and_dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -426,10 +426,6 @@ def parse_and_dispatch(argv=None) -> int:
     if hasattr(args, "warning"):
         print(args.warning, file=sys.stderr)
     return code
-
-
-def main(argv=None) -> int:
-    return parse_and_dispatch(argv)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,11 @@ subspaces: it returns the mean <O_1> and (base, P, Q) of the variance
 base + P (1 + cos 2 nu) - Q sin 2 nu, where base is the O_3 variance, which
 twisting conserves.  `_extrema` turns (base, P, Q) into the extremal
 variances and the minimizing angle; `_xi2` holds the squeezing parameter and
-its vanishing-mean guard.  `squeeze_trace` composes them, and the exact
-oracle reuses `_extrema` and `_xi2` on its measured moments.
+its vanishing-mean guard.  `squeeze_trace` composes them and is the one
+public per-mu entry point: the mean, the extremal variances, the minimizing
+angle and xi^2 are all fields of its record.  `find_limit` minimizes its xi^2
+over mu, the css_* functions give the untwisted coherent values, and the
+exact oracle reuses `_extrema` and `_xi2` on its measured moments.
 
 The pass works in the log domain.  log|cos mu| and log|cos(mu/2)| are taken
 once per mu as log1p(-2 sin^2) of the half angle (of the cosine past
@@ -48,7 +51,6 @@ from .errors import (
     NormalizationError,
     NotOatStart,
     VanishingMeanSpin,
-    WrongClass,
 )
 from .lie_algebra import _exact_int
 
@@ -147,9 +149,8 @@ def css_expectation_perp(spec: EnsembleSpec) -> float:
     return spec.decomposition.f * spec.n * weighted_subspin_sum(spec)
 
 
-def css_fluctuation(spec: EnsembleSpec, nu: float = 0.0) -> float:
-    """Isotropic transverse variance f^2 N / 2 * sum_l J_l |zeta_l|^2."""
-    del nu  # independent of the quadrature angle
+def css_fluctuation(spec: EnsembleSpec) -> float:
+    """Transverse variance f^2 N / 2 * sum_l J_l |zeta_l|^2, the same at every quadrature angle."""
     f = spec.decomposition.f
     return 0.5 * f * f * spec.n * weighted_subspin_sum(spec)
 
@@ -231,11 +232,6 @@ def _moments(spec: EnsembleSpec, mu: float) -> tuple[float, float, float, float]
     return f * n * mean, pref * base, 0.5 * pref * p, 2.0 * math.sin(0.5 * mu) * pref * q
 
 
-def oat_expectation_perp(spec: EnsembleSpec, mu: float) -> float:
-    """Mean spin <O_1>(mu) of the one-axis-twisted state."""
-    return _moments(spec, mu)[0]
-
-
 def _extrema(base: float, p: float, q: float) -> tuple[float, float, float]:
     """(var_min, var_max, nu_min) of base + P (1 + cos 2 nu) - Q sin 2 nu over nu.
 
@@ -260,30 +256,11 @@ def _xi2(spec: EnsembleSpec, mean: float, var_min: float) -> float:
     return 2.0 * spec.n * weighted_subspin_sum(spec) * var_min / (mean * mean)
 
 
-def oat_fluctuation(spec: EnsembleSpec, mu: float, nu: float) -> float:
-    """Transverse variance <(Delta O_nu)^2>(mu) at quadrature angle nu."""
-    _, base, p, q = _moments(spec, mu)
-    return base + p * (1.0 + math.cos(2 * nu)) - q * math.sin(2 * nu)
-
-
-def min_fluctuation(spec: EnsembleSpec, mu: float) -> tuple[float, float, float]:
-    """Extremal transverse variances and the minimizing quadrature angle in [0, pi)."""
-    return _extrema(*_moments(spec, mu)[1:])
-
-
 def squeeze_trace(spec: EnsembleSpec, mu: float) -> SqueezeTrace:
     """Full transverse record at one mu; xi2 = inf where the mean vanishes."""
     mean, base, p, q = _moments(spec, mu)
     var_min, var_max, nu_min = _extrema(base, p, q)
     return SqueezeTrace(mu, mean, var_min, var_max, nu_min, _xi2(spec, mean, var_min))
-
-
-def squeezing_parameter(spec: EnsembleSpec, mu: float) -> float:
-    """Squeezing parameter xi^2 of `squeeze_trace`; raises where the mean vanishes."""
-    trace = squeeze_trace(spec, mu)
-    if trace.xi2 == math.inf:
-        raise VanishingMeanSpin(f"<O_perp>({mu}) = {trace.perp_expectation:.3e}; xi^2 undefined")
-    return trace.xi2
 
 
 def find_limit(spec: EnsembleSpec) -> LimitResult:
@@ -368,36 +345,3 @@ def asymptotic_limit_r1(twice_j_sub: int, n: int) -> R1Limit:
     alpha = 0.5 * jn * mu
     beta = 0.25 * jn * mu * mu
     return R1Limit(xi2, mu, alpha, beta, alpha >= 10.0, beta <= 0.1)
-
-
-def type_iii_xi(spec: EnsembleSpec, mu: float) -> float:
-    """Closed-form xi^2(mu) specialized to the {1/2, 1/2} class.
-
-    Evaluates the two-subspace formula with numerator terms
-    Delta_l = lead_l - sqrt(lead_l^2 + [4 |zeta_l|^2 sin(mu/2) v_l]^2) where
-    lead_l = 1 - (1 - 2 |zeta_l|^2 sin^2(mu/2))^(N-2) and
-    v_l = (1 - 2 |zeta_l|^2 sin^2(mu/4))^(N-2), over a single power of the
-    mean-spin factor sum_l |zeta_l|^2 (1 - 2 |zeta_l|^2 sin^2(mu/4))^(N-1).
-    At finite N this closed form deviates from the exact general-path value;
-    the deviation is quantified in the test suite and vanishes as N grows.
-    """
-    if spec.decomposition.twice_subspins != (1, 1):
-        raise WrongClass(f"needs subspins (1/2, 1/2), got {spec.decomposition.twice_subspins}")
-    _check_oat(spec, mu)
-    n = spec.n
-    sh = math.sin(mu / 2.0)
-    sq4 = math.sin(mu / 4.0) ** 2
-    denom = delta_sum = 0.0
-    for w in spec.coherent.weights:
-        lv, nv = _log1m(2.0 * w * sq4)
-        denom += w * _value(*_pow(lv, nv, n - 1))
-        if w == 0.0:
-            continue
-        lead = _one_minus(*_pow(*_log1m(2.0 * w * sh * sh), n - 2))
-        x = 4.0 * w * sh * _value(*_pow(lv, nv, n - 2))
-        amp = math.hypot(lead, x)
-        if amp:  # lead >= 0, so lead - amp = -x^2 / (lead + amp) without cancellation
-            delta_sum -= x * x / (lead + amp)
-    if abs(denom) < 1e-300:
-        raise VanishingMeanSpin("mean-spin factor vanished")
-    return (1.0 + 0.25 * (n - 1) * delta_sum) / denom

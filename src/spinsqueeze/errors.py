@@ -2,8 +2,8 @@
 
 Every public call either returns its answer or raises a SpinSqueezeError.
 Arguments outside a call's domain (a count below 1, a NaN, a weight vector of
-the wrong length or norm, a class the formula does not cover) raise
-InvalidInput or one of its subclasses; InvalidInput is also a ValueError.
+the wrong length or norm, a twisting start off theta = pi/2) raise InvalidInput
+or one of its subclasses; InvalidInput is also a ValueError.
 The checks live in the library only: the command line maps InvalidInput to
 exit code 1 and every other SpinSqueezeError, a numerical status such as a
 vanished mean spin or an oversized basis, to exit code 2.
@@ -56,10 +56,6 @@ class VanishingMeanSpin(SpinSqueezeError):
 
 class NotOatStart(InvalidInput):
     """A closed-form twisting formula got a coherent state off theta = pi/2, phi = 0."""
-
-
-class WrongClass(InvalidInput):
-    """An operation specialized to one equivalence class got another."""
 
 
 class NotDiagonal(SpinSqueezeError):

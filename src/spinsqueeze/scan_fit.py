@@ -12,6 +12,8 @@ from .coherent_dynamics import LimitResult, find_limit, oat_spec
 from .errors import FitDiverged, InvalidInput, NonFiniteInput, VanishingMeanSpin
 from .lie_algebra import _exact_int
 
+FIT_MAXFEV = 10_000  # model evaluations allowed to curve_fit before FitDiverged
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -40,6 +42,11 @@ class ScanConfig:
         for a, b in zip(grid, grid[1:]):
             if b <= a:
                 raise InvalidInput(f"grid must be strictly increasing, got {b!r} after {a!r}")
+        # last and in EnsembleSpec's words, so a bad class or grid is named before a bad count
+        n = _exact_int(self.n, "particle count")
+        if n < 1:
+            raise InvalidInput(f"particle count must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,7 @@ def _loglog_init(n: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return math.exp(intercept), -slope
 
 
-def fit_power_law(points, model: str = "power", maxfev: int = 10_000) -> FitResult:
+def fit_power_law(points, model: str = "power") -> FitResult:
     """Nonlinear least squares for y(N) = a N^-p or y(N) = c + a N^-p + b/N.
 
     Initial values come from log-log linear regression (for the offset model
@@ -167,7 +174,7 @@ def fit_power_law(points, model: str = "power", maxfev: int = 10_000) -> FitResu
     from scipy.optimize import curve_fit
 
     try:
-        popt, pcov = curve_fit(func, n, y, p0=p0vec, maxfev=maxfev)
+        popt, pcov = curve_fit(func, n, y, p0=p0vec, maxfev=FIT_MAXFEV)
     except RuntimeError as exc:
         raise FitDiverged(str(exc)) from exc
     resid = y - func(n, *popt)

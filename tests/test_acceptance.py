@@ -28,18 +28,16 @@ from spinsqueeze import (
     enumerate_classes,
     find_limit,
     fit_power_law,
-    min_fluctuation,
     multipole_basis,
     n_scan,
     norm_squared,
-    oat_fluctuation,
     oat_spec,
     second_quantize,
     squeeze_trace,
-    squeezing_parameter,
     zeta_scan,
 )
-from spinsqueeze.cli import parse_and_dispatch
+from spinsqueeze.cli import main
+from spinsqueeze.coherent_dynamics import _moments
 
 J32 = SpinQuantum(3)
 SQ3, SQ5, SQ15 = math.sqrt(3.0), math.sqrt(5.0), math.sqrt(15.0)
@@ -65,7 +63,7 @@ def test_criterion_01_classification(capsys):
 
     buffer = io.StringIO()
     with redirect_stdout(buffer):
-        code = parse_and_dispatch(["classify", "--j", "3/2"])
+        code = main(["classify", "--j", "3/2"])
     elapsed = time.perf_counter() - t0
     payload = json.loads(buffer.getvalue())
     got = [tuple(c["subspins"]) for c in payload["classes"]]
@@ -375,9 +373,9 @@ def test_criterion_11_property_bundle(capsys):
         (IrrepDecomposition(J32, (1, 0, 0)), (0.8, 0.6, 0)),
     ):
         spec = oat_spec(dec, 9, zeta)
-        checks.append(abs(squeezing_parameter(spec, 0.0) - 1.0) < 1e-10)
-        vmin, vmax, _ = min_fluctuation(spec, 0.0)
-        checks.append(abs(vmin - vmax) < 1e-10)
+        trace = squeeze_trace(spec, 0.0)
+        checks.append(abs(trace.xi2 - 1.0) < 1e-10)
+        checks.append(abs(trace.var_min - trace.var_max) < 1e-10)
 
     # minimum-uncertainty product at mu = 0 via the oracle
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2})))
@@ -411,9 +409,11 @@ def test_criterion_11_property_bundle(capsys):
     # analytic nu minimum lower-bounds a dense grid
     spec = oat_spec(IrrepDecomposition(J32, (2, 0)), 6, (0.8, 0.6))
     for mu in (0.4, 1.2):
-        vmin, vmax, _ = min_fluctuation(spec, mu)
-        grid = [oat_fluctuation(spec, mu, nu) for nu in np.linspace(0, math.pi, 360, endpoint=False)]
-        checks.append(vmin <= min(grid) + 1e-10 and vmax >= max(grid) - 1e-10)
+        trace = squeeze_trace(spec, mu)
+        _, base, p, q = _moments(spec, mu)
+        nus = np.linspace(0, math.pi, 360, endpoint=False)
+        grid = [base + p * (1.0 + math.cos(2 * nu)) - q * math.sin(2 * nu) for nu in nus]
+        checks.append(trace.var_min <= min(grid) + 1e-10 and trace.var_max >= max(grid) - 1e-10)
 
     ok = all(checks)
     with capsys.disabled():

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from spinsqueeze.cli import parse_and_dispatch
+from spinsqueeze.cli import main
 
 
 def run_cli(capsys, *argv):
-    code = parse_and_dispatch(list(argv))
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

@@ -14,22 +14,19 @@ from spinsqueeze import (
     css_expectation_perp,
     css_fluctuation,
     find_limit,
-    min_fluctuation,
-    oat_expectation_perp,
-    oat_fluctuation,
     oat_spec,
     squeeze_trace,
-    squeezing_parameter,
-    type_iii_xi,
 )
+from spinsqueeze.coherent_dynamics import _moments
 from spinsqueeze.errors import (
     DimensionMismatch,
     InvalidInput,
     NonFiniteInput,
     NormalizationError,
     VanishingMeanSpin,
-    WrongClass,
 )
+
+from observables import type_iii_reference
 
 J32 = SpinQuantum(3)
 DEC_I = IrrepDecomposition(J32, (3,))
@@ -48,6 +45,12 @@ def r1_xi2_series(twice_j_sub: int, n: int, mu: float) -> float:
     alpha = 0.5 * jn * mu
     beta = 0.25 * jn * mu * mu
     return 1.0 / (4.0 * alpha * alpha) + (2.0 / 3.0) * beta * beta + beta / (2.0 * alpha * alpha)
+
+
+def quadrature_variance(spec, mu: float, nu: float) -> float:
+    """<(Delta O_nu)^2>(mu) = base + P (1 + cos 2 nu) - Q sin 2 nu from the kernel's moments."""
+    _, base, p, q = _moments(spec, mu)
+    return base + p * (1.0 + math.cos(2 * nu)) - q * math.sin(2 * nu)
 
 
 def test_spec_validation():
@@ -96,8 +99,6 @@ def test_css_expectation_values():
 def test_css_fluctuation_values():
     spec = oat_spec(DEC_I, 4, (1,))
     assert css_fluctuation(spec) == pytest.approx(3.0, abs=1e-12)
-    # nu independence
-    assert css_fluctuation(spec, 0.3) == css_fluctuation(spec, 2.1)
     spec3 = oat_spec(DEC_III, 6, (1 / math.sqrt(2), 1 / math.sqrt(2)))
     assert css_fluctuation(spec3) == pytest.approx(7.5, abs=1e-12)
 
@@ -109,27 +110,27 @@ def test_css_minimum_uncertainty_identity():
         perp = css_expectation_perp(spec)
         f = dec.f
         for nu in np.linspace(0, math.pi, 12, endpoint=False):
-            product = css_fluctuation(spec, nu) * css_fluctuation(spec, nu + math.pi / 2)
+            product = quadrature_variance(spec, 0.0, nu) * quadrature_variance(spec, 0.0, nu + math.pi / 2)
             assert product == pytest.approx(0.25 * f * f * perp * perp, rel=1e-12)
 
 
 def test_oat_expectation_reduces_to_css_at_zero():
     for dec, zeta in [(DEC_I, (1,)), (DEC_II, (0.8, 0.6)), (DEC_III, (0.6, 0.8j))]:
         spec = oat_spec(dec, 9, zeta)
-        assert oat_expectation_perp(spec, 0.0) == pytest.approx(
+        assert squeeze_trace(spec, 0.0).perp_expectation == pytest.approx(
             css_expectation_perp(spec), abs=1e-12
         )
 
 
 def test_oat_expectation_vanishes_at_pi_for_full_chain():
     spec = oat_spec(DEC_I, 7, (1,))
-    assert abs(oat_expectation_perp(spec, math.pi)) < 1e-30
+    assert abs(squeeze_trace(spec, math.pi).perp_expectation) < 1e-30
 
 
 def test_oat_fluctuation_reduces_to_css_at_zero():
     spec = oat_spec(DEC_II, 8, (0.8, 0.6))
     for nu in (0.0, 0.7, 2.2):
-        assert oat_fluctuation(spec, 0.0, nu) == pytest.approx(css_fluctuation(spec), abs=1e-12)
+        assert quadrature_variance(spec, 0.0, nu) == pytest.approx(css_fluctuation(spec), abs=1e-12)
 
 
 def test_oat_fluctuation_single_subspace_closed_form():
@@ -151,7 +152,7 @@ def test_oat_fluctuation_single_subspace_closed_form():
         jn = dec.twice_subspins[0] / 2.0 * n
         for mu in np.linspace(0.0, math.pi, 17):
             for nu in (0.0, 0.4, 1.1, 2.0, 3.0):
-                a = oat_fluctuation(spec, float(mu), nu)
+                a = quadrature_variance(spec, float(mu), nu)
                 b = closed(jn, dec.f, float(mu), nu)
                 assert abs(a - b) < 1e-10
 
@@ -162,19 +163,19 @@ def test_min_fluctuation_bounds_grid():
         w = rng.dirichlet(np.ones(dec.r))
         spec = oat_spec(dec, 6, tuple(np.sqrt(w)))
         for mu in (0.0, 0.35, 1.1, 2.6):
-            var_min, var_max, nu_min = min_fluctuation(spec, mu)
-            grid = [oat_fluctuation(spec, mu, nu) for nu in np.linspace(0, math.pi, 360, endpoint=False)]
-            assert var_min <= min(grid) + 1e-10
-            assert var_max >= max(grid) - 1e-10
-            assert oat_fluctuation(spec, mu, nu_min) == pytest.approx(var_min, abs=1e-9)
-            assert 0.0 <= nu_min < math.pi
+            trace = squeeze_trace(spec, mu)
+            grid = [quadrature_variance(spec, mu, nu) for nu in np.linspace(0, math.pi, 360, endpoint=False)]
+            assert trace.var_min <= min(grid) + 1e-10
+            assert trace.var_max >= max(grid) - 1e-10
+            assert quadrature_variance(spec, mu, trace.nu_min) == pytest.approx(trace.var_min, abs=1e-9)
+            assert 0.0 <= trace.nu_min < math.pi
 
 
 def test_min_fluctuation_isotropic_at_zero():
     spec = oat_spec(DEC_III, 5, (0.6, 0.8))
-    var_min, var_max, _ = min_fluctuation(spec, 0.0)
-    assert var_min == pytest.approx(var_max, abs=1e-12)
-    assert var_min == pytest.approx(css_fluctuation(spec), abs=1e-12)
+    trace = squeeze_trace(spec, 0.0)
+    assert trace.var_min == pytest.approx(trace.var_max, abs=1e-12)
+    assert trace.var_min == pytest.approx(css_fluctuation(spec), abs=1e-12)
 
 
 def test_min_fluctuation_nu_asymptotic_angle():
@@ -182,22 +183,20 @@ def test_min_fluctuation_nu_asymptotic_angle():
     n, mu = 10**6, 2e-4
     spec = oat_spec(DEC_I, n, (1,))
     alpha = 0.5 * 1.5 * n * mu
-    _, _, nu_min = min_fluctuation(spec, mu)
+    nu_min = squeeze_trace(spec, mu).nu_min
     assert abs(nu_min - (math.pi / 2 - 0.5 * math.atan(1.0 / alpha))) < 1e-3
 
 
 def test_squeezing_parameter_unity_at_zero():
     for dec, zeta in [(DEC_I, (1,)), (DEC_II, (0.6, 0.8)), (DEC_III, (1, 0)), (DEC_IV, (0.8, 0.6, 0))]:
         spec = oat_spec(dec, 11, zeta)
-        assert squeezing_parameter(spec, 0.0) == pytest.approx(1.0, abs=1e-10)
+        assert squeeze_trace(spec, 0.0).xi2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_squeezing_parameter_vanishing_mean():
     spec = oat_spec(DEC_I, 6, (1,))
-    with pytest.raises(VanishingMeanSpin):
-        squeezing_parameter(spec, math.pi)
     trace = squeeze_trace(spec, math.pi)
-    assert math.isinf(trace.xi2)
+    assert trace.xi2 == math.inf
     assert trace.var_min <= trace.var_max
 
 
@@ -261,18 +260,13 @@ def test_r1_series_matches_exact_in_its_regime():
     n = 10**6
     spec = oat_spec(DEC_I, n, (1,))
     mu = asymptotic_limit_r1(3, n).mu
-    exact = squeezing_parameter(spec, mu)
+    exact = squeeze_trace(spec, mu).xi2
     series = r1_xi2_series(3, n, mu)
     assert abs(series / exact - 1.0) < 0.05
 
 
-def test_type_iii_wrong_class():
-    with pytest.raises(WrongClass):
-        type_iii_xi(oat_spec(DEC_II, 5, (1, 0)), 0.1)
-
-
 def test_type_iii_closed_form_deviation_is_the_mean_factor():
-    """At single-subspace weight the closed form equals the exact value times
+    """At single-subspace weight the printed expression equals the exact value times
     the mean-spin factor D = sum_l w_l (1 - 2 w_l sin^2(mu/4))^(N-1); the two
     coincide as mu -> 0 and asymptotically at the squeezing minimum."""
     for n in (4, 6, 10):
@@ -282,35 +276,35 @@ def test_type_iii_closed_form_deviation_is_the_mean_factor():
                 w * (1 - 2 * w * math.sin(mu / 4) ** 2) ** (n - 1)
                 for w in spec.coherent.weights
             )
-            exact = squeezing_parameter(spec, mu)
-            closed = type_iii_xi(spec, mu)
-            assert closed == pytest.approx(exact * d_factor, rel=1e-9)
+            exact = squeeze_trace(spec, mu).xi2
+            printed = float(type_iii_reference(spec, mu))
+            assert printed == pytest.approx(exact * d_factor, rel=1e-9)
 
 
 def test_type_iii_closed_form_mixed_weights_documented_gap():
-    """At mixed weights the closed form lies below the exact value (it
+    """At mixed weights the printed expression lies below the exact value (it
     minimizes each subspace independently); the gap shrinks with mu."""
     spec = oat_spec(DEC_III, 8, (1 / math.sqrt(2), 1 / math.sqrt(2)))
-    assert type_iii_xi(spec, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert float(type_iii_reference(spec, 0.0)) == pytest.approx(1.0, abs=1e-12)
     for mu in (0.3, 0.9):
-        assert type_iii_xi(spec, mu) <= squeezing_parameter(spec, mu) + 1e-12
+        assert float(type_iii_reference(spec, mu)) <= squeeze_trace(spec, mu).xi2 + 1e-12
 
 
 def test_type_iii_closed_form_single_weight_minimum():
-    """With all weight on one subspace the closed-form minimum reproduces the
+    """With all weight on one subspace the printed expression's minimum reproduces the
     one-subspace J=1/2 asymptote (the mean-spin factor tends to 1 there)."""
     n = 10**5
     spec = oat_spec(DEC_III, n, (1, 0))
     ref = asymptotic_limit_r1(1, n)
     grid = np.geomspace(ref.mu / 3, ref.mu * 3, 300)
-    closed_min = min(type_iii_xi(spec, float(m)) for m in grid)
-    assert abs(closed_min / ref.xi2 - 1) < 0.03
+    printed_min = float(min(type_iii_reference(spec, float(m)) for m in grid))
+    assert abs(printed_min / ref.xi2 - 1) < 0.03
 
 
 def test_type_iii_equal_superposition_adjudication():
     """Measured relationship at equal weights, frozen from the exact oracle:
     the exact path reproduces the (6/N)^(2/3)/2 limit (see find_limit tests),
-    while the printed closed form evaluates to roughly half the exact value
+    while the printed expression evaluates to roughly half the exact value
     near the optimum (ratio drifts from 0.41 at N=1e3 toward 0.5 as N grows).
     """
     n = 10**5
@@ -318,7 +312,7 @@ def test_type_iii_equal_superposition_adjudication():
     exact = find_limit(spec)
     assert abs(exact.xi2_min / (0.5 * (6 / n) ** (2 / 3)) - 1) < 0.1
     ref_mu = 2 * 3 ** (1 / 6) * (n / 2) ** (-2 / 3)
-    ratio = type_iii_xi(spec, ref_mu) / squeezing_parameter(spec, ref_mu)
+    ratio = float(type_iii_reference(spec, ref_mu)) / squeeze_trace(spec, ref_mu).xi2
     assert 0.38 < ratio < 0.52
 
 
@@ -346,6 +340,6 @@ def test_xi2_is_unity_at_zero_property(dec_idx, n, seed):
     w = w / w.sum()
     phases = np.exp(1j * rng.uniform(0, 2 * math.pi, dec.r))
     spec = oat_spec(dec, n, tuple(np.sqrt(w) * phases))
-    assert squeezing_parameter(spec, 0.0) == pytest.approx(1.0, abs=1e-10)
-    var_min, var_max, _ = min_fluctuation(spec, 0.0)
-    assert var_min == pytest.approx(var_max, abs=1e-10)
+    trace = squeeze_trace(spec, 0.0)
+    assert trace.xi2 == pytest.approx(1.0, abs=1e-10)
+    assert trace.var_min == pytest.approx(trace.var_max, abs=1e-10)

@@ -11,6 +11,7 @@ from spinsqueeze import (
     CartanChoice,
     IrrepDecomposition,
     OracleWorkspace,
+    ScanConfig,
     SpinQuantum,
     VertexSubset,
     asymptotic_limit_r1,
@@ -43,7 +44,7 @@ def test_every_invalid_input_is_a_value_error():
     ]
     names = {cls.__name__ for cls in subclasses}
     assert {"DimensionMismatch", "NormalizationError", "NonFiniteInput",
-            "AllTrivialSubspins", "NotOatStart", "WrongClass"} < names
+            "AllTrivialSubspins", "NotOatStart"} < names
     for cls in subclasses:
         assert issubclass(cls, ValueError)
         assert issubclass(cls, errors.SpinSqueezeError)
@@ -63,7 +64,7 @@ def test_dispatch_maps_library_errors_to_exit_codes(monkeypatch, capsys, exc, co
         raise exc
 
     monkeypatch.setattr(cli, "_cmd_classify", refuse)
-    assert cli.parse_and_dispatch(["classify", "--j", "1"]) == code
+    assert cli.main(["classify", "--j", "1"]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: classify: ")
@@ -84,6 +85,7 @@ FULL = IrrepDecomposition(J32, (3,))
         lambda v: build_basis(v, J32),
         lambda v: OracleWorkspace(build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3}))), v),
         lambda v: n_scan(PAIR, 0.5, [100, v]),
+        lambda v: ScanConfig(PAIR, v, (0.5,)),
         lambda v: asymptotic_limit_r1(3, v),
         lambda v: asymptotic_limit_r1(v, 100),
         lambda v: IrrepDecomposition(J32, (v, 1)),
@@ -91,8 +93,8 @@ FULL = IrrepDecomposition(J32, (3,))
         lambda v: VertexSubset(J32, frozenset({3, v})),
         lambda v: CartanChoice(J32, (2, 7, v)),
     ],
-    ids=["twice_j", "ensemble_n", "basis_n", "workspace_n", "n_scan", "asymptotic_n", "asymptotic_2j",
-         "subspin", "structure_factor", "vertex", "cartan_index"],
+    ids=["twice_j", "ensemble_n", "basis_n", "workspace_n", "n_scan", "scan_config_n", "asymptotic_n",
+         "asymptotic_2j", "subspin", "structure_factor", "vertex", "cartan_index"],
 )
 def test_counts_and_indices_must_be_integers(call, bad):
     """A float is never truncated or interpolated, and a bool is not a count."""
@@ -104,6 +106,7 @@ def test_numpy_integers_are_counts():
     i64 = np.int64
     assert type(SpinQuantum(np.int32(3)).twice_j) is int
     assert type(oat_spec(FULL, i64(10), (1,)).n) is int
+    assert type(ScanConfig(PAIR, i64(10), (0.5,)).n) is int
     assert IrrepDecomposition(J32, (i64(1), i64(1))) == PAIR
     assert VertexSubset(J32, frozenset({i64(1), i64(3)})).chosen == {1, 3}
     assert CartanChoice(J32, (i64(2), i64(7), i64(10))).indices == (2, 7, 10)

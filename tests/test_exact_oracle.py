@@ -26,15 +26,10 @@ from spinsqueeze import (
     enumerate_classes,
     expectation,
     find_limit,
-    min_fluctuation,
     multipole_basis,
-    oat_expectation_perp,
-    oat_fluctuation,
     oat_spec,
     second_quantize,
     squeeze_trace,
-    squeezing_parameter,
-    type_iii_xi,
     variance,
 )
 from spinsqueeze.coherent_dynamics import EnsembleSpec
@@ -45,7 +40,6 @@ from spinsqueeze.errors import (
     NotDiagonal,
     NotOatStart,
     SizeLimit,
-    VanishingMeanSpin,
 )
 from spinsqueeze.exact_oracle import sector_twist_diagonal
 from spinsqueeze.lie_algebra import HermitianOperator
@@ -267,7 +261,7 @@ def test_twisted_mean_matches_closed_form():
     ws = OracleWorkspace(triple, 3)
     state = ws.twisted(spec.coherent, 0.5)
     lam1 = second_quantize(triple.o1, ws.basis)
-    assert expectation(state, lam1) == pytest.approx(oat_expectation_perp(spec, 0.5), abs=1e-12)
+    assert expectation(state, lam1) == pytest.approx(squeeze_trace(spec, 0.5).perp_expectation, abs=1e-12)
 
 
 def test_twisted_mean_matches_closed_form_mixed_weights():
@@ -275,7 +269,7 @@ def test_twisted_mean_matches_closed_form_mixed_weights():
     spec = oat_spec(triple.decomposition, 8, (0.8, 0.6))
     ws = OracleWorkspace(triple, 8)
     rec = ws.squeezing(spec.coherent, 0.3)
-    assert rec.perp_expectation == pytest.approx(oat_expectation_perp(spec, 0.3), abs=1e-10)
+    assert rec.perp_expectation == pytest.approx(squeeze_trace(spec, 0.3).perp_expectation, abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -296,9 +290,6 @@ def test_closed_form_refuses_a_start_off_the_twisting_axis(theta, phi, field, or
         closed_form_value, abs=1e-9
     )
     for call in (
-        lambda: oat_expectation_perp(spec, 0.2),
-        lambda: min_fluctuation(spec, 0.2),
-        lambda: oat_fluctuation(spec, 0.2, 0.0),
         lambda: squeeze_trace(spec, 0.2),
         lambda: find_limit(spec),
         lambda: compare_with_oracle(ws, spec.coherent, [0.2]),
@@ -308,7 +299,7 @@ def test_closed_form_refuses_a_start_off_the_twisting_axis(theta, phi, field, or
     assert css_expectation_perp(spec) == pytest.approx(15.0, abs=1e-12)  # valid at any angle
     spec_iii = EnsembleSpec(10, IrrepDecomposition(J32, (1, 1)), CoherentSpec(theta, phi, (0.6, 0.8)))
     with pytest.raises(NotOatStart):
-        type_iii_xi(spec_iii, 0.2)
+        squeeze_trace(spec_iii, 0.2)
     assert css_fluctuation(spec_iii) > 0.0
 
 
@@ -474,12 +465,10 @@ def test_analytic_equals_oracle_property(cls, n, levels, phases, mu):
 
 
 def test_vanishing_mean_guard_is_shared():
-    """At a collapsed mean the closed form, its xi^2 and the oracle agree: inf, raise, inf."""
+    """At a collapsed mean the closed form and the oracle both report xi^2 = inf."""
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
     spec = oat_spec(triple.decomposition, 6, (1.0,))
     assert squeeze_trace(spec, math.pi).xi2 == math.inf
-    with pytest.raises(VanishingMeanSpin):
-        squeezing_parameter(spec, math.pi)
     assert OracleWorkspace(triple, 6).squeezing(spec.coherent, math.pi).xi2 == math.inf
 
 
@@ -559,7 +548,7 @@ def test_compare_with_oracle_skips_xi2_at_collapsed_mean():
     spec = oat_spec(triple.decomposition, 6, (1.0,))
     collapsed = 2.0 * math.acos(0.4)  # mean 9 * 0.4^17: under the 1e-4 guard, xi^2 finite
     mean0 = css_expectation_perp(spec)
-    assert 0.0 < oat_expectation_perp(spec, collapsed) < 1e-4 * mean0
+    assert 0.0 < squeeze_trace(spec, collapsed).perp_expectation < 1e-4 * mean0
     assert math.isfinite(squeeze_trace(spec, collapsed).xi2)
     shifted = _StandIn(spec, xi2=lambda t: t.xi2 + 0.5)
     assert compare_with_oracle(shifted, spec.coherent, [collapsed])[1] == 0.0

@@ -9,6 +9,7 @@ from spinsqueeze import (
     SpinQuantum,
     fit_power_law,
     n_scan,
+    scan_fit,
     zeta_scan,
 )
 from spinsqueeze.errors import FitDiverged, InvalidInput, NonFiniteInput
@@ -25,6 +26,15 @@ def test_scan_config_validation():
         ScanConfig(DEC_III, 10, (0.5, 0.5))  # not strictly increasing
     with pytest.raises(ValueError):
         ScanConfig(DEC_III, 10, (0.2, 1.4))  # outside [0, 1]
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_scan_config_refuses_a_count_below_one(n):
+    """Refused at construction, in EnsembleSpec's words, and after a bad class."""
+    with pytest.raises(InvalidInput, match=f"^particle count must be >= 1, got {n}$"):
+        ScanConfig(DEC_III, n, (0.5,))
+    with pytest.raises(InvalidInput, match="at least two subspaces"):
+        ScanConfig(IrrepDecomposition(J32, (3,)), n, (0.5,))
 
 
 @pytest.mark.parametrize("grid", [("x",), (0.5, None), 0.5])
@@ -133,11 +143,12 @@ def test_fit_refuses_non_finite_samples(model, bad):
         fit_power_law(pts, model=model)
 
 
-def test_fit_diverged_on_starved_iterations():
+def test_fit_diverged_on_starved_iterations(monkeypatch):
     ns = np.geomspace(10, 1e4, 8)
     pts = [(n, 1.7 * n ** (-0.4) + 0.03) for n in ns]
+    monkeypatch.setattr(scan_fit, "FIT_MAXFEV", 1)
     with pytest.raises(FitDiverged):
-        fit_power_law(pts, model="offset-power", maxfev=1)
+        fit_power_law(pts, model="offset-power")
 
 
 def test_n_scan_statuses_and_order():
