@@ -34,7 +34,7 @@ from .lie_algebra import (
 )
 
 COMMUTATION_TOL = 1e-9
-SPECTRUM_CLUSTER_TOL = 1e-7
+SPECTRUM_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,12 @@ class Su2Triple:
     """Concrete matrices (O1, O2, O3) realizing one class, with block layout.
 
     blocks lists (row_offset, 2*J_l) in the order matching the decomposition's
-    subspins, i.e. coherent-state weights zeta_l attach to blocks[l].
+    subspins, i.e. coherent-state weights zeta_l attach to blocks[l].  The
+    constructor is where the class is checked, once: besides the su(2)
+    commutators, O3/f must be the union of the blocks' multiplets
+    m = J_l ... -J_l.  A diagonal O3 is matched level by level, which pins the
+    offsets the oracle reads; any other O3 by its sorted spectrum, so a
+    unitarily rotated triple keeps its class.
     """
 
     j: SpinQuantum
@@ -166,7 +171,13 @@ class Su2Triple:
     blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        f = self.decomposition.f
+        dim, dec = self.j.dim, self.decomposition
+        dims = [op.dim for op in (self.o1, self.o2, self.o3)]
+        if dims != [dim] * 3:
+            raise DimensionMismatch(f"2J = {self.j.twice_j} needs {dim}x{dim} matrices, got {dims}")
+        if dec.j != self.j:
+            raise DimensionMismatch(f"decomposition has 2J = {dec.j.twice_j}, triple 2J = {self.j.twice_j}")
+        f = dec.f
         o1, o2, o3 = self.o1.matrix, self.o2.matrix, self.o3.matrix
         plus = o1 + 1j * o2
         resid = np.max(np.abs(o3 @ plus - plus @ o3 - f * plus))
@@ -178,6 +189,23 @@ class Su2Triple:
         resid = np.max(np.abs(plus @ minus - minus @ plus - 2.0 * f * o3))
         if resid > COMMUTATION_TOL:
             raise NotAnSu2Triple(f"[O+, O-] != 2f O3 (residual {resid:.3e})")
+
+        blocks = tuple((_exact_int(off, "block offset"), _exact_int(t, "2J_l")) for off, t in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        if tuple(t for _, t in blocks) != dec.twice_subspins:
+            raise NotAnSu2Triple(f"blocks {blocks} do not list the subspins {dec.twice_subspins}")
+        if sorted(lvl for off, t in blocks for lvl in range(off, off + t + 1)) != list(range(dim)):
+            raise NotAnSu2Triple(f"blocks {blocks} do not tile the {dim} levels")
+        expected = np.empty(dim)
+        for off, t in blocks:
+            expected[off : off + t + 1] = np.arange(t, -t - 1, -2) / 2.0
+        if np.max(np.abs(o3 - np.diag(o3.diagonal()))) > 1e-12:
+            observed, expected = np.linalg.eigvalsh(o3), np.sort(expected)
+        else:
+            observed = o3.diagonal().real
+        resid = np.max(np.abs(observed / f - expected))
+        if resid > SPECTRUM_TOL:
+            raise NotAnSu2Triple(f"O3/f is not the blocks' multiplets J_l ... -J_l (residual {resid:.3e})")
 
 
 def build_su2_triple(subset: VertexSubset) -> Su2Triple:
@@ -209,41 +237,12 @@ def build_su2_triple(subset: VertexSubset) -> Su2Triple:
     )
 
 
-def _subspins_from_spectrum(triple: Su2Triple) -> tuple[int, ...]:
-    """Recover the subspin multiset from the spectrum of O3/f."""
-    eig = np.sort(np.linalg.eigvalsh(triple.o3.matrix) / triple.decomposition.f)
-    twice_vals = []
-    for e in eig:
-        t = round(2 * e)
-        if abs(2 * e - t) > SPECTRUM_CLUSTER_TOL:
-            raise NotAnSu2Triple(f"O3/f eigenvalue {e} is not a half-integer")
-        twice_vals.append(t)
-    remaining = sorted(twice_vals, reverse=True)
-    found = []
-    while remaining:
-        top = remaining[0]
-        if top < 0:
-            raise NotAnSu2Triple("O3/f spectrum is not a union of spin multiplets")
-        found.append(top)
-        for m in range(top, -top - 2, -2):  # 2m = top, top-2, ..., -top
-            try:
-                remaining.remove(m)
-            except ValueError:
-                raise NotAnSu2Triple("O3/f spectrum is not a union of spin multiplets") from None
-    return tuple(sorted(found, reverse=True))
-
-
 def equivalence_check(a: Su2Triple, b: Su2Triple) -> bool:
-    """True iff both triples decompose into the same subspin multiset.
+    """True iff both triples belong to the same class (the same subspin multiset).
 
-    Subspins are extracted from the O3/f spectra and cross-checked against the
-    stored decompositions; the commutation invariant was already enforced at
-    construction.
+    Each triple's matrices were matched to its class at construction, so
+    comparing the decompositions compares the matrices.
     """
     if a.j != b.j:
         raise DimensionMismatch("triples live in different su(2J+1) algebras")
-    spec_a = _subspins_from_spectrum(a)
-    spec_b = _subspins_from_spectrum(b)
-    if spec_a != a.decomposition.twice_subspins or spec_b != b.decomposition.twice_subspins:
-        raise NotAnSu2Triple("stored decomposition disagrees with the O3 spectrum")
-    return spec_a == spec_b
+    return a.decomposition == b.decomposition

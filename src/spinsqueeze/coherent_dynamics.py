@@ -52,7 +52,7 @@ from .errors import (
     NotOatStart,
     VanishingMeanSpin,
 )
-from .lie_algebra import _exact_int
+from .lie_algebra import _exact_int, _particle_count
 
 GRID_POINTS = 128
 GOLDEN_REL_TOL = 1e-6
@@ -96,9 +96,7 @@ class EnsembleSpec:
     coherent: CoherentSpec
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _exact_int(self.n, "particle count"))
-        if self.n < 1:
-            raise InvalidInput(f"particle count must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _particle_count(self.n))
         if len(self.coherent.zeta) != self.decomposition.r:
             raise DimensionMismatch(
                 f"{len(self.coherent.zeta)} weights for r = {self.decomposition.r} subspaces"

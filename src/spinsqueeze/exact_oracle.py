@@ -67,7 +67,7 @@ from .errors import (
     NotDiagonal,
     SizeLimit,
 )
-from .lie_algebra import HermitianOperator, SpinQuantum, _exact_int
+from .lie_algebra import HermitianOperator, SpinQuantum, _particle_count
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -154,9 +154,7 @@ class FockBasis:
 
 def build_basis(n: int, j: SpinQuantum) -> FockBasis:
     """Complete occupation basis for N particles with 2J+1 sublevels each."""
-    n = _exact_int(n, "particle count")
-    if n < 1:
-        raise InvalidInput(f"particle count must be >= 1, got {n}")
+    n = _particle_count(n)
     modes = j.dim
     size = math.comb(n + modes - 1, modes - 1)
     if size > BASIS_SIZE_LIMIT:

@@ -47,6 +47,14 @@ def _exact_int(value, what: str) -> int:
     raise InvalidInput(f"{what} must be an integer, got {value!r}")
 
 
+def _particle_count(n) -> int:
+    """`n` as an exact int >= 1: the one refusal of a bad particle count N."""
+    n = _exact_int(n, "particle count")
+    if n < 1:
+        raise InvalidInput(f"particle count must be >= 1, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class SpinQuantum:
     """Spin quantum number stored as 2J so half-integers stay exact."""

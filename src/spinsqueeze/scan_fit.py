@@ -10,7 +10,7 @@ import numpy as np
 from .classification import IrrepDecomposition
 from .coherent_dynamics import LimitResult, find_limit, oat_spec
 from .errors import FitDiverged, InvalidInput, NonFiniteInput, VanishingMeanSpin
-from .lie_algebra import _exact_int
+from .lie_algebra import _particle_count
 
 FIT_MAXFEV = 10_000  # model evaluations allowed to curve_fit before FitDiverged
 
@@ -42,11 +42,8 @@ class ScanConfig:
         for a, b in zip(grid, grid[1:]):
             if b <= a:
                 raise InvalidInput(f"grid must be strictly increasing, got {b!r} after {a!r}")
-        # last and in EnsembleSpec's words, so a bad class or grid is named before a bad count
-        n = _exact_int(self.n, "particle count")
-        if n < 1:
-            raise InvalidInput(f"particle count must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
+        # last, so a bad class or grid is named before a bad count
+        object.__setattr__(self, "n", _particle_count(self.n))
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ def n_scan(
 ) -> list[tuple[int, float, float, str]]:
     """Squeezing limit versus particle number at a fixed weight split."""
     _check_weight(zeta1_sq)
-    ns = [_exact_int(n, "particle count") for n in n_values]
+    ns = [_particle_count(n) for n in n_values]
     if not ns:
         raise InvalidInput("no particle numbers to scan")
     rows = []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from spinsqueeze import (
     IrrepDecomposition,
@@ -265,3 +266,73 @@ def test_random_subsets_build_valid_triples(twice_j, mask):
     k2 = twice_j * (twice_j + 1) * (twice_j + 2) / 12.0
     for op in (triple.o1, triple.o2, triple.o3):
         assert np.trace(op.matrix @ op.matrix).real == pytest.approx(k2, rel=1e-10)
+
+
+def _relabelled(triple, decomposition, blocks, j=None):
+    """`triple`'s matrices under another class label, block layout or spin."""
+    return Su2Triple(j or triple.j, triple.o1, triple.o2, triple.o3, decomposition, blocks)
+
+
+def _rotated(triple):
+    """The triple conjugated by expm(-0.4 i O1 / f): same class, O3 no longer diagonal."""
+    u = expm(-0.4j * triple.o1.matrix / triple.decomposition.f)
+    o1, o2, o3 = (HermitianOperator(u @ op.matrix @ u.conj().T) for op in (triple.o1, triple.o2, triple.o3))
+    return Su2Triple(triple.j, o1, o2, o3, triple.decomposition, triple.blocks)
+
+
+def _canonical_triple(twice_j, twice_subspins):
+    return build_su2_triple(canonical_subset(IrrepDecomposition(SpinQuantum(twice_j), twice_subspins)))
+
+
+@pytest.mark.parametrize("layout", ["own", "labelled"])
+def test_triple_under_another_class_with_equal_f_rejected(layout):
+    """At 2J = 7 the {3/2, 3/2} and {2, 0, 0, 0} classes share f = sqrt(4.2), so the
+    commutators cannot tell them apart; the O3 spectrum and the block layout can."""
+    pair = _canonical_triple(7, (3, 3))
+    single = _canonical_triple(7, (4, 0, 0, 0))
+    assert pair.decomposition.f == pytest.approx(single.decomposition.f, abs=1e-12)
+    blocks = pair.blocks if layout == "own" else single.blocks
+    with pytest.raises(NotAnSu2Triple):
+        _relabelled(pair, single.decomposition, blocks)
+
+
+def test_triple_with_shifted_block_offsets_rejected(j32):
+    """Vertices {2, 3} put the spin-1 block on levels 1..3; offsets claiming levels
+    0..2 have the same sorted spectrum, but the oracle would read the wrong levels."""
+    triple = build_su2_triple(_subset(3, {2, 3}))
+    assert triple.blocks == ((1, 2), (0, 0))
+    with pytest.raises(NotAnSu2Triple, match="multiplets"):
+        _relabelled(triple, triple.decomposition, ((0, 2), (3, 0)))
+
+
+@pytest.mark.parametrize(
+    "blocks,message",
+    [(((0, 1),), "subspins"), (((0, 1), (1, 1)), "tile")],
+)
+def test_triple_with_blocks_off_its_class_rejected(triples, blocks, message):
+    good = triples["iii"]  # vertices {1, 3}: blocks ((0, 1), (2, 1))
+    with pytest.raises(NotAnSu2Triple, match=message):
+        _relabelled(good, good.decomposition, blocks)
+
+
+@pytest.mark.parametrize("twice_j", [5, 1])
+def test_triple_matrices_of_another_dimension_rejected(triples, twice_j):
+    """4x4 matrices labelled with 2J = 5 or 2J = 1 are refused at construction."""
+    j = SpinQuantum(twice_j)
+    with pytest.raises(DimensionMismatch, match="matrices"):
+        _relabelled(triples["i"], IrrepDecomposition(j, (twice_j,)), ((0, twice_j),), j)
+
+
+def test_triple_with_decomposition_of_another_spin_rejected(triples):
+    other = IrrepDecomposition(SpinQuantum(5), (5,))  # f = 1, as for the {3/2} class
+    with pytest.raises(DimensionMismatch, match="decomposition"):
+        _relabelled(triples["i"], other, triples["i"].blocks)
+
+
+def test_rotated_triples_keep_their_class(triples):
+    for triple in triples.values():
+        rotated = _rotated(triple)
+        assert np.max(np.abs(rotated.o3.matrix - np.diag(rotated.o3.matrix.diagonal()))) > 0.1
+        assert equivalence_check(rotated, triple) is True
+    pair = _rotated(_canonical_triple(7, (3, 3)))
+    assert equivalence_check(pair, _canonical_triple(7, (4, 0, 0, 0))) is False

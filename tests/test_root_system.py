@@ -187,17 +187,22 @@ def test_simple_roots_recovered_by_root_computation(basis32):
         assert any(np.max(np.abs(rd.ladder - srm.matrix)) < 1e-9 for rd in roots)
 
 
-@pytest.mark.parametrize("twice_j", [1, 2, 3, 4])
+@pytest.mark.parametrize("twice_j", range(1, 10))
 def test_roots_sweep(twice_j):
-    """Count, eigen-residuals, and negation closure for J up to 2."""
+    """Count, norms, eigen-residuals and negation closure for 2J = 1..9."""
     basis = multipole_basis(SpinQuantum(twice_j))
     cartan = default_cartan(basis)
     roots = compute_roots(basis, cartan)
     dim = twice_j + 1
     assert len(roots) == dim * dim - 1 - twice_j
     k2 = np.trace(basis.matrices()[2] @ basis.matrices()[2]).real
+    keys = {tuple(np.round(rd.root, 8)) for rd in roots}
     for rd in roots:
         assert np.trace(rd.ladder.conj().T @ rd.ladder).real == pytest.approx(k2, rel=1e-12)
+        for val, c in zip(rd.root, cartan.indices):
+            h = basis.matrices()[c]
+            assert np.max(np.abs(h @ rd.ladder - rd.ladder @ h - val * rd.ladder)) < 1e-9
+        assert tuple(np.round(np.negative(rd.root), 8)) in keys
         for val, c in zip(rd.root, cartan.indices):
             h = basis.matrices()[c]
             resid = np.max(np.abs(h @ rd.ladder - rd.ladder @ h - val * rd.ladder))

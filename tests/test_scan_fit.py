@@ -30,9 +30,11 @@ def test_scan_config_validation():
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_scan_config_refuses_a_count_below_one(n):
-    """Refused at construction, in EnsembleSpec's words, and after a bad class."""
+    """ScanConfig refuses it at construction, after a bad class; n_scan before its first point."""
     with pytest.raises(InvalidInput, match=f"^particle count must be >= 1, got {n}$"):
         ScanConfig(DEC_III, n, (0.5,))
+    with pytest.raises(InvalidInput, match=f"^particle count must be >= 1, got {n}$"):
+        n_scan(DEC_III, 0.5, [n])
     with pytest.raises(InvalidInput, match="at least two subspaces"):
         ScanConfig(IrrepDecomposition(J32, (3,)), n, (0.5,))
 
