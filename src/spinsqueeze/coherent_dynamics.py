@@ -17,9 +17,12 @@ twisting conserves.  `_extrema` turns (base, P, Q) into the extremal
 variances and the minimizing angle; `_xi2` holds the squeezing parameter and
 its vanishing-mean guard.  `squeeze_trace` composes them and is the one
 public per-mu entry point: the mean, the extremal variances, the minimizing
-angle and xi^2 are all fields of its record.  `find_limit` minimizes its xi^2
-over mu, the css_* functions give the untwisted coherent values, and the
-exact oracle reuses `_extrema` and `_xi2` on its measured moments.
+angle and xi^2 are all fields of its record.  `find_limit` minimizes xi^2
+over mu on a 24-point log grid seeded from the class data (the minimum sits
+near 1.5 (c N)^(-2/3), c_l = J_l |zeta_l|^2), then by golden section,
+composing `_moments`, `_extrema` and `_xi2` directly rather than building a
+record per point.  The css_* functions give the untwisted coherent values,
+and the exact oracle reuses `_extrema` and `_xi2` on its measured moments.
 
 The pass works in the log domain.  log|cos mu| and log|cos(mu/2)| are taken
 once per mu as log1p(-2 sin^2) of the half angle (of the cosine past
@@ -38,6 +41,7 @@ the limit search and the oracle comparison make.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +58,8 @@ from .errors import (
 )
 from .lie_algebra import _exact_int, _particle_count
 
-GRID_POINTS = 128
+SEED_POINTS = 24  # log grid of the limit search
+SEED_LO, SEED_HI = 0.05, 20.0  # its ends, in units of (c N)^(-2/3)
 GOLDEN_REL_TOL = 1e-6
 MAX_EXPANSIONS = 8
 MU_MAX = 2.0 * math.pi  # xi^2 repeats every 4 pi and mirrors about 2 pi
@@ -82,7 +87,7 @@ class CoherentSpec:
         if abs(total - 1.0) > WEIGHT_NORM_TOL:
             raise NormalizationError(f"sum |zeta|^2 = {total!r}, expected 1")
 
-    @property
+    @functools.cached_property
     def weights(self) -> tuple[float, ...]:
         return tuple(abs(v) ** 2 for v in self.zeta)
 
@@ -126,8 +131,9 @@ class LimitResult:
 
     xi2_min: float
     mu_min: float
-    iterations: int
+    iterations: int  # xi^2 evaluations
     status: str  # "ok" or "no_squeezing"
+    expansions: int = 0  # widenings of the grid's upper edge
 
 
 def _active(spec: EnsembleSpec):
@@ -261,56 +267,69 @@ def squeeze_trace(spec: EnsembleSpec, mu: float) -> SqueezeTrace:
     return SqueezeTrace(mu, mean, var_min, var_max, nu_min, _xi2(spec, mean, var_min))
 
 
-def find_limit(spec: EnsembleSpec) -> LimitResult:
-    """Minimize xi^2 over mu in (0, 2 pi]: log-spaced coarse grid, then golden section.
-
-    The sweep covers (0, mu_hi], starting at 200 (J_1 N)^(-2/3) and quadrupled
-    whenever the coarse minimum lands on the upper edge, never past MU_MAX.
-    A search that never sees xi^2 < 1 reports status "no_squeezing" instead of
-    raising.
-    """
-    if weighted_subspin_sum(spec) <= 0.0:
-        raise VanishingMeanSpin("no weight on nontrivial subspaces")
-    j1 = spec.decomposition.twice_subspins[0] / 2.0
-    mu_hi = min(200.0 * (j1 * spec.n) ** (-2.0 / 3.0), MU_MAX)
-    evaluations = 0
-
-    for _ in range(MAX_EXPANSIONS + 1):
-        grid = np.geomspace(mu_hi * 1e-6, mu_hi, GRID_POINTS)
-        values = [squeeze_trace(spec, float(m)).xi2 for m in grid]
-        evaluations += len(grid)
-        best = int(np.argmin(values))
-        if best == GRID_POINTS - 1 and math.isfinite(values[best]) and mu_hi < MU_MAX:
-            mu_hi = min(4.0 * mu_hi, MU_MAX)
-            continue
-        break
-
-    if not math.isfinite(values[best]):
-        return LimitResult(math.inf, math.nan, evaluations, "no_squeezing")
-
-    lo = float(grid[best - 1]) if best > 0 else float(grid[0]) * 1e-3
-    hi = float(grid[best + 1]) if best < GRID_POINTS - 1 else float(grid[-1])
+def _golden(xi2, a: float, b: float) -> tuple[float, float, int]:
+    """Golden-section minimum of xi2 on [a, b] to GOLDEN_REL_TOL: (mu, xi2, evaluations)."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = squeeze_trace(spec, c).xi2, squeeze_trace(spec, d).xi2
-    evaluations += 2
+    fc, fd = xi2(c), xi2(d)
+    evaluations = 2
     while b - a > GOLDEN_REL_TOL * b:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = squeeze_trace(spec, c).xi2
+            fc = xi2(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = squeeze_trace(spec, d).xi2
+            fd = xi2(d)
         evaluations += 1
-    mu_min = c if fc <= fd else d
-    xi2_min = min(fc, fd)
-    if xi2_min >= 1.0:
-        return LimitResult(xi2_min, mu_min, evaluations, "no_squeezing")
-    return LimitResult(xi2_min, mu_min, evaluations, "ok")
+    return (c, fc, evaluations) if fc <= fd else (d, fd, evaluations)
+
+
+def find_limit(spec: EnsembleSpec) -> LimitResult:
+    """Minimize xi^2 over mu in (0, 2 pi]: a seeded log grid, then golden section.
+
+    With c_l = J_l |zeta_l|^2 over the active blocks, the minimum sits near
+    1.5 (c N)^(-2/3) for some c between the extremes, so the SEED_POINTS grid
+    spans [SEED_LO (c_max N)^(-2/3), SEED_HI (c_min N)^(-2/3)], capped at
+    MU_MAX (the lower end then stays at least SEED_HI / SEED_LO below the
+    cap).  Whenever the grid minimum lands on the upper edge, the edge is
+    quadrupled, never past MU_MAX, and `expansions` counts these widenings.
+    The golden section then refines between the grid neighbours of the
+    minimum.  A search that never sees xi^2 < 1 reports status
+    "no_squeezing" instead of raising.
+    """
+    if weighted_subspin_sum(spec) <= 0.0:
+        raise VanishingMeanSpin("no weight on nontrivial subspaces")
+    c = [jl * w * spec.n for jl, _, w in _active(spec)]
+    mu_hi = min(SEED_HI * min(c) ** (-2.0 / 3.0), MU_MAX)
+    mu_lo = min(SEED_LO * max(c) ** (-2.0 / 3.0), mu_hi * SEED_LO / SEED_HI)
+
+    def xi2(mu: float) -> float:
+        mean, base, p, q = _moments(spec, mu)
+        return _xi2(spec, mean, _extrema(base, p, q)[0])
+
+    evaluations = expansions = 0
+    while True:
+        grid = np.geomspace(mu_lo, mu_hi, SEED_POINTS)
+        values = [xi2(float(m)) for m in grid]
+        evaluations += SEED_POINTS
+        best = int(np.argmin(values))
+        on_edge = best == SEED_POINTS - 1 and math.isfinite(values[best]) and mu_hi < MU_MAX
+        if not on_edge or expansions == MAX_EXPANSIONS:
+            break
+        mu_hi = min(4.0 * mu_hi, MU_MAX)
+        expansions += 1
+
+    if not math.isfinite(values[best]):
+        return LimitResult(math.inf, math.nan, evaluations, "no_squeezing", expansions)
+
+    lo = float(grid[best - 1]) if best > 0 else float(grid[0]) * 1e-3
+    hi = float(grid[best + 1]) if best < SEED_POINTS - 1 else float(grid[-1])
+    mu_min, xi2_min, golden = _golden(xi2, lo, hi)
+    status = "no_squeezing" if xi2_min >= 1.0 else "ok"
+    return LimitResult(xi2_min, mu_min, evaluations + golden, status, expansions)
 
 
 @dataclass(frozen=True)

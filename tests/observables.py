@@ -4,13 +4,20 @@ The closed forms never build operators; the dense single-particle quadratures
 of a class triple let the tests measure the same quantities on the exact
 oracle's states.  `type_iii_reference` is the paper's printed {1/2, 1/2}
 expression for xi^2, which the tests hold against the exact closed form.
+`sweep_limit_reference` is the limit search that `find_limit` replaced: a
+128-point sweep over six decades of mu, then the same golden section.
 """
 
 import math
 
 import mpmath
+import numpy as np
 
-from spinsqueeze import HermitianOperator, Su2Triple
+from spinsqueeze import HermitianOperator, LimitResult, Su2Triple, squeeze_trace
+from spinsqueeze.coherent_dynamics import GOLDEN_REL_TOL, MAX_EXPANSIONS, MU_MAX, weighted_subspin_sum
+from spinsqueeze.errors import VanishingMeanSpin
+
+GRID_POINTS = 128
 
 mp = mpmath.MPContext()  # 60 digits for the test references; the global precision stays as it is
 mp.dps = 60
@@ -59,3 +66,55 @@ def type_iii_reference(spec, mu):
         lead = 1 - (1 - 2 * w * sh * sh) ** (n - 2)
         delta += lead - mp.sqrt(lead**2 + (4 * w * sh * (1 - 2 * w * sq4) ** (n - 2)) ** 2)
     return (1 + (n - 1) * delta / 4) / denom
+
+
+def sweep_limit_reference(spec) -> LimitResult:
+    """Minimize xi^2 over mu in (0, 2 pi]: log-spaced coarse grid, then golden section.
+
+    The sweep covers (0, mu_hi], starting at 200 (J_1 N)^(-2/3) and quadrupled
+    whenever the coarse minimum lands on the upper edge, never past MU_MAX.
+    A search that never sees xi^2 < 1 reports status "no_squeezing" instead of
+    raising.
+    """
+    if weighted_subspin_sum(spec) <= 0.0:
+        raise VanishingMeanSpin("no weight on nontrivial subspaces")
+    j1 = spec.decomposition.twice_subspins[0] / 2.0
+    mu_hi = min(200.0 * (j1 * spec.n) ** (-2.0 / 3.0), MU_MAX)
+    evaluations = 0
+
+    for _ in range(MAX_EXPANSIONS + 1):
+        grid = np.geomspace(mu_hi * 1e-6, mu_hi, GRID_POINTS)
+        values = [squeeze_trace(spec, float(m)).xi2 for m in grid]
+        evaluations += len(grid)
+        best = int(np.argmin(values))
+        if best == GRID_POINTS - 1 and math.isfinite(values[best]) and mu_hi < MU_MAX:
+            mu_hi = min(4.0 * mu_hi, MU_MAX)
+            continue
+        break
+
+    if not math.isfinite(values[best]):
+        return LimitResult(math.inf, math.nan, evaluations, "no_squeezing")
+
+    lo = float(grid[best - 1]) if best > 0 else float(grid[0]) * 1e-3
+    hi = float(grid[best + 1]) if best < GRID_POINTS - 1 else float(grid[-1])
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = squeeze_trace(spec, c).xi2, squeeze_trace(spec, d).xi2
+    evaluations += 2
+    while b - a > GOLDEN_REL_TOL * b:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = squeeze_trace(spec, c).xi2
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = squeeze_trace(spec, d).xi2
+        evaluations += 1
+    mu_min = c if fc <= fd else d
+    xi2_min = min(fc, fd)
+    if xi2_min >= 1.0:
+        return LimitResult(xi2_min, mu_min, evaluations, "no_squeezing")
+    return LimitResult(xi2_min, mu_min, evaluations, "ok")
