@@ -1,11 +1,15 @@
 """Command-line interface: classification, dynamics, scans, fits, oracle checks.
 
 All numeric output uses 17 significant digits and deterministic ordering, so
-identical invocations produce byte-identical files.  JSON payloads carry
-"schema": "1"; the table subcommands write CSV that starts with a version
-banner unless --no-banner is given, or JSON rows under --format json.
+identical invocations produce byte-identical files.  Every JSON payload goes
+through one writer, which stamps schema version 1; the table subcommands
+write CSV that starts with a version banner unless --no-banner is given, or
+JSON rows under --format json.
 
-The library holds every input check; this module only parses text.  Exit
+The library holds every input check and every formula; this module only
+parses text and prints the library's records.  The ensemble subcommands
+work on the class decomposition alone: only `classify --emit-matrices` and
+`oracle-check` build the su(2) matrix triple.  Exit
 codes: 0 success; 1 refused input (an argparse error, InvalidInput from the
 library or from parsing, an unreadable file); 2 numerical status (no
 squeezing found, oracle discrepancy, any other library error such as a fit
@@ -15,8 +19,10 @@ divergence or an oversized basis).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -24,11 +30,11 @@ import numpy as np
 from . import __version__
 from .classification import (
     IrrepDecomposition,
-    Su2Triple,
     VertexSubset,
     build_su2_triple,
     canonical_subset,
     class_representatives,
+    decompose_subset,
 )
 from .coherent_dynamics import (
     WEIGHT_NORM_TOL,
@@ -49,8 +55,6 @@ ORACLE_CHECK_TOL = 1e-8
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return format(float(x), ".17g")
 
 
@@ -89,11 +93,12 @@ def _render_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _matrix_parts(m: np.ndarray) -> tuple[list[list[float]], list[list[float]]]:
-    return (
-        [[float(v) for v in row] for row in np.real(m)],
-        [[float(v) for v in row] for row in np.imag(m)],
-    )
+def _matrix_parts(m: np.ndarray, prefix: str = "") -> dict[str, list[list[float]]]:
+    """The real and imaginary parts as nested float lists, keyed prefix + "re" / "im"."""
+    return {
+        f"{prefix}re": [[float(v) for v in row] for row in np.real(m)],
+        f"{prefix}im": [[float(v) for v in row] for row in np.imag(m)],
+    }
 
 
 def _write(text: str, path: str | None) -> None:
@@ -116,13 +121,18 @@ def _csv_lines(header: list[str], rows, banner: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_table(args, header: list[str], rows) -> None:
-    """Write a row table as CSV (default) or as a JSON row list."""
+def _emit_json(args, **fields) -> int:
+    """Write one JSON payload, stamped with the schema version; exit code 0."""
+    _write(_render_json({"schema": "1", **fields}), args.output)
+    return 0
+
+
+def _emit_table(args, header: list[str], rows) -> int:
+    """Write a row table as CSV (default) or as a JSON row list; exit code 0."""
     if args.format == "json":
-        payload = {"schema": "1", "rows": [dict(zip(header, row)) for row in rows]}
-        _write(_render_json(payload), args.output)
-    else:
-        _write(_csv_lines(header, rows, not args.no_banner), args.output)
+        return _emit_json(args, rows=[dict(zip(header, row)) for row in rows])
+    _write(_csv_lines(header, rows, not args.no_banner), args.output)
+    return 0
 
 
 def _parse_class(j: SpinQuantum, text: str) -> VertexSubset:
@@ -137,59 +147,50 @@ def _parse_class(j: SpinQuantum, text: str) -> VertexSubset:
         raise InvalidInput(f"--class: bad class {text!r}: {exc}") from exc
 
 
-def _spec_from_args(args) -> tuple[Su2Triple, EnsembleSpec]:
-    """Triple and twisting spec; the library refuses N, the weight count and NaNs.
+def _spec_from_args(args) -> tuple[VertexSubset, EnsembleSpec]:
+    """Class subset and twisting spec; the library refuses N, the weight count and infinities.
 
-    Weights off unit norm are rescaled, or refused under --strict.  The
-    warning is kept in args.warning and printed only if the command succeeds.
+    A trailing i (or I) marks an imaginary part.  Finite weights off unit norm
+    are rescaled, or refused under --strict.  The warning is kept in
+    args.warning and printed only if the command succeeds.
     """
-    triple = build_su2_triple(_parse_class(SpinQuantum.from_string(args.j), args.cls))
+    subset = _parse_class(SpinQuantum.from_string(args.j), args.cls)
     try:
-        zeta = tuple(complex(t.strip().replace("i", "j")) for t in args.zeta.split(","))
+        zeta = tuple(complex(re.sub("[iI]$", "j", t.strip())) for t in args.zeta.split(","))
     except ValueError as exc:
         raise InvalidInput(f"--zeta: cannot parse {args.zeta!r}: {exc}") from exc
     norm2 = sum(abs(v) ** 2 for v in zeta)
     if norm2 == 0.0:
         raise InvalidInput("--zeta: all weights vanish")
-    rescale = abs(norm2 - 1.0) > WEIGHT_NORM_TOL
+    rescale = math.isfinite(norm2) and abs(norm2 - 1.0) > WEIGHT_NORM_TOL
     if rescale and args.strict:
         raise InvalidInput(f"--zeta: sum |zeta|^2 = {norm2!r} != 1 (strict mode)")
     if rescale:
         zeta = tuple(v / math.sqrt(norm2) for v in zeta)
         args.warning = f"warning: renormalizing zeta (sum |zeta|^2 was {norm2!r})"
-    return triple, oat_spec(triple.decomposition, args.n, zeta)
+    return subset, oat_spec(decompose_subset(subset), args.n, zeta)
 
 
 def _cmd_generators(args) -> int:
     j = SpinQuantum.from_string(args.j)
     basis = multipole_basis(j)
-    payload = {
-        "schema": "1",
-        "j": str(j),
-        "generators": [],
-    }
-    for name, g in zip(basis.names, basis.generators):
-        re, im = _matrix_parts(g.matrix)
-        payload["generators"].append({"name": name, "re": re, "im": im})
-    _write(_render_json(payload), args.output)
-    return 0
+    generators = [{"name": name, **_matrix_parts(g.matrix)} for name, g in zip(basis.names, basis.generators)]
+    return _emit_json(args, j=str(j), generators=generators)
 
 
 def _cmd_roots(args) -> int:
     j = SpinQuantum.from_string(args.j)
     basis = multipole_basis(j)
-    roots = compute_roots(basis, default_cartan(basis))
-    payload = {"schema": "1", "j": str(j), "roots": []}
-    for rd in roots:
-        re, im = _matrix_parts(rd.ladder)
-        payload["roots"].append({"root": [float(v) for v in rd.root], "ladder_re": re, "ladder_im": im})
-    _write(_render_json(payload), args.output)
-    return 0
+    roots = [
+        {"root": [float(v) for v in rd.root], **_matrix_parts(rd.ladder, "ladder_")}
+        for rd in compute_roots(basis, default_cartan(basis))
+    ]
+    return _emit_json(args, j=str(j), roots=roots)
 
 
 def _cmd_classify(args) -> int:
     j = SpinQuantum.from_string(args.j)
-    payload = {"schema": "1", "j": str(j), "classes": []}
+    classes = []
     for dec, subset in class_representatives(j):
         entry = {
             "subspins": dec.subspin_strings(ascending=True),
@@ -200,32 +201,28 @@ def _cmd_classify(args) -> int:
         if args.emit_matrices:
             triple = build_su2_triple(subset)
             for label, op in (("o1", triple.o1), ("o2", triple.o2), ("o3", triple.o3)):
-                re, im = _matrix_parts(op.matrix)
-                entry[f"{label}_re"] = re
-                entry[f"{label}_im"] = im
-        payload["classes"].append(entry)
-    _write(_render_json(payload), args.output)
-    return 0
+                entry.update(_matrix_parts(op.matrix, f"{label}_"))
+        classes.append(entry)
+    return _emit_json(args, j=str(j), classes=classes)
 
 
 def _cmd_coherent(args) -> int:
-    triple, spec = _spec_from_args(args)
+    _, spec = _spec_from_args(args)
+    dec = spec.decomposition
     perp = css_expectation_perp(spec)
     fluct = css_fluctuation(spec)
-    payload = {
-        "schema": "1",
-        "j": str(triple.j),
-        "subspins": triple.decomposition.subspin_strings(ascending=True),
-        "f": triple.decomposition.f,
-        "n": spec.n,
-        "perp_expectation": perp,
-        "fluctuation": fluct,
-        "uncertainty_product": fluct * fluct,
-        "min_uncertainty_bound": 0.25 * triple.decomposition.f**2 * perp * perp,
-        "xi2": 1.0,
-    }
-    _write(_render_json(payload), args.output)
-    return 0
+    return _emit_json(
+        args,
+        j=str(dec.j),
+        subspins=dec.subspin_strings(ascending=True),
+        f=dec.f,
+        n=spec.n,
+        perp_expectation=perp,
+        fluctuation=fluct,
+        uncertainty_product=fluct * fluct,
+        min_uncertainty_bound=0.25 * dec.f**2 * perp * perp,
+        xi2=1.0,
+    )
 
 
 def _mu_grid(mu_min: float, mu_max: float, points: int) -> np.ndarray:
@@ -239,27 +236,14 @@ def _mu_grid(mu_min: float, mu_max: float, points: int) -> np.ndarray:
 def _cmd_oat_sweep(args) -> int:
     grid = _mu_grid(args.mu_min, args.mu_max, args.mu_points)
     _, spec = _spec_from_args(args)
-    rows = []
-    for mu in grid:
-        tr = squeeze_trace(spec, float(mu))
-        rows.append(
-            (tr.mu, tr.perp_expectation, tr.var_min, tr.var_max, tr.nu_min, tr.xi2)
-        )
-    _emit_table(args, ["mu", "perp", "var_min", "var_max", "nu_min", "xi2"], rows)
-    return 0
+    rows = [dataclasses.astuple(squeeze_trace(spec, float(mu))) for mu in grid]
+    return _emit_table(args, ["mu", "perp", "var_min", "var_max", "nu_min", "xi2"], rows)
 
 
 def _cmd_limits(args) -> int:
     _, spec = _spec_from_args(args)
     res = find_limit(spec)
-    payload = {
-        "schema": "1",
-        "xi2_min": res.xi2_min,
-        "mu_min": res.mu_min,
-        "iterations": res.iterations,
-        "status": res.status,
-    }
-    _write(_render_json(payload), args.output)
+    _emit_json(args, xi2_min=res.xi2_min, mu_min=res.mu_min, iterations=res.iterations, status=res.status)
     return 0 if res.status == "ok" else 2
 
 
@@ -278,8 +262,7 @@ def _cmd_zeta_scan(args) -> int:
     n = args.n if args.n is not None else cfg.get("n")
     if not j_text or not cls_text or n is None:
         raise InvalidInput("zeta-scan needs --j, --class and --n (flags or --config)")
-    subset = _parse_class(SpinQuantum.from_string(str(j_text)), str(cls_text))
-    dec = build_su2_triple(subset).decomposition
+    dec = decompose_subset(_parse_class(SpinQuantum.from_string(str(j_text)), str(cls_text)))
     if args.grid_points is None and "zeta1_sq_grid" in cfg:
         grid = cfg["zeta1_sq_grid"]
     else:
@@ -287,9 +270,8 @@ def _cmd_zeta_scan(args) -> int:
         if pts < 1:
             raise InvalidInput(f"--grid-points must be at least 1, got {pts}")
         grid = tuple(np.linspace(0.0, 1.0, pts))
-    rows = [(r.zeta1_sq, r.xi2_min, r.mu_min, r.status) for r in zeta_scan(ScanConfig(dec, n, grid))]
-    _emit_table(args, ["zeta1_sq", "xi2_min", "mu_min", "status"], rows)
-    return 0
+    rows = [dataclasses.astuple(r) for r in zeta_scan(ScanConfig(dec, n, grid))]
+    return _emit_table(args, ["zeta1_sq", "xi2_min", "mu_min", "status"], rows)
 
 
 def _cmd_fit(args) -> int:
@@ -317,24 +299,16 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         raise InvalidInput(f"{args.input}: {exc}") from exc
     res = fit_power_law(points, model=args.model)
-    payload = {
-        "schema": "1",
-        "model": res.model,
-        "params": {
-            name: {"value": val, "stderr": err}
-            for name, val, err in zip(res.names, res.values, res.stderr)
-        },
-        "residual_norm": res.residual_norm,
-        "points": len(points),
-    }
-    _write(_render_json(payload), args.output)
-    return 0
+    params = {name: {"value": v, "stderr": e} for name, v, e in zip(res.names, res.values, res.stderr)}
+    return _emit_json(
+        args, model=res.model, params=params, residual_norm=res.residual_norm, points=len(points)
+    )
 
 
 def _cmd_oracle_check(args) -> int:
     grid = _mu_grid(0.0, args.mu_max, args.mu_points)
-    triple, spec = _spec_from_args(args)
-    pairs, worst = compare_with_oracle(OracleWorkspace(triple, args.n), spec.coherent, grid)
+    subset, spec = _spec_from_args(args)
+    pairs, worst = compare_with_oracle(OracleWorkspace(build_su2_triple(subset), spec.n), spec.coherent, grid)
     rows = [
         (a.mu, a.perp_expectation, o.perp_expectation, a.var_min, o.var_min,
          a.var_max, o.var_max, a.xi2, o.xi2)

@@ -15,14 +15,15 @@ subspaces: it returns the mean <O_1> and (base, P, Q) of the variance
 base + P (1 + cos 2 nu) - Q sin 2 nu, where base is the O_3 variance, which
 twisting conserves.  `_extrema` turns (base, P, Q) into the extremal
 variances and the minimizing angle; `_xi2` holds the squeezing parameter and
-its vanishing-mean guard.  `squeeze_trace` composes them and is the one
+its vanishing-mean guard.  `_trace` finishes a record from the mean and
+(base, P, Q), and `squeeze_trace` feeds it `_moments`; that is the one
 public per-mu entry point: the mean, the extremal variances, the minimizing
 angle and xi^2 are all fields of its record.  `find_limit` minimizes xi^2
 over mu on a 24-point log grid seeded from the class data (the minimum sits
 near 1.5 (c N)^(-2/3), c_l = J_l |zeta_l|^2), then by golden section,
 composing `_moments`, `_extrema` and `_xi2` directly rather than building a
 record per point.  The css_* functions give the untwisted coherent values,
-and the exact oracle reuses `_extrema` and `_xi2` on its measured moments.
+and the exact oracle finishes its measured moments with `_trace`.
 
 The pass works in the log domain.  log|cos mu| and log|cos(mu/2)| are taken
 once per mu as log1p(-2 sin^2) of the half angle (of the cosine past
@@ -260,11 +261,15 @@ def _xi2(spec: EnsembleSpec, mean: float, var_min: float) -> float:
     return 2.0 * spec.n * weighted_subspin_sum(spec) * var_min / (mean * mean)
 
 
-def squeeze_trace(spec: EnsembleSpec, mu: float) -> SqueezeTrace:
-    """Full transverse record at one mu; xi2 = inf where the mean vanishes."""
-    mean, base, p, q = _moments(spec, mu)
+def _trace(spec: EnsembleSpec, mu: float, mean: float, base: float, p: float, q: float) -> SqueezeTrace:
+    """The record at mu from the mean and the variance's (base, P, Q)."""
     var_min, var_max, nu_min = _extrema(base, p, q)
     return SqueezeTrace(mu, mean, var_min, var_max, nu_min, _xi2(spec, mean, var_min))
+
+
+def squeeze_trace(spec: EnsembleSpec, mu: float) -> SqueezeTrace:
+    """Full transverse record at one mu; xi2 = inf where the mean vanishes."""
+    return _trace(spec, mu, *_moments(spec, mu))
 
 
 def _golden(xi2, a: float, b: float) -> tuple[float, float, int]:

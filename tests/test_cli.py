@@ -144,6 +144,58 @@ def test_zeta_parsing_strict_and_renormalize(capsys):
     assert "renormalizing" in err
 
 
+LIMITS_ARGS = ("limits", "--j", "3/2", "--class", "1,2,3", "--n", "100")
+
+
+# the "i" of "inf" is no imaginary unit, and 1e400 overflows to inf: both
+# reach the library's finiteness check as typed, not rescaled to (nan+nanj)
+@pytest.mark.parametrize("text", ["inf", "-inf", "infinity", "1e400"])
+def test_infinite_zeta_reaches_the_finiteness_check(capsys, text):
+    code, out, err = run_cli(capsys, *LIMITS_ARGS, f"--zeta={text}")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: limits: coherent-state parameters must be finite, got theta = "
+        f"1.5707963267948966, phi = 0.0, zeta = (({float(text)}+0j),)\n"
+    )
+
+
+def test_imaginary_zeta_suffix_still_parses(capsys):
+    code, out, err = run_cli(
+        capsys, "limits", "--j", "3/2", "--class", "1,3", "--n", "100", "--zeta=0.6,0.8i"
+    )
+    assert code == 0
+    assert json.loads(out)["status"] == "ok"
+    assert err == ""
+
+
+ENSEMBLE_ARGS = ("--j", "3/2", "--class", "1,3", "--n", "100", "--zeta", "0.6,0.8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coherent", *ENSEMBLE_ARGS),
+        ("oat-sweep", *ENSEMBLE_ARGS, "--mu-max", "0.5", "--mu-points", "5"),
+        ("limits", *ENSEMBLE_ARGS),
+        ("zeta-scan", "--j", "3/2", "--class", "1,3", "--n", "100", "--grid-points", "5"),
+    ],
+)
+def test_class_only_commands_build_no_matrices(capsys, monkeypatch, argv):
+    import spinsqueeze.cli as cli
+
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+
+    def refuse(subset):
+        raise AssertionError("built an su(2) matrix triple")
+
+    monkeypatch.setattr(cli, "build_su2_triple", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "limits", "--j", "nonsense", "--class", "1", "--n", "5", "--zeta", "1")
     assert code == 1
