@@ -30,7 +30,6 @@ from .lie_algebra import (
     _exact_int,
     half_integer_str,
     norm_squared,
-    spin_matrices,
 )
 
 COMMUTATION_TOL = 1e-9
@@ -211,27 +210,33 @@ class Su2Triple:
 def build_su2_triple(subset: VertexSubset) -> Su2Triple:
     """Block direct-sum realization of the subset's class in the m_z basis.
 
-    Each run of chosen vertices carries the spin matrices of its subspin,
-    scaled by f; untouched levels stay zero.  O3 is diagonal by construction.
+    The triple is written from two diagonals: O3 = f diag(m), with
+    m = J_l ... -J_l on each block's levels, and the raising superdiagonal
+    sqrt(J_l(J_l+1) - m(m+1)) within each block; singlet levels and the
+    entries between blocks stay zero.  O1 and O2 are the Hermitian and
+    anti-Hermitian halves of f J+, the same arithmetic as f times the
+    block's `spin_matrices`.  `Su2Triple` still checks the result.
     """
     blocks = tuple(_subset_blocks(subset))
     dec = IrrepDecomposition(subset.j, tuple(t for _, t in blocks))
     f = dec.f
-    dim = subset.j.dim
-    mats = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
-
+    m = np.zeros(subset.j.dim)
+    ladder = np.zeros(subset.j.dim - 1)
     for off, twice_sub in blocks:
         if twice_sub == 0:
             continue
-        sub = spin_matrices(SpinQuantum(twice_sub))
-        size = twice_sub + 1
-        for target, source in zip(mats, sub):
-            target[off : off + size, off : off + size] += f * source.matrix
+        jj = twice_sub / 2.0
+        sub_m = jj - np.arange(twice_sub + 1)
+        m[off : off + twice_sub + 1] = sub_m
+        # <m+1|J+|m> = sqrt(J(J+1) - m(m+1)), m the lower level of each pair
+        ladder[off : off + twice_sub] = np.sqrt(jj * (jj + 1) - sub_m[1:] * (sub_m[1:] + 1))
+    jp = np.diag(ladder.astype(complex), 1)
+    jm = jp.conj().T
     return Su2Triple(
         subset.j,
-        HermitianOperator(mats[0]),
-        HermitianOperator(mats[1]),
-        HermitianOperator(mats[2]),
+        HermitianOperator(f * ((jp + jm) / 2)),
+        HermitianOperator(f * ((jp - jm) / 2j)),
+        HermitianOperator(f * np.diag(m.astype(complex))),
         dec,
         blocks,
     )

@@ -19,6 +19,7 @@ divergence or an oversized basis).
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -147,11 +148,31 @@ def _parse_class(j: SpinQuantum, text: str) -> VertexSubset:
         raise InvalidInput(f"--class: bad class {text!r}: {exc}") from exc
 
 
+def _weights_in_range(zeta: tuple[complex, ...]) -> tuple[tuple[complex, ...], float, float]:
+    """(zeta / s, s, sum |zeta / s|^2) with s = 1, unless squaring would leave the float range.
+
+    When the weights are finite and their squares overflow, or all underflow
+    to zero, s is their largest real or imaginary part, so the sum is taken
+    in range; every other input keeps s = 1 and the plain sum, bit for bit.
+    """
+    try:
+        norm2 = sum(abs(v) ** 2 for v in zeta)
+    except OverflowError:  # float ** raises where * would give inf
+        norm2 = math.inf
+    if norm2 in (0.0, math.inf) and all(map(cmath.isfinite, zeta)):
+        scale = max(max(abs(v.real), abs(v.imag)) for v in zeta)
+        if scale > 0.0:
+            zeta = tuple(v / scale for v in zeta)
+            return zeta, scale, sum(abs(v) ** 2 for v in zeta)
+    return zeta, 1.0, norm2
+
+
 def _spec_from_args(args) -> tuple[VertexSubset, EnsembleSpec]:
     """Class subset and twisting spec; the library refuses N, the weight count and infinities.
 
     A trailing i (or I) marks an imaginary part.  Finite weights off unit norm
-    are rescaled, or refused under --strict.  The warning is kept in
+    are rescaled, or refused under --strict; weights too large or too small
+    to square are divided by their largest part first.  The warning is kept in
     args.warning and printed only if the command succeeds.
     """
     subset = _parse_class(SpinQuantum.from_string(args.j), args.cls)
@@ -159,15 +180,16 @@ def _spec_from_args(args) -> tuple[VertexSubset, EnsembleSpec]:
         zeta = tuple(complex(re.sub("[iI]$", "j", t.strip())) for t in args.zeta.split(","))
     except ValueError as exc:
         raise InvalidInput(f"--zeta: cannot parse {args.zeta!r}: {exc}") from exc
-    norm2 = sum(abs(v) ** 2 for v in zeta)
+    zeta, scale, norm2 = _weights_in_range(zeta)
     if norm2 == 0.0:
         raise InvalidInput("--zeta: all weights vanish")
-    rescale = math.isfinite(norm2) and abs(norm2 - 1.0) > WEIGHT_NORM_TOL
+    rescale = scale != 1.0 or (math.isfinite(norm2) and abs(norm2 - 1.0) > WEIGHT_NORM_TOL)
+    was = repr(norm2) if scale == 1.0 else f"{norm2!r} x ({scale!r})^2"
     if rescale and args.strict:
-        raise InvalidInput(f"--zeta: sum |zeta|^2 = {norm2!r} != 1 (strict mode)")
+        raise InvalidInput(f"--zeta: sum |zeta|^2 = {was} != 1 (strict mode)")
     if rescale:
         zeta = tuple(v / math.sqrt(norm2) for v in zeta)
-        args.warning = f"warning: renormalizing zeta (sum |zeta|^2 was {norm2!r})"
+        args.warning = f"warning: renormalizing zeta (sum |zeta|^2 was {was})"
     return subset, oat_spec(decompose_subset(subset), args.n, zeta)
 
 
@@ -226,11 +248,13 @@ def _cmd_coherent(args) -> int:
 
 
 def _mu_grid(mu_min: float, mu_max: float, points: int) -> np.ndarray:
-    """The mu grid; the library refuses its negative or non-finite points."""
+    """The mu grid between finite ends; the library refuses its negative points."""
     if points < 1:
         raise InvalidInput(f"--mu-points must be at least 1, got {points}")
-    with np.errstate(invalid="ignore"):  # an infinite end makes NaN points
-        return np.linspace(mu_min, mu_max, points)
+    for flag, end in (("--mu-min", mu_min), ("--mu-max", mu_max)):
+        if not math.isfinite(end):
+            raise InvalidInput(f"{flag} must be finite, got {end!r}")
+    return np.linspace(mu_min, mu_max, points)
 
 
 def _cmd_oat_sweep(args) -> int:

@@ -84,7 +84,10 @@ class CoherentSpec:
                 f"coherent-state parameters must be finite, got theta = {self.theta!r}, "
                 f"phi = {self.phi!r}, zeta = {z!r}"
             )
-        total = sum(abs(v) ** 2 for v in z)
+        try:
+            total = sum(abs(v) ** 2 for v in z)
+        except OverflowError:  # a finite weight whose square is past the float range
+            total = math.inf
         if abs(total - 1.0) > WEIGHT_NORM_TOL:
             raise NormalizationError(f"sum |zeta|^2 = {total!r}, expected 1")
 

@@ -6,6 +6,8 @@ oracle's states.  `type_iii_reference` is the paper's printed {1/2, 1/2}
 expression for xi^2, which the tests hold against the exact closed form.
 `sweep_limit_reference` is the limit search that `find_limit` replaced: a
 128-point sweep over six decades of mu, then the same golden section.
+`su2_triple_reference` is the per-block construction that `build_su2_triple`
+replaced: each block's `spin_matrices`, scaled by f, added into zero matrices.
 """
 
 import math
@@ -13,14 +15,31 @@ import math
 import mpmath
 import numpy as np
 
-from spinsqueeze import HermitianOperator, LimitResult, Su2Triple, squeeze_trace
+from spinsqueeze import HermitianOperator, LimitResult, SpinQuantum, Su2Triple, VertexSubset, squeeze_trace
+from spinsqueeze.classification import _subset_blocks, decompose_subset
 from spinsqueeze.coherent_dynamics import GOLDEN_REL_TOL, MAX_EXPANSIONS, MU_MAX, weighted_subspin_sum
 from spinsqueeze.errors import VanishingMeanSpin
+from spinsqueeze.lie_algebra import spin_matrices
 
 GRID_POINTS = 128
 
 mp = mpmath.MPContext()  # 60 digits for the test references; the global precision stays as it is
 mp.dps = 60
+
+
+def su2_triple_reference(subset: VertexSubset) -> Su2Triple:
+    """Block direct sum of f times each run's spin matrices; untouched levels stay zero."""
+    blocks = tuple(_subset_blocks(subset))
+    dec = decompose_subset(subset)
+    dim = subset.j.dim
+    mats = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
+    for off, twice_sub in blocks:
+        if twice_sub == 0:
+            continue
+        size = twice_sub + 1
+        for target, source in zip(mats, spin_matrices(SpinQuantum(twice_sub))):
+            target[off : off + size, off : off + size] += dec.f * source.matrix
+    return Su2Triple(subset.j, *(HermitianOperator(m) for m in mats), dec, blocks)
 
 
 def perp_observable(triple: Su2Triple, theta: float, phi: float) -> HermitianOperator:

@@ -24,6 +24,8 @@ from spinsqueeze.classification import Su2Triple
 from spinsqueeze.errors import AllTrivialSubspins, DimensionMismatch, InvalidInput, NotAnSu2Triple
 from spinsqueeze.lie_algebra import HermitianOperator
 
+from observables import su2_triple_reference
+
 
 def _subset(twice_j, vertices):
     return VertexSubset(SpinQuantum(twice_j), frozenset(vertices))
@@ -231,6 +233,39 @@ def test_every_built_triple_closes_su2(twice_j):
         o1, o2, o3 = triple.o1.matrix, triple.o2.matrix, triple.o3.matrix
         resid = np.max(np.abs(o1 @ o2 - o2 @ o1 - 1j * dec.f * o3))
         assert resid < 1e-12
+
+
+@pytest.mark.parametrize("twice_j", range(1, 13))
+def test_triple_matches_the_per_block_reference_bit_for_bit(twice_j):
+    """The ladder-diagonal build repeats the reference's floating-point operations.
+
+    Bytes are compared, so signed zeros agree too: `classify --emit-matrices`
+    prints -0 and 0 differently.
+    """
+    for dec in enumerate_classes(SpinQuantum(twice_j)):
+        subset = canonical_subset(dec)
+        built, reference = build_su2_triple(subset), su2_triple_reference(subset)
+        assert built.blocks == reference.blocks
+        assert built.decomposition == reference.decomposition
+        for a, b in ((built.o1, reference.o1), (built.o2, reference.o2), (built.o3, reference.o3)):
+            assert np.array_equal(a.matrix, b.matrix)
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+def test_triple_build_validates_only_its_three_operators(j32, monkeypatch):
+    """No per-block spin matrices: one build constructs exactly O1, O2 and O3."""
+    validate = HermitianOperator.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(HermitianOperator, "__post_init__", counting)
+    for dec in enumerate_classes(j32):
+        calls.clear()
+        triple = build_su2_triple(canonical_subset(dec))
+        assert [id(op) for op in calls] == [id(triple.o1), id(triple.o2), id(triple.o3)], dec.twice_subspins
 
 
 def test_equivalence_rejects_mismatched_spins():

@@ -160,6 +160,36 @@ def test_infinite_zeta_reaches_the_finiteness_check(capsys, text):
     )
 
 
+ZETA_ARGS = ("limits", "--j", "3/2", "--class", "1,3", "--n", "10")
+
+
+@pytest.mark.parametrize(
+    "text, scale",
+    [("1e200,1e200", "1e+200"), ("1e-200,1e-200", "1e-200"), ("1e154,1e154", "1e+154"), ("1e200i,1e200", "1e+200")],
+)
+def test_zeta_too_large_or_small_to_square_parses_like_unit_weights(capsys, text, scale):
+    code, expected, expected_err = run_cli(capsys, *ZETA_ARGS, "--zeta=1,1")
+    assert code == 0
+    assert expected_err == "warning: renormalizing zeta (sum |zeta|^2 was 2.0)\n"
+    code, out, err = run_cli(capsys, *ZETA_ARGS, f"--zeta={text}")
+    assert code == 0
+    assert out == expected
+    assert err == f"warning: renormalizing zeta (sum |zeta|^2 was 2.0 x ({scale})^2)\n"
+    code, out, err = run_cli(capsys, *ZETA_ARGS, f"--zeta={text}", "--strict")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: limits: --zeta: sum |zeta|^2 = 2.0 x ({scale})^2 != 1 (strict mode)\n"
+
+
+def test_zeta_with_one_vanishing_square_keeps_the_plain_sum(capsys):
+    code, expected, _ = run_cli(capsys, *ZETA_ARGS, "--zeta=0,1")
+    assert code == 0
+    code, out, err = run_cli(capsys, *ZETA_ARGS, "--zeta=1e-200,1")
+    assert code == 0
+    assert out == expected
+    assert err == ""
+
+
 def test_imaginary_zeta_suffix_still_parses(capsys):
     code, out, err = run_cli(
         capsys, "limits", "--j", "3/2", "--class", "1,3", "--n", "100", "--zeta=0.6,0.8i"
@@ -329,6 +359,22 @@ def test_bad_inputs_are_usage_errors(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith(f"error: {argv[0]}: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((*SWEEP_ARGS[:-1], "inf", "--mu-points", "3"), "oat-sweep: --mu-max must be finite, got inf"),
+        ((*SWEEP_ARGS, "--mu-min=-inf"), "oat-sweep: --mu-min must be finite, got -inf"),
+        ((*SWEEP_ARGS, "--mu-min", "nan"), "oat-sweep: --mu-min must be finite, got nan"),
+        ((*ORACLE_ARGS, "--n", "4", "--mu-max", "inf"), "oracle-check: --mu-max must be finite, got inf"),
+    ],
+)
+def test_non_finite_mu_ends_are_refused_as_typed(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_fit_short_row_names_row_and_cell_counts(capsys, tmp_path):

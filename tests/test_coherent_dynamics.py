@@ -64,6 +64,12 @@ def test_spec_validation():
         EnsembleSpec(0, DEC_I, CoherentSpec(0.0, 0.0, (1.0,)))
 
 
+@pytest.mark.parametrize("zeta", [(1e200, 1e200), (1e200j,), (complex(1e308, 1e308),)])
+def test_weights_whose_squares_overflow_are_not_normalized(zeta):
+    with pytest.raises(NormalizationError, match="inf"):
+        CoherentSpec(0.0, 0.0, zeta)
+
+
 @pytest.mark.parametrize(
     "theta,phi,zeta",
     [
