@@ -56,10 +56,8 @@ from .lie_algebra import (
 from .root_system import (
     CartanChoice,
     RootDatum,
-    SimpleRootMatrix,
     compute_roots,
     default_cartan,
-    simple_root_matrices,
 )
 from .scan_fit import FitResult, ScanConfig, ScanRow, fit_power_law, n_scan, zeta_scan
 
@@ -79,7 +77,6 @@ __all__ = [
     "RootDatum",
     "ScanConfig",
     "ScanRow",
-    "SimpleRootMatrix",
     "SpinQuantum",
     "SqueezeTrace",
     "Su2Triple",
@@ -110,7 +107,6 @@ __all__ = [
     "norm_squared",
     "oat_spec",
     "second_quantize",
-    "simple_root_matrices",
     "spin_matrices",
     "squeeze_trace",
     "structure_factor",

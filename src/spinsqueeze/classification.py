@@ -12,7 +12,8 @@ structure factor
     f = sqrt[ J(J+1)(2J+1) / sum_l J_l(J_l+1)(2J_l+1) ]
 
 makes the direct sum satisfy [O_3, O_+-] = +-f O_+- and [O_+, O_-] = 2f O_3
-with unit-norm coefficient vectors in the generator basis.
+with unit-norm coefficient vectors in the generator basis.  A triple's J is
+its decomposition's.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .lie_algebra import (
     HermitianOperator,
     SpinQuantum,
     _exact_int,
+    _multiplet,
+    _off_diagonal,
+    _su2_components,
     half_integer_str,
     norm_squared,
 )
@@ -162,20 +166,24 @@ class Su2Triple:
     unitarily rotated triple keeps its class.
     """
 
-    j: SpinQuantum
     o1: HermitianOperator
     o2: HermitianOperator
     o3: HermitianOperator
     decomposition: IrrepDecomposition
     blocks: tuple[tuple[int, int], ...]
 
+    @property
+    def j(self) -> SpinQuantum:
+        """The decomposition's spin: a triple stores its J only there."""
+        return self.decomposition.j
+
     def __post_init__(self) -> None:
         dim, dec = self.j.dim, self.decomposition
         dims = [op.dim for op in (self.o1, self.o2, self.o3)]
         if dims != [dim] * 3:
-            raise DimensionMismatch(f"2J = {self.j.twice_j} needs {dim}x{dim} matrices, got {dims}")
-        if dec.j != self.j:
-            raise DimensionMismatch(f"decomposition has 2J = {dec.j.twice_j}, triple 2J = {self.j.twice_j}")
+            raise DimensionMismatch(
+                f"the decomposition's 2J = {self.j.twice_j} needs {dim}x{dim} matrices, got {dims}"
+            )
         f = dec.f
         o1, o2, o3 = self.o1.matrix, self.o2.matrix, self.o3.matrix
         plus = o1 + 1j * o2
@@ -197,8 +205,8 @@ class Su2Triple:
             raise NotAnSu2Triple(f"blocks {blocks} do not tile the {dim} levels")
         expected = np.empty(dim)
         for off, t in blocks:
-            expected[off : off + t + 1] = np.arange(t, -t - 1, -2) / 2.0
-        if np.max(np.abs(o3 - np.diag(o3.diagonal()))) > 1e-12:
+            expected[off : off + t + 1] = _multiplet(t)[0]
+        if _off_diagonal(o3) > 1e-12:
             observed, expected = np.linalg.eigvalsh(o3), np.sort(expected)
         else:
             observed = o3.diagonal().real
@@ -210,36 +218,20 @@ class Su2Triple:
 def build_su2_triple(subset: VertexSubset) -> Su2Triple:
     """Block direct-sum realization of the subset's class in the m_z basis.
 
-    The triple is written from two diagonals: O3 = f diag(m), with
-    m = J_l ... -J_l on each block's levels, and the raising superdiagonal
-    sqrt(J_l(J_l+1) - m(m+1)) within each block; singlet levels and the
-    entries between blocks stay zero.  O1 and O2 are the Hermitian and
-    anti-Hermitian halves of f J+, the same arithmetic as f times the
-    block's `spin_matrices`.  `Su2Triple` still checks the result.
+    Each block writes its multiplet m = J_l ... -J_l and its raising ladder
+    onto its own levels (a singlet: m = 0 and no ladder); the ladder entries
+    between blocks stay zero.  The triple is f times the spin components of
+    that one ladder, the same arithmetic as f times each block's
+    `spin_matrices`.
     """
     blocks = tuple(_subset_blocks(subset))
     dec = IrrepDecomposition(subset.j, tuple(t for _, t in blocks))
-    f = dec.f
     m = np.zeros(subset.j.dim)
     ladder = np.zeros(subset.j.dim - 1)
     for off, twice_sub in blocks:
-        if twice_sub == 0:
-            continue
-        jj = twice_sub / 2.0
-        sub_m = jj - np.arange(twice_sub + 1)
-        m[off : off + twice_sub + 1] = sub_m
-        # <m+1|J+|m> = sqrt(J(J+1) - m(m+1)), m the lower level of each pair
-        ladder[off : off + twice_sub] = np.sqrt(jj * (jj + 1) - sub_m[1:] * (sub_m[1:] + 1))
-    jp = np.diag(ladder.astype(complex), 1)
-    jm = jp.conj().T
-    return Su2Triple(
-        subset.j,
-        HermitianOperator(f * ((jp + jm) / 2)),
-        HermitianOperator(f * ((jp - jm) / 2j)),
-        HermitianOperator(f * np.diag(m.astype(complex))),
-        dec,
-        blocks,
-    )
+        m[off : off + twice_sub + 1], ladder[off : off + twice_sub] = _multiplet(twice_sub)
+    o1, o2, o3 = _su2_components(m, ladder, dec.f)
+    return Su2Triple(HermitianOperator(o1), HermitianOperator(o2), HermitianOperator(o3), dec, blocks)
 
 
 def equivalence_check(a: Su2Triple, b: Su2Triple) -> bool:

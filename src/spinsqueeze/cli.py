@@ -151,15 +151,16 @@ def _parse_class(j: SpinQuantum, text: str) -> VertexSubset:
 def _weights_in_range(zeta: tuple[complex, ...]) -> tuple[tuple[complex, ...], float, float]:
     """(zeta / s, s, sum |zeta / s|^2) with s = 1, unless squaring would leave the float range.
 
-    When the weights are finite and their squares overflow, or all underflow
-    to zero, s is their largest real or imaginary part, so the sum is taken
+    When the weights are finite and their squares overflow, or their sum
+    falls below the smallest normal float (where squaring has already lost
+    digits), s is their largest real or imaginary part, so the sum is taken
     in range; every other input keeps s = 1 and the plain sum, bit for bit.
     """
     try:
         norm2 = sum(abs(v) ** 2 for v in zeta)
     except OverflowError:  # float ** raises where * would give inf
         norm2 = math.inf
-    if norm2 in (0.0, math.inf) and all(map(cmath.isfinite, zeta)):
+    if (norm2 < sys.float_info.min or norm2 == math.inf) and all(map(cmath.isfinite, zeta)):
         scale = max(max(abs(v.real), abs(v.imag)) for v in zeta)
         if scale > 0.0:
             zeta = tuple(v / scale for v in zeta)
@@ -248,12 +249,14 @@ def _cmd_coherent(args) -> int:
 
 
 def _mu_grid(mu_min: float, mu_max: float, points: int) -> np.ndarray:
-    """The mu grid between finite ends; the library refuses its negative points."""
+    """The mu grid between finite ends a float can span; the library refuses its negative points."""
     if points < 1:
         raise InvalidInput(f"--mu-points must be at least 1, got {points}")
     for flag, end in (("--mu-min", mu_min), ("--mu-max", mu_max)):
         if not math.isfinite(end):
             raise InvalidInput(f"{flag} must be finite, got {end!r}")
+    if not math.isfinite(mu_max - mu_min):
+        raise InvalidInput(f"--mu-min {mu_min!r} and --mu-max {mu_max!r} are too far apart to grid")
     return np.linspace(mu_min, mu_max, points)
 
 

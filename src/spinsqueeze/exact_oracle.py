@@ -61,7 +61,7 @@ from .errors import (
     NotDiagonal,
     SizeLimit,
 )
-from .lie_algebra import HermitianOperator, SpinQuantum, _particle_count
+from .lie_algebra import HermitianOperator, SpinQuantum, _off_diagonal, _particle_count
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -111,7 +111,6 @@ class FockBasis:
     `states` holds one occupation row per basis state in lexicographic
     order, so moving one particle b -> a (adding e_a - e_b, which keeps that
     order) sends the k-th row holding mode b to the k-th row holding mode a.
-    The tuple views `occupations` and `index` are built on first access only.
     """
 
     n: int
@@ -136,14 +135,6 @@ class FockBasis:
 
         log_fact = gammaln(np.arange(self.n + 1) + 1.0)
         return 0.5 * (log_fact[self.n] - log_fact[self.states].sum(axis=1))
-
-    @cached_property
-    def occupations(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.states.tolist()))
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {occ: i for i, occ in enumerate(self.occupations)}
 
 
 def build_basis(n: int, j: SpinQuantum) -> FockBasis:
@@ -282,7 +273,7 @@ def sector_twist_diagonal(triple: Su2Triple, basis: FockBasis) -> np.ndarray:
         raise DimensionMismatch(f"triple dim {triple.j.dim} != mode count {basis.modes}")
     o3 = triple.o3.matrix
     diag3 = np.real(np.diagonal(o3))
-    if np.max(np.abs(o3 - np.diag(np.diagonal(o3)))) > 1e-12:
+    if _off_diagonal(o3) > 1e-12:
         raise NotDiagonal("O3 has off-diagonal weight; twisting phases undefined")
     occ = basis.float_states
     total = np.zeros(basis.size)

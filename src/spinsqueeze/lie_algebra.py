@@ -18,6 +18,10 @@ within each rank (c1, s1, c2, s2, ..., diagonal last) is a convention of this
 library, fixed so that rank 1 comes out as (Jx, Jy, Jz).  Each component of
 rank d and magnetic band |q| is made orthogonal to the lower-rank components
 of the same band; components of different bands are orthogonal by support.
+
+A spin-J multiplet (m = J ... -J and its raising ladder) is written once, in
+`_multiplet`, and its three components once, in `_su2_components`:
+`spin_matrices`, the tensor operators and the class triples all read them.
 """
 
 from __future__ import annotations
@@ -159,6 +163,34 @@ class GeneratorSet:
         return [g.matrix for g in self.generators]
 
 
+def _off_diagonal(m: np.ndarray) -> float:
+    """Largest modulus off the main diagonal; each caller compares it with its own tolerance."""
+    return np.max(np.abs(m - np.diag(np.diagonal(m))))
+
+
+@lru_cache(maxsize=None)
+def _multiplet(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spin-J multiplet m = J ... -J and its raising ladder, read-only.
+
+    ladder[i] = <m+1|J+|m> = sqrt(J(J+1) - m(m+1)) for m = m[i+1], the lower
+    level of each adjacent pair.  Cached: every class triple reads its
+    blocks' multiplets twice, once to build and once to check.
+    """
+    jj = twice_j / 2.0
+    m = jj - np.arange(twice_j + 1)
+    ladder = np.sqrt(jj * (jj + 1) - m[1:] * (m[1:] + 1))
+    m.setflags(write=False)
+    ladder.setflags(write=False)
+    return m, ladder
+
+
+def _su2_components(m: np.ndarray, ladder: np.ndarray, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f times (the Hermitian half of J+, its anti-Hermitian half, diag m), J+ = diag(ladder, 1)."""
+    jp = np.diag(ladder.astype(complex), 1)
+    jm = jp.conj().T
+    return f * ((jp + jm) / 2), f * ((jp - jm) / 2j), f * np.diag(m.astype(complex))
+
+
 def spin_matrices(j: SpinQuantum) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:
     """Standard angular-momentum matrices (Jx, Jy, Jz) in the |J, m_z> basis.
 
@@ -167,18 +199,7 @@ def spin_matrices(j: SpinQuantum) -> tuple[HermitianOperator, HermitianOperator,
     """
     if j.twice_j < 1:
         raise InvalidInput(f"spin matrices need 2J >= 1, got 2J = {j.twice_j}")
-    dim = j.dim
-    jj = j.j
-    m = jj - np.arange(dim)  # m_z values, descending
-    jp = np.zeros((dim, dim), dtype=complex)
-    # raising operator: <m+1|J+|m> = sqrt(J(J+1) - m(m+1))
-    for col in range(1, dim):
-        mval = m[col]
-        jp[col - 1, col] = math.sqrt(jj * (jj + 1) - mval * (mval + 1))
-    jm = jp.conj().T
-    jx = (jp + jm) / 2
-    jy = (jp - jm) / 2j
-    jz = np.diag(m.astype(complex))
+    jx, jy, jz = _su2_components(*_multiplet(j.twice_j), 1.0)
     return HermitianOperator(jx), HermitianOperator(jy), HermitianOperator(jz)
 
 
@@ -190,8 +211,8 @@ def _tensor_components(j: SpinQuantum, rank: int) -> list[np.ndarray]:
         T_{d,q-1} = [J-, T_{d,q}] / sqrt((d+q)(d-q+1)),
     which keeps the family orthonormal under tr(A^dagger B).
     """
-    jx, jy, _ = spin_matrices(j)
-    jp = jx.matrix + 1j * jy.matrix
+    jx, jy, _ = _su2_components(*_multiplet(j.twice_j), 1.0)
+    jp = jx + 1j * jy
     jm = jp.conj().T
     t = np.linalg.matrix_power(jp, rank) * (-1.0) ** rank
     t = t / np.linalg.norm(t)

@@ -5,7 +5,7 @@ Cartan subalgebra.  Because they are diagonal in the m_z basis, every
 single-entry matrix E_ab (a != b) is a joint eigen-operator of their adjoint
 action, with eigenvalue h[a] - h[b] for each Cartan generator h: the roots
 and their ladder matrices are read off the Cartan diagonals, with no
-eigensolver.  The simple roots are the single-entry raising matrices
+eigensolver.  The simple roots are the ladders sqrt(norm^2) E_{k-1,k}
 connecting adjacent magnetic sublevels.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRootSpace, DimensionMismatch, InvalidInput, NonDiagonalCartan
-from .lie_algebra import GeneratorSet, SpinQuantum, _exact_int, norm_squared
+from .lie_algebra import GeneratorSet, SpinQuantum, _exact_int, _off_diagonal, norm_squared
 
 ROOT_KEY_TOL = 1e-8
 
@@ -58,26 +58,9 @@ class RootDatum:
         object.__setattr__(self, "root", tuple(float(x) for x in self.root))
 
 
-@dataclass(frozen=True)
-class SimpleRootMatrix:
-    """Raising matrix for the k-th Dynkin vertex: m_z = J-k -> J-k+1."""
-
-    k: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 def default_cartan(basis: GeneratorSet) -> CartanChoice:
     """Cartan choice made of every diagonal generator in the basis (2J of them)."""
-    idx = tuple(
-        i
-        for i, g in enumerate(basis.generators)
-        if np.max(np.abs(g.matrix - np.diag(np.diagonal(g.matrix)))) <= 1e-14
-    )
+    idx = tuple(i for i, g in enumerate(basis.generators) if _off_diagonal(g.matrix) <= 1e-14)
     return CartanChoice(basis.j, idx)
 
 
@@ -85,8 +68,7 @@ def _check_cartan(basis: GeneratorSet, cartan: CartanChoice) -> None:
     if cartan.j != basis.j:
         raise DimensionMismatch("Cartan choice belongs to a different spin")
     for i in cartan.indices:
-        g = basis.generators[i].matrix
-        off = np.max(np.abs(g - np.diag(np.diagonal(g))))
+        off = _off_diagonal(basis.generators[i].matrix)
         if off > 1e-12:
             raise NonDiagonalCartan(f"generator {basis.names[i]} is not diagonal (off-diag {off:.3e})")
 
@@ -122,18 +104,6 @@ def compute_roots(basis: GeneratorSet, cartan: CartanChoice) -> list[RootDatum]:
 def _root_key(rd: RootDatum) -> tuple[int, ...]:
     # components equal in exact arithmetic must compare equal, not by round-off
     return tuple(round(x / ROOT_KEY_TOL) for x in rd.root)
-
-
-def simple_root_matrices(j: SpinQuantum) -> list[SimpleRootMatrix]:
-    """Single-entry raising matrices A_k, k = 1..2J, in the m_z = J..-J basis.
-
-    A_k maps the sublevel m_z = J-k to m_z = J-k+1 with amplitude equal to the
-    common generator trace norm.
-    """
-    if j.twice_j < 1:
-        raise InvalidInput(f"simple roots need 2J >= 1, got 2J = {j.twice_j}")
-    value = math.sqrt(norm_squared(j))
-    return [SimpleRootMatrix(k, _elementary(j.dim, k - 1, k, value)) for k in range(1, j.twice_j + 1)]
 
 
 def _elementary(dim: int, row: int, col: int, value: float) -> np.ndarray:

@@ -8,6 +8,7 @@ expression for xi^2, which the tests hold against the exact closed form.
 128-point sweep over six decades of mu, then the same golden section.
 `su2_triple_reference` is the per-block construction that `build_su2_triple`
 replaced: each block's `spin_matrices`, scaled by f, added into zero matrices.
+`simple_root_ladders` picks the simple roots out of `compute_roots`.
 """
 
 import math
@@ -15,7 +16,16 @@ import math
 import mpmath
 import numpy as np
 
-from spinsqueeze import HermitianOperator, LimitResult, SpinQuantum, Su2Triple, VertexSubset, squeeze_trace
+from spinsqueeze import (
+    HermitianOperator,
+    LimitResult,
+    SpinQuantum,
+    Su2Triple,
+    VertexSubset,
+    compute_roots,
+    default_cartan,
+    squeeze_trace,
+)
 from spinsqueeze.classification import _subset_blocks, decompose_subset
 from spinsqueeze.coherent_dynamics import GOLDEN_REL_TOL, MAX_EXPANSIONS, MU_MAX, weighted_subspin_sum
 from spinsqueeze.errors import VanishingMeanSpin
@@ -39,7 +49,13 @@ def su2_triple_reference(subset: VertexSubset) -> Su2Triple:
         size = twice_sub + 1
         for target, source in zip(mats, spin_matrices(SpinQuantum(twice_sub))):
             target[off : off + size, off : off + size] += dec.f * source.matrix
-    return Su2Triple(subset.j, *(HermitianOperator(m) for m in mats), dec, blocks)
+    return Su2Triple(*(HermitianOperator(m) for m in mats), dec, blocks)
+
+
+def simple_root_ladders(basis) -> list[np.ndarray]:
+    """The root ladders raising level k to level k - 1, for the Dynkin vertices k = 1..2J."""
+    ladders = {tuple(np.argwhere(rd.ladder)[0]): rd.ladder for rd in compute_roots(basis, default_cartan(basis))}
+    return [ladders[(k - 1, k)] for k in range(1, basis.j.twice_j + 1)]
 
 
 def perp_observable(triple: Su2Triple, theta: float, phi: float) -> HermitianOperator:

@@ -17,14 +17,13 @@ from spinsqueeze import (
     decompose_subset,
     enumerate_classes,
     equivalence_check,
-    simple_root_matrices,
     structure_factor,
 )
 from spinsqueeze.classification import Su2Triple
 from spinsqueeze.errors import AllTrivialSubspins, DimensionMismatch, InvalidInput, NotAnSu2Triple
 from spinsqueeze.lie_algebra import HermitianOperator
 
-from observables import su2_triple_reference
+from observables import simple_root_ladders, su2_triple_reference
 
 
 def _subset(twice_j, vertices):
@@ -134,9 +133,7 @@ def test_build_triple_type_i(basis32, triples):
     assert np.max(np.abs(triple.o3.matrix - basis32.matrices()[2])) < 1e-12
     # normalized ladder coefficients over the simple-root matrices
     plus = triple.o1.matrix + 1j * triple.o2.matrix
-    coeffs = np.array(
-        [np.trace(a.matrix.conj().T @ plus).real / 5.0 for a in simple_root_matrices(basis32.j)]
-    )
+    coeffs = np.array([np.trace(a.conj().T @ plus).real / 5.0 for a in simple_root_ladders(basis32)])
     coeffs /= np.linalg.norm(coeffs)
     expected = [math.sqrt(0.3), math.sqrt(0.4), math.sqrt(0.3)]
     assert np.allclose(coeffs, expected, atol=1e-12)
@@ -151,7 +148,7 @@ def test_build_triple_type_ii_diagonal(triples):
 
 def test_build_triple_type_iv_is_single_simple_root(triples, basis32):
     plus = triples["iv"].o1.matrix + 1j * triples["iv"].o2.matrix
-    a1 = simple_root_matrices(basis32.j)[0].matrix
+    a1 = simple_root_ladders(basis32)[0]
     # O+ is parallel to the first simple-root matrix (sqrt2 factor from f)
     ratio = plus[0, 1] / a1[0, 1]
     assert abs(ratio - math.sqrt(2.0)) < 1e-12
@@ -204,11 +201,10 @@ def test_equivalence_is_equivalence_relation(j32):
             assert equivalence_check(a, c)
 
 
-def test_invalid_triple_rejected(j32, triples):
+def test_invalid_triple_rejected(triples):
     good = triples["iii"]
     with pytest.raises(NotAnSu2Triple):
         Su2Triple(
-            j32,
             good.o1,
             good.o2,
             HermitianOperator(np.diag([1.0, 2.0, 3.0, -6.0])),
@@ -218,12 +214,12 @@ def test_invalid_triple_rejected(j32, triples):
 
 
 @pytest.mark.parametrize("scale", [0.0, 2.0])
-def test_triple_with_rescaled_transverse_pair_rejected(j32, triples, scale):
+def test_triple_with_rescaled_transverse_pair_rejected(triples, scale):
     """[O3, O+-] = +-f O+- is linear in O+, so only [O+, O-] = 2f O3 catches these."""
     good = triples["iii"]
     o1, o2 = (HermitianOperator(scale * op.matrix) for op in (good.o1, good.o2))
     with pytest.raises(NotAnSu2Triple, match=r"\[O\+, O-\]"):
-        Su2Triple(j32, o1, o2, good.o3, good.decomposition, good.blocks)
+        Su2Triple(o1, o2, good.o3, good.decomposition, good.blocks)
 
 
 @pytest.mark.parametrize("twice_j", range(1, 15))
@@ -303,16 +299,16 @@ def test_random_subsets_build_valid_triples(twice_j, mask):
         assert np.trace(op.matrix @ op.matrix).real == pytest.approx(k2, rel=1e-10)
 
 
-def _relabelled(triple, decomposition, blocks, j=None):
+def _relabelled(triple, decomposition, blocks):
     """`triple`'s matrices under another class label, block layout or spin."""
-    return Su2Triple(j or triple.j, triple.o1, triple.o2, triple.o3, decomposition, blocks)
+    return Su2Triple(triple.o1, triple.o2, triple.o3, decomposition, blocks)
 
 
 def _rotated(triple):
     """The triple conjugated by expm(-0.4 i O1 / f): same class, O3 no longer diagonal."""
     u = expm(-0.4j * triple.o1.matrix / triple.decomposition.f)
     o1, o2, o3 = (HermitianOperator(u @ op.matrix @ u.conj().T) for op in (triple.o1, triple.o2, triple.o3))
-    return Su2Triple(triple.j, o1, o2, o3, triple.decomposition, triple.blocks)
+    return Su2Triple(o1, o2, o3, triple.decomposition, triple.blocks)
 
 
 def _canonical_triple(twice_j, twice_subspins):
@@ -355,7 +351,7 @@ def test_triple_matrices_of_another_dimension_rejected(triples, twice_j):
     """4x4 matrices labelled with 2J = 5 or 2J = 1 are refused at construction."""
     j = SpinQuantum(twice_j)
     with pytest.raises(DimensionMismatch, match="matrices"):
-        _relabelled(triples["i"], IrrepDecomposition(j, (twice_j,)), ((0, twice_j),), j)
+        _relabelled(triples["i"], IrrepDecomposition(j, (twice_j,)), ((0, twice_j),))
 
 
 def test_triple_with_decomposition_of_another_spin_rejected(triples):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,7 +166,13 @@ ZETA_ARGS = ("limits", "--j", "3/2", "--class", "1,3", "--n", "10")
 
 @pytest.mark.parametrize(
     "text, scale",
-    [("1e200,1e200", "1e+200"), ("1e-200,1e-200", "1e-200"), ("1e154,1e154", "1e+154"), ("1e200i,1e200", "1e+200")],
+    [
+        ("1e200,1e200", "1e+200"),
+        ("1e-200,1e-200", "1e-200"),
+        ("1e-160,1e-160", "1e-160"),  # squares subnormal, their sum inexact
+        ("1e154,1e154", "1e+154"),
+        ("1e200i,1e200", "1e+200"),
+    ],
 )
 def test_zeta_too_large_or_small_to_square_parses_like_unit_weights(capsys, text, scale):
     code, expected, expected_err = run_cli(capsys, *ZETA_ARGS, "--zeta=1,1")
@@ -188,6 +195,16 @@ def test_zeta_with_one_vanishing_square_keeps_the_plain_sum(capsys):
     assert code == 0
     assert out == expected
     assert err == ""
+
+
+def test_zeta_with_a_subnormal_square_parses_like_a_unit_weight(capsys):
+    code, expected, expected_err = run_cli(capsys, *LIMITS_ARGS, "--zeta=1")
+    assert code == 0
+    assert expected_err == ""
+    code, out, err = run_cli(capsys, *LIMITS_ARGS, "--zeta=1e-155")
+    assert code == 0
+    assert out == expected
+    assert err == "warning: renormalizing zeta (sum |zeta|^2 was 1.0 x (1e-155)^2)\n"
 
 
 def test_imaginary_zeta_suffix_still_parses(capsys):
@@ -375,6 +392,18 @@ def test_non_finite_mu_ends_are_refused_as_typed(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_mu_ends_too_far_apart_are_refused_as_typed(capsys):
+    """The span overflows before the grid is made: no numpy warning, no NaN point."""
+    argv = (*SWEEP_ARGS[:-2], "--mu-min=-1.7e308", "--mu-max", "1.7e308", "--mu-points", "3")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert caught == []
+    assert code == 1
+    assert out == ""
+    assert err == "error: oat-sweep: --mu-min -1.7e+308 and --mu-max 1.7e+308 are too far apart to grid\n"
 
 
 def test_fit_short_row_names_row_and_cell_counts(capsys, tmp_path):

@@ -16,7 +16,7 @@ from spinsqueeze import (
     spin_matrices,
 )
 from spinsqueeze.errors import DimensionMismatch, NormalizationError, NotTraceless
-from spinsqueeze.lie_algebra import _general_multipoles
+from spinsqueeze.lie_algebra import _general_multipoles, _multipole_basis_cached
 
 SQ3 = math.sqrt(3.0)
 SQ5 = math.sqrt(5.0)
@@ -128,6 +128,22 @@ def test_spin_half_has_no_multipoles():
     basis = multipole_basis(SpinQuantum(1))
     assert len(basis) == 3
     assert basis.names == ("Jx", "Jy", "Jz")
+
+
+def test_cold_basis_validates_the_generators_and_one_spin_vector(monkeypatch):
+    """At 2J = 5: the 35 generators and the three spin_matrices; no per-rank spin matrices."""
+    validate = HermitianOperator.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(HermitianOperator, "__post_init__", counting)
+    _multipole_basis_cached.cache_clear()
+    basis = multipole_basis(SpinQuantum(5))
+    assert len(basis) == 35
+    assert len(calls) == 38
 
 
 @pytest.mark.parametrize("twice_j", [1, 2, 3, 4, 5, 6, 7, 8])

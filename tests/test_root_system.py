@@ -9,9 +9,10 @@ from spinsqueeze import (
     compute_roots,
     default_cartan,
     multipole_basis,
-    simple_root_matrices,
 )
 from spinsqueeze.errors import DimensionMismatch, NonDiagonalCartan
+
+from observables import simple_root_ladders
 
 SQ5 = math.sqrt(5.0)
 
@@ -171,20 +172,17 @@ def test_second_simple_root_operator_expansion(basis32):
     assert np.max(np.abs(combo - _unit_matrix(4, 1, 2, SQ5))) < 1e-12
 
 
-def test_simple_root_matrices_values():
-    mats = simple_root_matrices(SpinQuantum(3))
-    assert [m.k for m in mats] == [1, 2, 3]
-    assert np.max(np.abs(mats[0].matrix - _unit_matrix(4, 0, 1, SQ5))) == 0.0
-    assert np.max(np.abs(mats[1].matrix - _unit_matrix(4, 1, 2, SQ5))) == 0.0
-    half = simple_root_matrices(SpinQuantum(1))
+def test_simple_roots_are_the_adjacent_level_ladders():
+    """The roots raising level k to k - 1 are sqrt(norm^2) E_{k-1,k}, k = 1..2J."""
+    mats = simple_root_ladders(multipole_basis(SpinQuantum(3)))
+    assert len(mats) == 3
+    assert np.max(np.abs(mats[0] - _unit_matrix(4, 0, 1, SQ5))) == 0.0
+    assert np.max(np.abs(mats[1] - _unit_matrix(4, 1, 2, SQ5))) == 0.0
+    assert np.max(np.abs(mats[2] - _unit_matrix(4, 2, 3, SQ5))) == 0.0
+    half = simple_root_ladders(multipole_basis(SpinQuantum(1)))
     assert len(half) == 1
-    assert half[0].matrix[0, 1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
-
-
-def test_simple_roots_recovered_by_root_computation(basis32):
-    roots = compute_roots(basis32, default_cartan(basis32))
-    for srm in simple_root_matrices(basis32.j):
-        assert any(np.max(np.abs(rd.ladder - srm.matrix)) < 1e-9 for rd in roots)
+    assert np.max(np.abs(half[0] - _unit_matrix(2, 0, 1, math.sqrt(0.5)))) == 0.0
+    assert half[0][0, 1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
 @pytest.mark.parametrize("twice_j", range(1, 10))
