@@ -172,7 +172,7 @@ def test_second_simple_root_operator_expansion(basis32):
     assert np.max(np.abs(combo - _unit_matrix(4, 1, 2, SQ5))) < 1e-12
 
 
-def test_simple_roots_are_the_adjacent_level_ladders():
+def test_simple_root_matrices_values():
     """The roots raising level k to k - 1 are sqrt(norm^2) E_{k-1,k}, k = 1..2J."""
     mats = simple_root_ladders(multipole_basis(SpinQuantum(3)))
     assert len(mats) == 3
@@ -183,6 +183,12 @@ def test_simple_roots_are_the_adjacent_level_ladders():
     assert len(half) == 1
     assert np.max(np.abs(half[0] - _unit_matrix(2, 0, 1, math.sqrt(0.5)))) == 0.0
     assert half[0][0, 1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+
+def test_simple_roots_recovered_by_root_computation(basis32):
+    roots = compute_roots(basis32, default_cartan(basis32))
+    for ladder in simple_root_ladders(basis32):
+        assert any(np.max(np.abs(rd.ladder - ladder)) < 1e-9 for rd in roots)
 
 
 @pytest.mark.parametrize("twice_j", range(1, 10))
