@@ -10,20 +10,22 @@ any other start with NotOatStart.  Transverse fluctuations are
 minimized analytically over the quadrature angle nu, measured in the
 O_2-O_3 plane via O_nu = O_2 cos(nu) - O_3 sin(nu).
 
-Each formula has one home.  `_moments` is the one pass over the active
-subspaces: it returns the mean <O_1> and (base, P, Q) of the variance
-base + P (1 + cos 2 nu) - Q sin 2 nu, where base is the O_3 variance, which
-twisting conserves.  `_extrema` turns (base, P, Q) into the extremal
-variances and the minimizing angle; `_xi2` holds the squeezing parameter and
-its vanishing-mean guard.  `_trace` finishes a record from the mean and
-(base, P, Q), and `squeeze_trace` feeds it `_moments`; that is the one
-public per-mu entry point: the mean, the extremal variances, the minimizing
-angle and xi^2 are all fields of its record.  `find_limit` minimizes xi^2
-over mu on a 24-point log grid seeded from the class data (the minimum sits
-near 1.5 (c N)^(-2/3), c_l = J_l |zeta_l|^2), then by golden section,
-composing `_moments`, `_extrema` and `_xi2` directly rather than building a
-record per point.  The css_* functions give the untwisted coherent values,
-and the exact oracle finishes its measured moments with `_trace`.
+Each formula has one home.  `EnsembleSpec` derives the active blocks
+(J_l > 0 and |zeta_l|^2 > 0) and c_sum = sum_l J_l |zeta_l|^2 once per
+ensemble.  `_moments` is the one pass over those blocks: it returns the mean
+<O_1> and (base, P, Q) of the variance base + P (1 + cos 2 nu) - Q sin 2 nu,
+where base is the O_3 variance, which twisting conserves.  `_extrema` turns
+(base, P, Q) into the extremal variances and the minimizing angle; `_xi2`
+holds the squeezing parameter and its vanishing-mean guard.  `_trace`
+finishes a record from the mean and (base, P, Q), and `squeeze_trace` feeds
+it `_moments`; that is the one public per-mu entry point: the mean, the
+extremal variances, the minimizing angle and xi^2 are all fields of its
+record.  `find_limit` minimizes xi^2 over mu on a 24-point log grid seeded
+from the active blocks (the minimum sits near 1.5 (c N)^(-2/3), with
+c_l = J_l |zeta_l|^2), then by golden section, composing `_moments`,
+`_extrema` and `_xi2` directly rather than building a record per point.  The
+css_* functions give the untwisted coherent values, and the exact oracle
+finishes its measured moments with `_trace`.
 
 The pass works in the log domain.  log|cos mu| and log|cos(mu/2)| are taken
 once per mu as log1p(-2 sin^2) of the half angle (of the cosine past
@@ -44,7 +46,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,8 +79,16 @@ class CoherentSpec:
     zeta: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        z = tuple(complex(v) for v in self.zeta)
+        try:
+            z = tuple(complex(v) for v in self.zeta)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInput(f"zeta must be a sequence of numbers, got {self.zeta!r}") from exc
         object.__setattr__(self, "zeta", z)
+        for name in ("theta", "phi"):
+            try:
+                math.isfinite(getattr(self, name))
+            except (TypeError, OverflowError) as exc:
+                raise InvalidInput(f"{name} must be a real number, got {getattr(self, name)!r}") from exc
         if not (math.isfinite(self.theta) and math.isfinite(self.phi) and all(map(cmath.isfinite, z))):
             raise NonFiniteInput(
                 f"coherent-state parameters must be finite, got theta = {self.theta!r}, "
@@ -103,6 +113,10 @@ class EnsembleSpec:
     n: int
     decomposition: IrrepDecomposition
     coherent: CoherentSpec
+    # derived once: (J_l, 2 J_l, |zeta_l|^2), in subspin order, of the subspaces
+    # with spin and weight, and c_sum = sum_l J_l |zeta_l|^2 over them
+    active_blocks: tuple[tuple[float, int, float], ...] = field(init=False, repr=False, compare=False)
+    c_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _particle_count(self.n))
@@ -110,11 +124,18 @@ class EnsembleSpec:
             raise DimensionMismatch(
                 f"{len(self.coherent.zeta)} weights for r = {self.decomposition.r} subspaces"
             )
+        blocks = tuple(
+            (twice / 2.0, twice, w)
+            for twice, w in zip(self.decomposition.twice_subspins, self.coherent.weights)
+            if twice > 0 and w > 0.0
+        )
+        object.__setattr__(self, "active_blocks", blocks)
+        object.__setattr__(self, "c_sum", sum(jl * w for jl, _, w in blocks))
 
 
 def oat_spec(decomposition: IrrepDecomposition, n: int, zeta) -> EnsembleSpec:
     """Ensemble prepared for one-axis twisting (theta = pi/2, phi = 0)."""
-    return EnsembleSpec(n, decomposition, CoherentSpec(math.pi / 2, 0.0, tuple(zeta)))
+    return EnsembleSpec(n, decomposition, CoherentSpec(math.pi / 2, 0.0, zeta))
 
 
 @dataclass(frozen=True)
@@ -140,27 +161,15 @@ class LimitResult:
     expansions: int = 0  # widenings of the grid's upper edge
 
 
-def _active(spec: EnsembleSpec):
-    """(J_l, 2*J_l, |zeta_l|^2) for subspaces that carry both spin and weight."""
-    for twice, w in zip(spec.decomposition.twice_subspins, spec.coherent.weights):
-        if twice > 0 and w > 0.0:
-            yield twice / 2.0, twice, w
-
-
-def weighted_subspin_sum(spec: EnsembleSpec) -> float:
-    """sum_l J_l |zeta_l|^2 over the nontrivial subspaces."""
-    return sum(jl * w for jl, _, w in _active(spec))
-
-
 def css_expectation_perp(spec: EnsembleSpec) -> float:
     """Coherent-state mean spin f N sum_l J_l |zeta_l|^2 (any theta, phi)."""
-    return spec.decomposition.f * spec.n * weighted_subspin_sum(spec)
+    return spec.decomposition.f * spec.n * spec.c_sum
 
 
 def css_fluctuation(spec: EnsembleSpec) -> float:
     """Transverse variance f^2 N / 2 * sum_l J_l |zeta_l|^2, the same at every quadrature angle."""
     f = spec.decomposition.f
-    return 0.5 * f * f * spec.n * weighted_subspin_sum(spec)
+    return 0.5 * f * f * spec.n * spec.c_sum
 
 
 def _check_oat(spec: EnsembleSpec, mu: float) -> None:
@@ -215,21 +224,20 @@ def _moments(spec: EnsembleSpec, mu: float) -> tuple[float, float, float, float]
     """(mean, base, P, Q) of the twisted state, in one pass over the active subspaces.
 
     mean is <O_1>(mu).  The variance of O_2 cos(nu) - O_3 sin(nu) is
-    base + P (1 + cos 2 nu) - Q sin 2 nu, where base = f^2 N / 2 sum_l J_l |zeta_l|^2
-    is the O_3 variance, which twisting conserves, and P >= 0.  Every power is
+    base + P (1 + cos 2 nu) - Q sin 2 nu, where base = f^2 N c_sum / 2 is the
+    O_3 variance, which twisting conserves, and P >= 0.  Every power is
     an exponentiated log and every 1 - power an expm1, so nothing cancels.
     """
     _check_oat(spec, mu)
     n = spec.n
     lc, nc = _log_cos(mu)
     lh, nh = _log_cos(0.5 * mu)
-    mean = base = p = q = 0.0
-    for jl, tj, w in _active(spec):
+    mean = p = q = 0.0
+    for jl, tj, w in spec.active_blocks:
         # shrink factors 1 - w (1 - cos^(2 J_l) x) at x = mu and mu / 2
         ls, ns = _log1m(w * _one_minus(*_pow(lc, nc, tj)))
         lsh, nsh = _log1m(w * _one_minus(*_pow(lh, nh, tj)))
         jw, pair, single = jl * w, jl * (n - 1) * w, jl - 0.5  # pair and single-particle terms
-        base += jw
         mean += jw * _value(*_pow(lh, nh, tj - 1, lsh, nsh, n - 1))
         p += jw * pair * _one_minus(*_pow(lc, nc, 2 * tj - 2, ls, ns, n - 2))
         p += jw * single * _one_minus(*_pow(lc, nc, tj - 2, ls, ns, n - 1))
@@ -237,7 +245,7 @@ def _moments(spec: EnsembleSpec, mu: float) -> tuple[float, float, float, float]
         q += jw * single * _value(*_pow(lh, nh, tj - 2, lsh, nsh, n - 1))
     f = spec.decomposition.f
     pref = 0.5 * f * f * n
-    return f * n * mean, pref * base, 0.5 * pref * p, 2.0 * math.sin(0.5 * mu) * pref * q
+    return f * n * mean, pref * spec.c_sum, 0.5 * pref * p, 2.0 * math.sin(0.5 * mu) * pref * q
 
 
 def _extrema(base: float, p: float, q: float) -> tuple[float, float, float]:
@@ -261,7 +269,7 @@ def _xi2(spec: EnsembleSpec, mean: float, var_min: float) -> float:
     """
     if abs(mean) < 1e-12 * spec.decomposition.f * spec.n:
         return math.inf
-    return 2.0 * spec.n * weighted_subspin_sum(spec) * var_min / (mean * mean)
+    return 2.0 * spec.n * spec.c_sum * var_min / (mean * mean)
 
 
 def _trace(spec: EnsembleSpec, mu: float, mean: float, base: float, p: float, q: float) -> SqueezeTrace:
@@ -308,9 +316,9 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     minimum.  A search that never sees xi^2 < 1 reports status
     "no_squeezing" instead of raising.
     """
-    if weighted_subspin_sum(spec) <= 0.0:
+    if spec.c_sum <= 0.0:
         raise VanishingMeanSpin("no weight on nontrivial subspaces")
-    c = [jl * w * spec.n for jl, _, w in _active(spec)]
+    c = [jl * w * spec.n for jl, _, w in spec.active_blocks]
     mu_hi = min(SEED_HI * min(c) ** (-2.0 / 3.0), MU_MAX)
     mu_lo = min(SEED_LO * max(c) ** (-2.0 / 3.0), mu_hi * SEED_LO / SEED_HI)
 
@@ -342,22 +350,17 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
 
 @dataclass(frozen=True)
 class R1Limit:
-    """Asymptotic one-subspace squeezing limit with validity checks."""
+    """Asymptotic one-subspace squeezing limit."""
 
     xi2: float
     mu: float
-    alpha: float
-    beta: float
-    alpha_ok: bool
-    beta_ok: bool
 
 
 def asymptotic_limit_r1(twice_j_sub: int, n: int) -> R1Limit:
     """Closed-form squeezing limit when all weight sits on one subspace.
 
     xi^2_min = (3 / (2 J N))^(2/3) / 2 + 1 / (2 J N) at
-    mu_min = 12^(1/6) (J N)^(-2/3).  The validity flags report alpha >= 10 and
-    beta <= 0.1 at the optimum.
+    mu_min = 12^(1/6) (J N)^(-2/3).
     """
     twice_j_sub, n = _exact_int(twice_j_sub, "2J_l"), _exact_int(n, "particle count")
     if twice_j_sub < 1:
@@ -365,8 +368,4 @@ def asymptotic_limit_r1(twice_j_sub: int, n: int) -> R1Limit:
     if n < 2:
         raise InvalidInput(f"asymptotics need N >= 2, got {n}")
     jn = (twice_j_sub / 2.0) * n
-    mu = 12.0 ** (1.0 / 6.0) * jn ** (-2.0 / 3.0)
-    xi2 = 0.5 * (1.5 / jn) ** (2.0 / 3.0) + 0.5 / jn
-    alpha = 0.5 * jn * mu
-    beta = 0.25 * jn * mu * mu
-    return R1Limit(xi2, mu, alpha, beta, alpha >= 10.0, beta <= 0.1)
+    return R1Limit(0.5 * (1.5 / jn) ** (2.0 / 3.0) + 0.5 / jn, 12.0 ** (1.0 / 6.0) * jn ** (-2.0 / 3.0))

@@ -27,7 +27,7 @@ from spinsqueeze import (
     squeeze_trace,
 )
 from spinsqueeze.classification import _subset_blocks, decompose_subset
-from spinsqueeze.coherent_dynamics import GOLDEN_REL_TOL, MAX_EXPANSIONS, MU_MAX, weighted_subspin_sum
+from spinsqueeze.coherent_dynamics import GOLDEN_REL_TOL, MAX_EXPANSIONS, MU_MAX
 from spinsqueeze.errors import VanishingMeanSpin
 from spinsqueeze.lie_algebra import spin_matrices
 
@@ -111,7 +111,7 @@ def sweep_limit_reference(spec) -> LimitResult:
     A search that never sees xi^2 < 1 reports status "no_squeezing" instead of
     raising.
     """
-    if weighted_subspin_sum(spec) <= 0.0:
+    if spec.c_sum <= 0.0:
         raise VanishingMeanSpin("no weight on nontrivial subspaces")
     j1 = spec.decomposition.twice_subspins[0] / 2.0
     mu_hi = min(200.0 * (j1 * spec.n) ** (-2.0 / 3.0), MU_MAX)

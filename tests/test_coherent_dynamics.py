@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -64,6 +65,36 @@ def test_spec_validation():
         EnsembleSpec(0, DEC_I, CoherentSpec(0.0, 0.0, (1.0,)))
 
 
+def test_ensemble_derives_its_active_blocks_once():
+    """The derived fields stay out of equality, hash and repr, and follow every new spec."""
+    dec = IrrepDecomposition(SpinQuantum(5), (2, 1, 0))
+    spec = oat_spec(dec, 10**6, (0.6, 0.0, 0.8j))
+    same = oat_spec(dec, 10**6, (0.6, 0.0, 0.8j))
+    assert spec == same and hash(spec) == hash(same)
+    assert repr(spec) == (
+        "EnsembleSpec(n=1000000, decomposition=IrrepDecomposition(j=SpinQuantum(twice_j=5), "
+        "twice_subspins=(2, 1, 0)), coherent=CoherentSpec(theta=1.5707963267948966, phi=0.0, "
+        "zeta=((0.6+0j), 0j, 0.8j)))"
+    )
+    # 2J_l = 1 has no weight and 2J_l = 0 no spin, so one block is active
+    w = spec.coherent.weights[0]
+    assert spec.active_blocks == ((1.0, 2, w),) and spec.c_sum == w
+    fewer = dataclasses.replace(spec, n=7)
+    assert fewer.n == 7 and fewer.active_blocks == spec.active_blocks and fewer != spec
+    moved = dataclasses.replace(spec, coherent=CoherentSpec(math.pi / 2, 0.0, (0.0, 0.6, 0.8)))
+    w = moved.coherent.weights[1]
+    assert moved.active_blocks == ((0.5, 1, w),) and moved.c_sum == 0.5 * w
+
+    rng = np.random.default_rng(3)
+    for twice_j in (3, 5, 7):
+        for dec in enumerate_classes(SpinQuantum(twice_j)):
+            for _ in range(20):
+                spec = oat_spec(dec, 10, tuple(np.sqrt(rng.dirichlet(np.ones(dec.r)))))
+                assert [b[1] for b in spec.active_blocks] == [t for t in dec.twice_subspins if t > 0]
+                ref = math.fsum(t / 2 * x for t, x in zip(dec.twice_subspins, spec.coherent.weights))
+                assert abs(spec.c_sum - ref) <= math.ulp(ref), (dec, spec.c_sum, ref)
+
+
 @pytest.mark.parametrize("zeta", [(1e200, 1e200), (1e200j,), (complex(1e308, 1e308),)])
 def test_weights_whose_squares_overflow_are_not_normalized(zeta):
     with pytest.raises(NormalizationError, match="inf"):
@@ -83,6 +114,22 @@ def test_weights_whose_squares_overflow_are_not_normalized(zeta):
 def test_spec_rejects_non_finite_input(theta, phi, zeta):
     with pytest.raises(NonFiniteInput):
         CoherentSpec(theta, phi, zeta)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: oat_spec(DEC_I, 10, 1.0), "zeta"),
+        (lambda: CoherentSpec(math.pi / 2, 0.0, ("x",)), "zeta"),
+        (lambda: CoherentSpec(math.pi / 2, 0.0, None), "zeta"),
+        (lambda: CoherentSpec("a", 0.0, (1.0,)), "theta"),
+        (lambda: CoherentSpec(math.pi / 2, 1j, (1.0,)), "phi"),
+    ],
+    ids=["scalar_zeta", "string_weight", "no_weights", "string_theta", "complex_phi"],
+)
+def test_spec_refuses_malformed_parameters(make, name):
+    with pytest.raises(InvalidInput, match=f"^{name} must be"):
+        make()
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
@@ -322,18 +369,12 @@ def test_asymptotic_limit_r1_values():
     r1 = asymptotic_limit_r1(3, n)
     assert r1.xi2 == pytest.approx(0.5 * (1 / n) ** (2 / 3) + 1 / (3 * n), rel=1e-12)
     assert r1.mu == pytest.approx(2 / math.sqrt(3) * n ** (-2 / 3), rel=1e-12)
-    assert r1.alpha_ok and r1.beta_ok
     r1_j1 = asymptotic_limit_r1(2, n)
     assert r1_j1.xi2 == pytest.approx(3.0911e-4, rel=1e-3)
     with pytest.raises(ValueError):
         asymptotic_limit_r1(0, 100)
     with pytest.raises(ValueError):
         asymptotic_limit_r1(3, 1)
-
-
-def test_asymptotic_flags_trip_for_small_n():
-    r1 = asymptotic_limit_r1(1, 4)
-    assert not r1.alpha_ok
 
 
 def test_r1_series_matches_exact_in_its_regime():
