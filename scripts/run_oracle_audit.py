@@ -4,7 +4,7 @@
 Sweeps every spin-3/2 class over particle numbers, weight settings, and a mu
 grid, comparing the analytic mean spin, extremal transverse variances, and
 squeezing parameter with the exact symmetric-subspace simulation.  Prints the
-worst absolute discrepancies; anything above 1e-9 is a red flag.
+worst discrepancy `compare_with_oracle` reports; anything above 1e-9 is a red flag.
 
 Exit codes: 0 when every discrepancy is at most 1e-9, 1 when an argument is
 refused (with `error: <message>` on stderr), 2 when a discrepancy exceeds
@@ -51,7 +51,7 @@ def audit(n_max: int, mu_points: int) -> float:
             ws = OracleWorkspace(triple, n)
             for w in WEIGHTS[dec.r]:
                 spec = oat_spec(dec, n, tuple(math.sqrt(x) for x in w))
-                _, spec_worst = compare_with_oracle(ws, spec.coherent, mu_grid)
+                spec_worst = compare_with_oracle(ws, spec.coherent, mu_grid).worst
                 worst = float(np.max([worst, spec_worst]))  # NaN propagates
         print(f"subspins {dec.subspin_strings()}: worst discrepancy {worst:.3e}")
         overall = float(np.max([overall, worst]))

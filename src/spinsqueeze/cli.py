@@ -335,17 +335,17 @@ def _cmd_fit(args) -> int:
 def _cmd_oracle_check(args) -> int:
     grid = _mu_grid(0.0, args.mu_max, args.mu_points)
     subset, spec = _spec_from_args(args)
-    pairs, worst = compare_with_oracle(OracleWorkspace(build_su2_triple(subset), spec.n), spec.coherent, grid)
+    comparison = compare_with_oracle(OracleWorkspace(build_su2_triple(subset), spec.n), spec.coherent, grid)
     rows = [
         (a.mu, a.perp_expectation, o.perp_expectation, a.var_min, o.var_min,
          a.var_max, o.var_max, a.xi2, o.xi2)
-        for a, o in pairs
+        for a, o in comparison.pairs
     ]
     header = ["mu", "perp_analytic", "perp_oracle", "var_min_analytic", "var_min_oracle",
               "var_max_analytic", "var_max_oracle", "xi2_analytic", "xi2_oracle"]
     _emit_table(args, header, rows)
-    print(f"max discrepancy: {worst:.3e}", file=sys.stderr)
-    return 0 if worst <= ORACLE_CHECK_TOL else 2  # NaN <= tol is False
+    print(f"max discrepancy: {comparison.worst:.3e}", file=sys.stderr)
+    return 0 if comparison.worst <= ORACLE_CHECK_TOL else 2  # NaN <= tol is False
 
 
 def build_parser() -> argparse.ArgumentParser:

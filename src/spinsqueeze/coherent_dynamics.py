@@ -44,7 +44,6 @@ the limit search and the oracle comparison make.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,9 +76,13 @@ class CoherentSpec:
     theta: float
     phi: float
     zeta: tuple[complex, ...]
+    # derived once: |zeta_l|^2 per subspace
+    weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
+            if isinstance(self.zeta, (str, bytes)):  # iterates to characters, not numbers
+                raise TypeError
             z = tuple(complex(v) for v in self.zeta)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInput(f"zeta must be a sequence of numbers, got {self.zeta!r}") from exc
@@ -95,15 +98,13 @@ class CoherentSpec:
                 f"phi = {self.phi!r}, zeta = {z!r}"
             )
         try:
-            total = sum(abs(v) ** 2 for v in z)
+            weights = tuple(abs(v) ** 2 for v in z)
         except OverflowError:  # a finite weight whose square is past the float range
-            total = math.inf
+            weights = (math.inf,)
+        total = sum(weights)
         if abs(total - 1.0) > WEIGHT_NORM_TOL:
             raise NormalizationError(f"sum |zeta|^2 = {total!r}, expected 1")
-
-    @functools.cached_property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(abs(v) ** 2 for v in self.zeta)
+        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ collective operators, and one-axis twisting is a diagonal phase evolution.
 There is one twisting generator, `sector_twist_diagonal`: each irreducible
 block is twisted by the square of its own collective O3, as in the closed
 form.  The transverse extrema and xi^2 come from the same helpers as the
-closed form, and `compare_with_oracle` is the one analytic-vs-oracle loop.
+closed form, and `compare_with_oracle` holds the one analytic-vs-oracle rule.
 Every call takes each fact once: N from the basis (or workspace), the class
 from the triple, and only the weights and angles from a `CoherentSpec`.
 
@@ -71,9 +71,8 @@ NORM_TOL = 1e-10
 # Coherent states kept per OracleWorkspace; a zeta sweep beyond this evicts
 # the least recently used spec instead of growing the workspace.
 COHERENT_CACHE_SIZE = 8
-# compare_with_oracle compares xi^2 only where the analytic mean spin keeps
-# this fraction of its initial value; beyond that the parameter is
-# numerically unconditioned.
+# Share of its initial value the analytic mean must keep for xi^2 to be
+# compared; below it xi^2 is numerically unconditioned.
 XI2_MEAN_GUARD = 1e-4
 
 
@@ -325,9 +324,6 @@ class OracleWorkspace:
         phases = np.exp(-1j * mu / (2.0 * self._f * self._f) * self._twist_values)
         return self.coherent(coherent_spec).amplitudes * phases.take(self._twist_index)
 
-    def twisted(self, coherent_spec: CoherentSpec, mu: float) -> SymmetricState:
-        return SymmetricState(self.basis, self._twisted_amplitudes(coherent_spec, mu))
-
     def squeezing(self, coherent_spec: CoherentSpec, mu: float) -> SqueezeTrace:
         """Transverse moments of the twisted state, minimized over nu exactly.
 
@@ -354,35 +350,45 @@ class OracleWorkspace:
         return _trace(spec, mu, mean1, v33, 0.5 * (v22 - v33), c23)
 
 
-def compare_with_oracle(
-    workspace: OracleWorkspace, coherent: CoherentSpec, mus
-) -> tuple[list[tuple[SqueezeTrace, SqueezeTrace]], float]:
-    """Closed form at the workspace's N and class against the oracle over a mu grid.
+@dataclass(frozen=True)
+class OracleComparison:
+    """The (analytic, oracle) trace at every mu and the worst discrepancy of each quantity.
 
-    Returns the (analytic, oracle) trace at every mu and the worst
-    discrepancy: absolute in the mean spin and both extremal variances,
-    relative (to max(1, |oracle xi^2|)) in xi^2.  xi^2 is left out where the
-    analytic mean has fallen below XI2_MEAN_GUARD of its initial value or
-    either side reports a vanished mean (xi^2 = inf).  A NaN in any compared
-    quantity makes the worst discrepancy NaN; an empty grid and a weight
-    count off the class's r are refused.
+    Absolute in the mean spin and both extremal variances, relative to
+    max(1, |oracle xi^2|) in xi^2.  xi^2 is left out, and counted in
+    `guarded`, where the analytic mean has fallen below XI2_MEAN_GUARD of its
+    initial value or either side reports a vanished mean (xi^2 = inf).  A NaN
+    discrepancy anywhere makes its worst NaN.
     """
+
+    pairs: tuple[tuple[SqueezeTrace, SqueezeTrace], ...] = field(repr=False)
+    perp_expectation: float
+    var_min: float
+    var_max: float
+    xi2: float
+    guarded: int
+
+    @property
+    def worst(self) -> float:
+        return float(np.max([self.perp_expectation, self.var_min, self.var_max, self.xi2]))  # NaN propagates
+
+
+def compare_with_oracle(workspace: OracleWorkspace, coherent: CoherentSpec, mus) -> OracleComparison:
+    """Closed form at the workspace's N and class against its oracle; an empty grid is refused."""
     spec = EnsembleSpec(workspace.n, workspace.triple.decomposition, coherent)
     mus = [float(mu) for mu in mus]
     if not mus:
         raise InvalidInput("the mu grid is empty")
     guard = XI2_MEAN_GUARD * abs(css_expectation_perp(spec))
-    pairs = []
-    diffs = []
-    for mu in mus:
-        a = squeeze_trace(spec, mu)
-        o = workspace.squeezing(coherent, mu)
-        pairs.append((a, o))
-        diffs += [
-            abs(a.perp_expectation - o.perp_expectation),
-            abs(a.var_min - o.var_min),
-            abs(a.var_max - o.var_max),
-        ]
-        if abs(a.perp_expectation) >= guard and not (math.isinf(a.xi2) or math.isinf(o.xi2)):
-            diffs.append(abs(a.xi2 - o.xi2) / max(1.0, abs(o.xi2)))
-    return pairs, float(np.max(diffs, initial=0.0))  # NaN propagates, unlike the builtin max
+    pairs = tuple((squeeze_trace(spec, mu), workspace.squeezing(coherent, mu)) for mu in mus)
+    xi2 = [
+        abs(a.xi2 - o.xi2) / max(1.0, abs(o.xi2))
+        for a, o in pairs
+        if abs(a.perp_expectation) >= guard and not (math.isinf(a.xi2) or math.isinf(o.xi2))
+    ]
+    # np.max propagates NaN, unlike the builtin max
+    diffs = [(a.perp_expectation - o.perp_expectation, a.var_min - o.var_min, a.var_max - o.var_max)
+             for a, o in pairs]
+    perp, var_min, var_max = np.max(np.abs(diffs), axis=0).tolist()
+    worst_xi2 = float(np.max(xi2, initial=0.0))
+    return OracleComparison(pairs, perp, var_min, var_max, worst_xi2, len(pairs) - len(xi2))

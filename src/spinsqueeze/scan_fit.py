@@ -29,6 +29,8 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         try:
+            if isinstance(self.zeta1_sq_grid, (str, bytes)):  # iterates to characters, not numbers
+                raise TypeError(f"got {self.zeta1_sq_grid!r}")
             grid = tuple(float(w) for w in self.zeta1_sq_grid)
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"the weight grid must be a sequence of numbers: {exc}") from exc

@@ -9,6 +9,7 @@ expression for xi^2, which the tests hold against the exact closed form.
 `su2_triple_reference` is the per-block construction that `build_su2_triple`
 replaced: each block's `spin_matrices`, scaled by f, added into zero matrices.
 `simple_root_ladders` picks the simple roots out of `compute_roots`.
+`twisted` is the twisted state that `OracleWorkspace.squeezing` measures.
 """
 
 import math
@@ -29,6 +30,7 @@ from spinsqueeze import (
 from spinsqueeze.classification import _subset_blocks, decompose_subset
 from spinsqueeze.coherent_dynamics import GOLDEN_REL_TOL, MAX_EXPANSIONS, MU_MAX
 from spinsqueeze.errors import VanishingMeanSpin
+from spinsqueeze.exact_oracle import SymmetricState
 from spinsqueeze.lie_algebra import spin_matrices
 
 GRID_POINTS = 128
@@ -56,6 +58,11 @@ def simple_root_ladders(basis) -> list[np.ndarray]:
     """The root ladders raising level k to level k - 1, for the Dynkin vertices k = 1..2J."""
     ladders = {tuple(np.argwhere(rd.ladder)[0]): rd.ladder for rd in compute_roots(basis, default_cartan(basis))}
     return [ladders[(k - 1, k)] for k in range(1, basis.j.twice_j + 1)]
+
+
+def twisted(ws, coherent, mu: float) -> SymmetricState:
+    """The workspace's coherent state twisted to mu; a non-finite mu is refused."""
+    return SymmetricState(ws.basis, ws._twisted_amplitudes(coherent, mu))
 
 
 def perp_observable(triple: Su2Triple, theta: float, phi: float) -> HermitianOperator:

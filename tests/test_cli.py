@@ -340,6 +340,7 @@ INPUT_FILES = {
     "n_float.json": '{"j": "3/2", "class": "1,3", "n": 100.5, "zeta1_sq_grid": [0.5]}',
     "n_text.json": '{"j": "3/2", "class": "1,3", "n": "100", "zeta1_sq_grid": [0.5]}',
     "n_bool.json": '{"j": "3/2", "class": "1,3", "n": true, "zeta1_sq_grid": [0.5]}',
+    "grid_text.json": '{"j": "3/2", "class": "1,3", "n": 100, "zeta1_sq_grid": "01"}',
 }
 
 
@@ -365,6 +366,7 @@ INPUT_FILES = {
         ("zeta-scan", "--config", "{n_float.json}"),
         ("zeta-scan", "--config", "{n_text.json}"),
         ("zeta-scan", "--config", "{n_bool.json}"),
+        ("zeta-scan", "--config", "{grid_text.json}"),
     ],
 )
 def test_bad_inputs_are_usage_errors(capsys, tmp_path, argv):

@@ -124,8 +124,10 @@ def test_spec_rejects_non_finite_input(theta, phi, zeta):
         (lambda: CoherentSpec(math.pi / 2, 0.0, None), "zeta"),
         (lambda: CoherentSpec("a", 0.0, (1.0,)), "theta"),
         (lambda: CoherentSpec(math.pi / 2, 1j, (1.0,)), "phi"),
+        (lambda: oat_spec(DEC_III, 10, "10"), "zeta"),  # not the weights (1, 0)
+        (lambda: oat_spec(DEC_III, 10, b"10"), "zeta"),
     ],
-    ids=["scalar_zeta", "string_weight", "no_weights", "string_theta", "complex_phi"],
+    ids=["scalar_zeta", "string_weight", "no_weights", "string_theta", "complex_phi", "text_zeta", "bytes_zeta"],
 )
 def test_spec_refuses_malformed_parameters(make, name):
     with pytest.raises(InvalidInput, match=f"^{name} must be"):

@@ -41,10 +41,10 @@ from spinsqueeze.errors import (
     NotOatStart,
     SizeLimit,
 )
-from spinsqueeze.exact_oracle import sector_twist_diagonal
+from spinsqueeze.exact_oracle import XI2_MEAN_GUARD, sector_twist_diagonal
 from spinsqueeze.lie_algebra import HermitianOperator
 
-from observables import oat_transverse_observable, perp_observable, transverse_observable
+from observables import oat_transverse_observable, perp_observable, transverse_observable, twisted
 
 J32 = SpinQuantum(3)
 
@@ -169,7 +169,7 @@ def test_evolve_identity_at_zero():
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
     ws = OracleWorkspace(triple, 3)
     spec = oat_spec(triple.decomposition, 3, (1.0,))
-    evolved = ws.twisted(spec.coherent, 0.0)
+    evolved = twisted(ws, spec.coherent, 0.0)
     assert np.max(np.abs(evolved.amplitudes - ws.coherent(spec.coherent).amplitudes)) == 0.0
 
 
@@ -201,8 +201,8 @@ def test_evolve_phase_recurrence(subset, zeta):
     granularity = g_int * f * f / 4.0
     period = 4 * math.pi * f * f / granularity
     spec = oat_spec(triple.decomposition, 3, zeta)
-    a = ws.twisted(spec.coherent, 0.7)
-    b = ws.twisted(spec.coherent, 0.7 + period)
+    a = twisted(ws, spec.coherent, 0.7)
+    b = twisted(ws, spec.coherent, 0.7 + period)
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-9
 
 
@@ -210,7 +210,7 @@ def test_evolve_preserves_norm():
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
     ws = OracleWorkspace(triple, 6)
     spec = oat_spec(triple.decomposition, 6, (0.6, 0.8))
-    evolved = ws.twisted(spec.coherent, 1.37)
+    evolved = twisted(ws, spec.coherent, 1.37)
     assert abs(np.sum(np.abs(evolved.amplitudes) ** 2) - 1.0) < 1e-12
 
 
@@ -265,17 +265,9 @@ def test_twisted_mean_matches_closed_form():
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
     spec = oat_spec(triple.decomposition, 3, (1.0,))
     ws = OracleWorkspace(triple, 3)
-    state = ws.twisted(spec.coherent, 0.5)
+    state = twisted(ws, spec.coherent, 0.5)
     lam1 = second_quantize(triple.o1, ws.basis)
     assert expectation(state, lam1) == pytest.approx(squeeze_trace(spec, 0.5).perp_expectation, abs=1e-12)
-
-
-def test_twisted_mean_matches_closed_form_mixed_weights():
-    triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2})))
-    spec = oat_spec(triple.decomposition, 8, (0.8, 0.6))
-    ws = OracleWorkspace(triple, 8)
-    rec = ws.squeezing(spec.coherent, 0.3)
-    assert rec.perp_expectation == pytest.approx(squeeze_trace(spec, 0.3).perp_expectation, abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +315,7 @@ def test_oracle_variance_nu_minimum_vs_grid():
     coherent = CoherentSpec(math.pi / 2, 0.0, (0.6, 0.8))
     mu = 0.9
     rec = ws.squeezing(coherent, mu)
-    state = ws.twisted(coherent, mu)
+    state = twisted(ws, coherent, mu)
     grid = []
     for nu in np.linspace(0, math.pi, 720, endpoint=False):
         op = second_quantize(oat_transverse_observable(triple, nu), ws.basis)
@@ -387,7 +379,7 @@ def test_coherent_state_built_once_per_spec_and_cache_bounded(monkeypatch):
     for mu in (0.0, 0.3, 0.9):
         ws.squeezing(specs[0], mu)
     assert built == [specs[0]]
-    assert ws.twisted(specs[0], 0.3).amplitudes.shape == (ws.basis.size,)
+    assert twisted(ws, specs[0], 0.3).amplitudes.shape == (ws.basis.size,)
     assert len(built) == 1
     size = exact_oracle.COHERENT_CACHE_SIZE
     assert size < len(specs)
@@ -400,26 +392,16 @@ def test_coherent_state_built_once_per_spec_and_cache_bounded(monkeypatch):
     assert len(built) == size + 2
 
 
-def assert_oracle_agrees(triple, n, zeta, mus):
-    """Criterion-04 bounds: moments to 1e-9, xi^2 to 1e-9 relative-or-absolute
-    where the mean spin keeps 1e-4 of its initial value."""
-    spec = oat_spec(triple.decomposition, n, zeta)
-    ws = OracleWorkspace(triple, n)
-    mean0 = abs(css_expectation_perp(spec))
-    for mu in mus:
-        a = squeeze_trace(spec, mu)
-        o = ws.squeezing(spec.coherent, mu)
-        assert abs(a.perp_expectation - o.perp_expectation) <= 1e-9
-        assert abs(a.var_min - o.var_min) <= 1e-9
-        assert abs(a.var_max - o.var_max) <= 1e-9
-        if abs(a.perp_expectation) >= 1e-4 * mean0 and math.isfinite(a.xi2) and math.isfinite(o.xi2):
-            assert abs(a.xi2 - o.xi2) / max(1.0, abs(o.xi2)) <= 1e-9
+def assert_oracle_agrees(workspace, zeta, mus):
+    """Criterion-04 bound: every discrepancy `compare_with_oracle` reports is at most 1e-9."""
+    comparison = compare_with_oracle(workspace, CoherentSpec(math.pi / 2, 0.0, zeta), mus)
+    assert comparison.worst <= 1e-9, comparison  # NaN <= 1e-9 is False
 
 
 def test_analytic_equals_oracle_at_n_100():
     """J = 3/2, N = 100: 176 851 states."""
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
-    assert_oracle_agrees(triple, 100, (0.8, 0.6j), [0.02, 0.7])
+    assert_oracle_agrees(OracleWorkspace(triple, 100), (0.8, 0.6j), [0.02, 0.7])
 
 
 @pytest.mark.parametrize(
@@ -437,7 +419,8 @@ def test_analytic_equals_oracle_at_larger_spin(twice_j, n, classes):
         rng = np.random.default_rng(checked)
         w = rng.uniform(0.2, 1.0, dec.r)
         zeta = tuple(w / np.linalg.norm(w) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, dec.r)))
-        assert_oracle_agrees(build_su2_triple(canonical_subset(dec)), n, zeta, [0.05, 0.4, 2.5])
+        workspace = OracleWorkspace(build_su2_triple(canonical_subset(dec)), n)
+        assert_oracle_agrees(workspace, zeta, [0.05, 0.4, 2.5])
         checked += 1
     assert checked == (10 if classes is None else len(classes))
 
@@ -467,7 +450,7 @@ def test_analytic_equals_oracle_property(cls, n, levels, phases, mu):
     if not w.any():
         w[0] = 1.0
     zeta = tuple(w / np.linalg.norm(w) * np.exp(1j * np.array(phases[:r])))
-    assert_oracle_agrees(triple, n, zeta, [mu])
+    assert_oracle_agrees(OracleWorkspace(triple, n), zeta, [mu])
 
 
 def test_vanishing_mean_guard_is_shared():
@@ -496,9 +479,13 @@ class _StandIn:
 def test_compare_with_oracle_propagates_nan(field):
     spec = oat_spec(IrrepDecomposition(J32, (1, 1)), 6, (0.6, 0.8))
     stand_in = _StandIn(spec, **{field: lambda t: math.nan if t.mu == 0.2 else getattr(t, field)})
-    pairs, worst = compare_with_oracle(stand_in, spec.coherent, [0.1, 0.2, 0.3])
-    assert [a.mu for a, _ in pairs] == [0.1, 0.2, 0.3]
-    assert math.isnan(worst)
+    comparison = compare_with_oracle(stand_in, spec.coherent, [0.1, 0.2, 0.3])
+    assert [a.mu for a, _ in comparison.pairs] == [0.1, 0.2, 0.3]
+    nan = [q for q in ("perp_expectation", "var_min", "var_max", "xi2") if math.isnan(getattr(comparison, q))]
+    assert nan == [field]
+    assert math.isnan(comparison.worst)
+    with pytest.raises(AssertionError):
+        assert_oracle_agrees(stand_in, spec.coherent.zeta, [0.1, 0.2, 0.3])
 
 
 def test_compare_with_oracle_refuses_an_empty_grid():
@@ -543,7 +530,7 @@ def test_oracle_refuses_a_non_finite_mu(mu):
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
     ws = OracleWorkspace(triple, 4)
     coherent = oat_spec(triple.decomposition, 4, (0.6, 0.8)).coherent
-    for call in (ws.twisted, ws.squeezing):
+    for call in (lambda *args: twisted(ws, *args), ws.squeezing):
         with pytest.raises(NonFiniteInput):
             call(coherent, mu)
     assert math.isfinite(ws.squeezing(coherent, -0.3).xi2)  # negative mu stays valid
@@ -552,12 +539,11 @@ def test_oracle_refuses_a_non_finite_mu(mu):
 def test_compare_with_oracle_skips_xi2_at_collapsed_mean():
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
     spec = oat_spec(triple.decomposition, 6, (1.0,))
-    collapsed = 2.0 * math.acos(0.4)  # mean 9 * 0.4^17: under the 1e-4 guard, xi^2 finite
-    mean0 = css_expectation_perp(spec)
-    assert 0.0 < squeeze_trace(spec, collapsed).perp_expectation < 1e-4 * mean0
+    collapsed = 2.0 * math.acos(0.4)  # mean 9 * 0.4^17: under the guard, xi^2 finite
+    assert 0.0 < squeeze_trace(spec, collapsed).perp_expectation < XI2_MEAN_GUARD * css_expectation_perp(spec)
     assert math.isfinite(squeeze_trace(spec, collapsed).xi2)
     shifted = _StandIn(spec, xi2=lambda t: t.xi2 + 0.5)
-    assert compare_with_oracle(shifted, spec.coherent, [collapsed])[1] == 0.0
-    assert compare_with_oracle(shifted, spec.coherent, [0.1])[1] > 0.1
-    _, worst = compare_with_oracle(OracleWorkspace(triple, 6), spec.coherent, [0.1, collapsed])
-    assert worst <= 1e-9
+    at_collapse, kept = (compare_with_oracle(shifted, spec.coherent, [mu]) for mu in (collapsed, 0.1))
+    assert (at_collapse.xi2, at_collapse.worst, at_collapse.guarded) == (0.0, 0.0, 1)
+    assert kept.xi2 == kept.worst > 0.1 and kept.guarded == 0
+    assert_oracle_agrees(OracleWorkspace(triple, 6), spec.coherent.zeta, [0.1, collapsed])

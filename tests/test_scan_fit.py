@@ -39,7 +39,7 @@ def test_scan_config_refuses_a_count_below_one(n):
         ScanConfig(IrrepDecomposition(J32, (3,)), n, (0.5,))
 
 
-@pytest.mark.parametrize("grid", [("x",), (0.5, None), 0.5])
+@pytest.mark.parametrize("grid", [("x",), (0.5, None), 0.5, "01", b"01"])  # text is not the grid (0, 1)
 def test_scan_config_rejects_non_numeric_grid(grid):
     with pytest.raises(InvalidInput, match="sequence of numbers"):
         ScanConfig(DEC_III, 100, grid)
