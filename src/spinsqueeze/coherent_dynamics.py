@@ -22,8 +22,10 @@ it `_moments`; that is the one public per-mu entry point: the mean, the
 extremal variances, the minimizing angle and xi^2 are all fields of its
 record.  `find_limit` minimizes xi^2 over mu on a 24-point log grid seeded
 from the active blocks (the minimum sits near 1.5 (c N)^(-2/3), with
-c_l = J_l |zeta_l|^2), then by golden section, composing `_moments`,
-`_extrema` and `_xi2` directly rather than building a record per point.  The
+c_l = J_l |zeta_l|^2), then by Brent's bounded method (parabolic steps,
+golden-section fallback), composing `_moments`, `_extrema` and `_xi2`
+directly rather than building a record per point; it skips every mu where
+the mean has collapsed below XI2_MEAN_GUARD of its coherent value.  The
 css_* functions give the untwisted coherent values, and the exact oracle
 finishes its measured moments with `_trace`.
 
@@ -62,11 +64,15 @@ from .lie_algebra import _exact_int, _particle_count
 
 SEED_POINTS = 24  # log grid of the limit search
 SEED_LO, SEED_HI = 0.05, 20.0  # its ends, in units of (c N)^(-2/3)
-GOLDEN_REL_TOL = 1e-6
+GOLDEN_REL_TOL = 1e-6  # relative precision in mu of the refined limit
 MAX_EXPANSIONS = 8
 MU_MAX = 2.0 * math.pi  # xi^2 repeats every 4 pi and mirrors about 2 pi
 OAT_ANGLE_TOL = 1e-12
 WEIGHT_NORM_TOL = 1e-12  # |sum |zeta_l|^2 - 1| accepted as normalized
+# Share of its coherent value the mean must keep for xi^2 to count: below it
+# xi^2 is numerically unconditioned, so the limit search skips it and the
+# oracle comparison leaves it out.
+XI2_MEAN_GUARD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -284,28 +290,67 @@ def squeeze_trace(spec: EnsembleSpec, mu: float) -> SqueezeTrace:
     return _trace(spec, mu, *_moments(spec, mu))
 
 
-def _golden(xi2, a: float, b: float) -> tuple[float, float, int]:
-    """Golden-section minimum of xi2 on [a, b] to GOLDEN_REL_TOL: (mu, xi2, evaluations)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = xi2(c), xi2(d)
-    evaluations = 2
-    while b - a > GOLDEN_REL_TOL * b:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = xi2(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = xi2(d)
+def _brent(xi2, a: float, b: float) -> tuple[float, float, int]:
+    """Brent's bounded minimum of xi2 on [a, b], 0 < a < b: (mu, xi2, evaluations).
+
+    The algorithm of scipy's fminbound: each step is the vertex of the
+    parabola through the three best points so far when it falls inside the
+    bracket and moves less than half the step before last, and a golden
+    section of the larger side otherwise.  It stops once the best point lies
+    within GOLDEN_REL_TOL of its own mu from both bracket ends.  An inf value
+    (a skipped mu) never enters a parabola: the step falls back to golden.
+    """
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    x = a + golden * (b - a)
+    fx = xi2(x)
+    w, fw, v, fv = x, fx, x, fx  # second and third best points
+    step = last = 0.0  # Brent's d and e: the latest step and the one before it
+    evaluations = 1
+    while True:
+        mid = 0.5 * (a + b)
+        tol = 0.5 * GOLDEN_REL_TOL * x
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx, evaluations
+        parabolic = False
+        if abs(last) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            last, prev = step, last
+            if abs(p) < abs(0.5 * q * prev) and q * (a - x) < p < q * (b - x):
+                step = p / q
+                if x + step - a < 2.0 * tol or b - x - step < 2.0 * tol:
+                    step = tol if mid >= x else -tol
+                parabolic = True
+        if not parabolic:
+            last = (a - x) if x >= mid else (b - x)
+            step = golden * last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = xi2(u)
         evaluations += 1
-    return (c, fc, evaluations) if fc <= fd else (d, fd, evaluations)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def find_limit(spec: EnsembleSpec) -> LimitResult:
-    """Minimize xi^2 over mu in (0, 2 pi]: a seeded log grid, then golden section.
+    """Minimize xi^2 over mu in (0, 2 pi]: a seeded log grid, then Brent's method.
 
     With c_l = J_l |zeta_l|^2 over the active blocks, the minimum sits near
     1.5 (c N)^(-2/3) for some c between the extremes, so the SEED_POINTS grid
@@ -313,8 +358,11 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     MU_MAX (the lower end then stays at least SEED_HI / SEED_LO below the
     cap).  Whenever the grid minimum lands on the upper edge, the edge is
     quadrupled, never past MU_MAX, and `expansions` counts these widenings.
-    The golden section then refines between the grid neighbours of the
-    minimum.  A search that never sees xi^2 < 1 reports status
+    Brent's method (`_brent`) then refines between the grid neighbours of
+    the minimum.  Every mu where the mean has fallen below XI2_MEAN_GUARD of
+    its coherent value reads xi^2 = inf: the float kernel reads anything
+    from 0 to the true value there, and Brent's parabolic steps would home in
+    on such a point.  A search that never sees xi^2 < 1 reports status
     "no_squeezing" instead of raising.
     """
     if spec.c_sum <= 0.0:
@@ -322,9 +370,12 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     c = [jl * w * spec.n for jl, _, w in spec.active_blocks]
     mu_hi = min(SEED_HI * min(c) ** (-2.0 / 3.0), MU_MAX)
     mu_lo = min(SEED_LO * max(c) ** (-2.0 / 3.0), mu_hi * SEED_LO / SEED_HI)
+    floor = XI2_MEAN_GUARD * css_expectation_perp(spec)
 
     def xi2(mu: float) -> float:
         mean, base, p, q = _moments(spec, mu)
+        if abs(mean) < floor:
+            return math.inf
         return _xi2(spec, mean, _extrema(base, p, q)[0])
 
     evaluations = expansions = 0
@@ -344,9 +395,9 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
 
     lo = float(grid[best - 1]) if best > 0 else float(grid[0]) * 1e-3
     hi = float(grid[best + 1]) if best < SEED_POINTS - 1 else float(grid[-1])
-    mu_min, xi2_min, golden = _golden(xi2, lo, hi)
+    mu_min, xi2_min, refined = _brent(xi2, lo, hi)
     status = "no_squeezing" if xi2_min >= 1.0 else "ok"
-    return LimitResult(xi2_min, mu_min, evaluations + golden, status, expansions)
+    return LimitResult(xi2_min, mu_min, evaluations + refined, status, expansions)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ import numpy as np
 
 from .classification import Su2Triple
 from .coherent_dynamics import (
+    XI2_MEAN_GUARD,
     CoherentSpec,
     EnsembleSpec,
     SqueezeTrace,
@@ -71,9 +72,6 @@ NORM_TOL = 1e-10
 # Coherent states kept per OracleWorkspace; a zeta sweep beyond this evicts
 # the least recently used spec instead of growing the workspace.
 COHERENT_CACHE_SIZE = 8
-# Share of its initial value the analytic mean must keep for xi^2 to be
-# compared; below it xi^2 is numerically unconditioned.
-XI2_MEAN_GUARD = 1e-4
 
 
 def _lex_compositions(total: int, slots: int) -> np.ndarray:

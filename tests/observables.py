@@ -5,7 +5,8 @@ of a class triple let the tests measure the same quantities on the exact
 oracle's states.  `type_iii_reference` is the paper's printed {1/2, 1/2}
 expression for xi^2, which the tests hold against the exact closed form.
 `sweep_limit_reference` is the limit search that `find_limit` replaced: a
-128-point sweep over six decades of mu, then the same golden section.
+128-point sweep over six decades of mu, then a golden section to the same
+GOLDEN_REL_TOL that `find_limit`'s Brent refinement uses.
 `su2_triple_reference` is the per-block construction that `build_su2_triple`
 replaced: each block's `spin_matrices`, scaled by f, added into zero matrices.
 `simple_root_ladders` picks the simple roots out of `compute_roots`.
