@@ -16,18 +16,18 @@ ensemble.  `_moments` is the one pass over those blocks: it returns the mean
 <O_1> and (base, P, Q) of the variance base + P (1 + cos 2 nu) - Q sin 2 nu,
 where base is the O_3 variance, which twisting conserves.  `_extrema` turns
 (base, P, Q) into the extremal variances and the minimizing angle; `_xi2`
-holds the squeezing parameter and its vanishing-mean guard.  `_trace`
-finishes a record from the mean and (base, P, Q), and `squeeze_trace` feeds
-it `_moments`; that is the one public per-mu entry point: the mean, the
-extremal variances, the minimizing angle and xi^2 are all fields of its
-record.  `find_limit` minimizes xi^2 over mu on a 24-point log grid seeded
-from the active blocks (the minimum sits near 1.5 (c N)^(-2/3), with
-c_l = J_l |zeta_l|^2), then by Brent's bounded method (parabolic steps,
-golden-section fallback), composing `_moments`, `_extrema` and `_xi2`
-directly rather than building a record per point; it skips every mu where
-the mean has collapsed below XI2_MEAN_GUARD of its coherent value.  The
-css_* functions give the untwisted coherent values, and the exact oracle
-finishes its measured moments with `_trace`.
+holds the squeezing parameter and the one rule for when it is defined, read
+by every caller: inf once the mean has collapsed to XI2_MEAN_GUARD of its
+coherent value.  `_trace` finishes a record from the mean and (base, P, Q),
+and `squeeze_trace` feeds it `_moments`; that is the one public per-mu entry
+point: the mean, the extremal variances, the minimizing angle and xi^2 are
+all fields of its record.  `find_limit` minimizes xi^2 over mu on a
+24-point log grid seeded from the active blocks (the minimum sits near
+1.5 (c N)^(-2/3), with c_l = J_l |zeta_l|^2), then by Brent's bounded
+method (parabolic steps, golden-section fallback), composing `_moments`,
+`_extrema` and `_xi2` directly rather than building a record per point.
+The css_* functions give the untwisted coherent values, and the exact
+oracle finishes its measured moments with `_trace`.
 
 The pass works in the log domain.  log|cos mu| and log|cos(mu/2)| are taken
 once per mu as log1p(-2 sin^2) of the half angle (of the cosine past
@@ -60,7 +60,7 @@ from .errors import (
     NotOatStart,
     VanishingMeanSpin,
 )
-from .lie_algebra import _exact_int, _particle_count
+from .lie_algebra import _exact_int, _particle_count, _real
 
 SEED_POINTS = 24  # log grid of the limit search
 SEED_LO, SEED_HI = 0.05, 20.0  # its ends, in units of (c N)^(-2/3)
@@ -69,9 +69,8 @@ MAX_EXPANSIONS = 8
 MU_MAX = 2.0 * math.pi  # xi^2 repeats every 4 pi and mirrors about 2 pi
 OAT_ANGLE_TOL = 1e-12
 WEIGHT_NORM_TOL = 1e-12  # |sum |zeta_l|^2 - 1| accepted as normalized
-# Share of its coherent value the mean must keep for xi^2 to count: below it
-# xi^2 is numerically unconditioned, so the limit search skips it and the
-# oracle comparison leaves it out.
+# Share of its coherent value the mean must keep for xi^2 to count: at or
+# below it xi^2 is numerically unconditioned, and `_xi2` reads it as inf.
 XI2_MEAN_GUARD = 1e-4
 
 
@@ -94,10 +93,7 @@ class CoherentSpec:
             raise InvalidInput(f"zeta must be a sequence of numbers, got {self.zeta!r}") from exc
         object.__setattr__(self, "zeta", z)
         for name in ("theta", "phi"):
-            try:
-                math.isfinite(getattr(self, name))
-            except (TypeError, OverflowError) as exc:
-                raise InvalidInput(f"{name} must be a real number, got {getattr(self, name)!r}") from exc
+            _real(getattr(self, name), name)
         if not (math.isfinite(self.theta) and math.isfinite(self.phi) and all(map(cmath.isfinite, z))):
             raise NonFiniteInput(
                 f"coherent-state parameters must be finite, got theta = {self.theta!r}, "
@@ -180,10 +176,11 @@ def css_fluctuation(spec: EnsembleSpec) -> float:
 
 
 def _check_oat(spec: EnsembleSpec, mu: float) -> None:
-    """Refuse a non-finite or negative mu and a start off theta = pi/2, phi = 0.
+    """Refuse a mu that is not a finite number >= 0, and a start off theta = pi/2, phi = 0.
 
     The closed forms assume that start; NaN slips past mu < 0, so finiteness comes first.
     """
+    mu = _real(mu, "mu")
     if not math.isfinite(mu):
         raise NonFiniteInput(f"mu must be finite, got {mu!r}")
     if mu < 0:
@@ -270,11 +267,16 @@ def _extrema(base: float, p: float, q: float) -> tuple[float, float, float]:
 
 
 def _xi2(spec: EnsembleSpec, mean: float, var_min: float) -> float:
-    """xi^2 = 2 N sum(J_l |zeta_l|^2) var_min / <O_perp>^2; inf where the mean vanishes.
+    """xi^2 = 2 N sum(J_l |zeta_l|^2) var_min / <O_perp>^2; inf where the mean has collapsed.
 
-    The mean counts as vanished below 1e-12 of its f N scale.
+    The one rule for when xi^2 is defined: the per-mu record, the limit
+    search, the oracle and the oracle comparison all read it.  A mean at or
+    below XI2_MEAN_GUARD of its coherent value counts as collapsed: there
+    xi^2 grows as 1 / <O_perp>^2 and the float kernel reads anything from 0
+    to the true value.  The bound is inclusive, so an ensemble with all its
+    weight on singlets (c_sum = 0) reads inf instead of dividing by zero.
     """
-    if abs(mean) < 1e-12 * spec.decomposition.f * spec.n:
+    if abs(mean) <= XI2_MEAN_GUARD * css_expectation_perp(spec):
         return math.inf
     return 2.0 * spec.n * spec.c_sum * var_min / (mean * mean)
 
@@ -286,7 +288,7 @@ def _trace(spec: EnsembleSpec, mu: float, mean: float, base: float, p: float, q:
 
 
 def squeeze_trace(spec: EnsembleSpec, mu: float) -> SqueezeTrace:
-    """Full transverse record at one mu; xi2 = inf where the mean vanishes."""
+    """Full transverse record at one mu; xi2 = inf where the mean has collapsed (see `_xi2`)."""
     return _trace(spec, mu, *_moments(spec, mu))
 
 
@@ -359,10 +361,9 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     cap).  Whenever the grid minimum lands on the upper edge, the edge is
     quadrupled, never past MU_MAX, and `expansions` counts these widenings.
     Brent's method (`_brent`) then refines between the grid neighbours of
-    the minimum.  Every mu where the mean has fallen below XI2_MEAN_GUARD of
-    its coherent value reads xi^2 = inf: the float kernel reads anything
-    from 0 to the true value there, and Brent's parabolic steps would home in
-    on such a point.  A search that never sees xi^2 < 1 reports status
+    the minimum.  Every mu where `_xi2` finds the mean collapsed reads
+    xi^2 = inf, so Brent's parabolic steps never home in on the float
+    noise there.  A search that never sees xi^2 < 1 reports status
     "no_squeezing" instead of raising.
     """
     if spec.c_sum <= 0.0:
@@ -370,12 +371,9 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     c = [jl * w * spec.n for jl, _, w in spec.active_blocks]
     mu_hi = min(SEED_HI * min(c) ** (-2.0 / 3.0), MU_MAX)
     mu_lo = min(SEED_LO * max(c) ** (-2.0 / 3.0), mu_hi * SEED_LO / SEED_HI)
-    floor = XI2_MEAN_GUARD * css_expectation_perp(spec)
 
     def xi2(mu: float) -> float:
         mean, base, p, q = _moments(spec, mu)
-        if abs(mean) < floor:
-            return math.inf
         return _xi2(spec, mean, _extrema(base, p, q)[0])
 
     evaluations = expansions = 0

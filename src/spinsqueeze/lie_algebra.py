@@ -51,6 +51,16 @@ def _exact_int(value, what: str) -> int:
     raise InvalidInput(f"{what} must be an integer, got {value!r}")
 
 
+def _real(value, what: str) -> float:
+    """`value` as a float; a string, None, a complex or other non-number is refused, a NaN is not."""
+    if type(value) is not float:  # a float, the common case, needs no check
+        try:
+            math.isfinite(value)  # takes what float() takes, strings aside
+        except (TypeError, OverflowError) as exc:
+            raise InvalidInput(f"{what} must be a real number, got {value!r}") from exc
+    return float(value)
+
+
 def _particle_count(n) -> int:
     """`n` as an exact int >= 1: the one refusal of a bad particle count N."""
     n = _exact_int(n, "particle count")

@@ -10,7 +10,7 @@ import numpy as np
 from .classification import IrrepDecomposition
 from .coherent_dynamics import LimitResult, find_limit, oat_spec
 from .errors import FitDiverged, InvalidInput, NonFiniteInput, VanishingMeanSpin
-from .lie_algebra import _particle_count
+from .lie_algebra import _particle_count, _real
 
 FIT_MAXFEV = 10_000  # model evaluations allowed to curve_fit before FitDiverged
 
@@ -57,7 +57,7 @@ class ScanRow:
 
 
 def _check_weight(zeta1_sq: float) -> None:
-    if not 0.0 <= zeta1_sq <= 1.0:  # also refuses NaN
+    if not 0.0 <= _real(zeta1_sq, "zeta1_sq") <= 1.0:  # also refuses NaN
         raise InvalidInput(f"zeta1_sq must lie in [0, 1], got {zeta1_sq!r}")
 
 

@@ -20,7 +20,6 @@ from spinsqueeze import (
     squeeze_trace,
 )
 from spinsqueeze.coherent_dynamics import GOLDEN_REL_TOL, _brent, _moments
-from spinsqueeze.exact_oracle import XI2_MEAN_GUARD
 from spinsqueeze.errors import (
     DimensionMismatch,
     InvalidInput,
@@ -308,8 +307,9 @@ def test_find_limit_stays_in_one_period_for_a_light_block():
 def test_find_limit_skips_a_collapsed_mean(twice_j, twice_subspins, zeta):
     """N = 2, all weight on one J_l = 1/2 block: xi^2 -> 1/2 as mu -> pi, where the mean vanishes.
 
-    Within 1e-6 of pi the float kernel reads anything from 0 to 1/2; the
-    search skips every mu whose mean is below XI2_MEAN_GUARD of its start.
+    Within 1e-6 of pi the float kernel reads anything from 0 to 1/2; `_xi2`
+    reads inf at every mu whose mean is at or below XI2_MEAN_GUARD of its
+    start, so the search never lands there.
     """
     res = find_limit(oat_spec(IrrepDecomposition(SpinQuantum(twice_j), twice_subspins), 2, zeta))
     assert res.status == "ok"
@@ -337,6 +337,11 @@ def test_find_limit_requires_active_weight():
         find_limit(oat_spec(DEC_IV, 100, (0, 1, 0)))
 
 
+def test_xi2_is_inf_with_all_weight_on_a_singlet():
+    """c_sum = 0: the mean and its guard are both 0, and the inclusive bound reads inf."""
+    assert squeeze_trace(oat_spec(DEC_II, 5, (0, 1)), 0.3).xi2 == math.inf
+
+
 def _random_spec(rng, classes, n_lo, n_hi, zero_prob=0.0):
     """oat_spec of a random class, N log-uniform in [n_lo, n_hi] and Dirichlet weights.
 
@@ -360,15 +365,13 @@ def test_find_limit_matches_the_sweep_it_replaced():
     Both searches stop on the kernel's rounding once the bracket is
     narrow, so xi^2 agrees to 1e-9 up to N = 1e8 and to 3e-9 above, where
     each evaluation carries about 5e-10 of noise (the worst pair measured
-    over 12 000 draws read 3.8e-10 and 1.4e-9).  Draws whose minimum sits
-    where the mean has fallen below XI2_MEAN_GUARD of its start (N = 2 with
-    one J_l = 1/2 block: xi^2 -> 1/2 as mu -> pi, and the float kernel reads
-    anything from 0 to 1/2 there) have no comparable value and are only
-    held to the status and period checks.
+    over 12 000 draws read 3.8e-10 and 1.4e-9).  Both read xi^2 through
+    `_xi2`, so neither minimum sits at a collapsed mean, and every draw is
+    compared.
     """
     classes = [d for tj in range(1, 10) for d in enumerate_classes(SpinQuantum(tj))]
     rng = np.random.default_rng(2024)
-    evaluations, collapsed = [], 0
+    evaluations = []
     while len(evaluations) < 1000:
         spec = _random_spec(rng, classes, 2, 1e9, zero_prob=0.3)
         if spec is None:
@@ -380,15 +383,11 @@ def test_find_limit_matches_the_sweep_it_replaced():
             assert new.xi2_min == math.inf, spec
             continue
         assert 0.0 < new.mu_min <= 2 * math.pi, spec
-        start = css_expectation_perp(spec)
-        if min(abs(squeeze_trace(spec, r.mu_min).perp_expectation) for r in (new, ref)) < XI2_MEAN_GUARD * start:
-            collapsed += 1
-            continue
+        assert all(math.isfinite(squeeze_trace(spec, r.mu_min).xi2) for r in (new, ref)), (spec, new, ref)
         tol = 1e-9 if spec.n <= 10**8 else 3e-9
         assert abs(new.xi2_min - ref.xi2_min) <= tol * ref.xi2_min, (spec, new, ref)
         assert new.xi2_min <= ref.xi2_min * (1.0 + tol), (spec, new, ref)
     assert np.median(evaluations) <= 40  # 24 seed points and about 9 Brent steps
-    assert collapsed <= 10
 
 
 def test_find_limit_never_widens_in_the_benchmark_range():

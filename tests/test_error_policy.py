@@ -17,10 +17,13 @@ from spinsqueeze import (
     asymptotic_limit_r1,
     build_basis,
     build_su2_triple,
+    canonical_subset,
     cli,
+    compare_with_oracle,
     errors,
     n_scan,
     oat_spec,
+    squeeze_trace,
     structure_factor,
 )
 
@@ -100,6 +103,27 @@ def test_counts_and_indices_must_be_integers(call, bad):
     """A float is never truncated or interpolated, and a bool is not a count."""
     with pytest.raises(errors.InvalidInput, match="must be an integer"):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, 0.5j])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: squeeze_trace(oat_spec(PAIR, 10, (0.6, 0.8)), v),
+        lambda v: _workspace().squeezing(oat_spec(PAIR, 4, (0.6, 0.8)).coherent, v),
+        lambda v: compare_with_oracle(_workspace(), oat_spec(PAIR, 4, (0.6, 0.8)).coherent, [0.1, v]),
+        lambda v: n_scan(PAIR, v, [10]),
+    ],
+    ids=["squeeze_trace", "oracle_squeezing", "compare_with_oracle", "n_scan_weight"],
+)
+def test_mu_and_weights_must_be_real_numbers(call, bad):
+    """A string is not parsed, and None or a complex is not a time or a weight."""
+    with pytest.raises(errors.InvalidInput, match="must be a real number"):
+        call(bad)
+
+
+def _workspace():
+    return OracleWorkspace(build_su2_triple(canonical_subset(PAIR)), 4)
 
 
 def test_numpy_integers_are_counts():

@@ -32,7 +32,7 @@ from spinsqueeze import (
     squeeze_trace,
     variance,
 )
-from spinsqueeze.coherent_dynamics import EnsembleSpec
+from spinsqueeze.coherent_dynamics import XI2_MEAN_GUARD, EnsembleSpec
 from spinsqueeze.errors import (
     DimensionMismatch,
     InvalidInput,
@@ -41,7 +41,7 @@ from spinsqueeze.errors import (
     NotOatStart,
     SizeLimit,
 )
-from spinsqueeze.exact_oracle import XI2_MEAN_GUARD, sector_twist_diagonal
+from spinsqueeze.exact_oracle import sector_twist_diagonal
 from spinsqueeze.lie_algebra import HermitianOperator
 
 from observables import oat_transverse_observable, perp_observable, transverse_observable, twisted
@@ -461,6 +461,23 @@ def test_vanishing_mean_guard_is_shared():
     assert OracleWorkspace(triple, 6).squeezing(spec.coherent, math.pi).xi2 == math.inf
 
 
+def test_every_caller_reads_inf_near_a_collapsed_mean():
+    """N = 2, all weight on one J_l = 1/2 block: the mean falls to ~1e-8 of its start near mu = pi.
+
+    The float kernel reads xi^2 anywhere from 0 to 1/2 there (0.488, 0.533
+    and 0.0 at these points, and the oracle 0.488, 0.355 and 0.0), so the
+    per-mu record, the oracle and the comparison all read inf.
+    """
+    triple = build_su2_triple(canonical_subset(IrrepDecomposition(SpinQuantum(2), (1, 0))))
+    spec = oat_spec(triple.decomposition, 2, (1, 0))
+    ws = OracleWorkspace(triple, 2)
+    mus = [math.pi - 1e-7, math.pi - 5e-8, math.pi - 1e-8]
+    for mu in mus:
+        assert squeeze_trace(spec, mu).xi2 == math.inf, mu
+        assert ws.squeezing(spec.coherent, mu).xi2 == math.inf, mu
+    assert compare_with_oracle(ws, spec.coherent, mus).guarded == 3
+
+
 class _StandIn:
     """Workspace stand-in: the analytic trace with chosen fields replaced."""
 
@@ -539,9 +556,9 @@ def test_oracle_refuses_a_non_finite_mu(mu):
 def test_compare_with_oracle_skips_xi2_at_collapsed_mean():
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
     spec = oat_spec(triple.decomposition, 6, (1.0,))
-    collapsed = 2.0 * math.acos(0.4)  # mean 9 * 0.4^17: under the guard, xi^2 finite
+    collapsed = 2.0 * math.acos(0.4)  # mean 9 * 0.4^17: under the guard, so xi^2 reads inf
     assert 0.0 < squeeze_trace(spec, collapsed).perp_expectation < XI2_MEAN_GUARD * css_expectation_perp(spec)
-    assert math.isfinite(squeeze_trace(spec, collapsed).xi2)
+    assert squeeze_trace(spec, collapsed).xi2 == math.inf
     shifted = _StandIn(spec, xi2=lambda t: t.xi2 + 0.5)
     at_collapse, kept = (compare_with_oracle(shifted, spec.coherent, [mu]) for mu in (collapsed, 0.1))
     assert (at_collapse.xi2, at_collapse.worst, at_collapse.guarded) == (0.0, 0.0, 1)

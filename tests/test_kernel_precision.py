@@ -14,11 +14,13 @@ import pytest
 from spinsqueeze import (
     IrrepDecomposition,
     SpinQuantum,
+    css_expectation_perp,
     find_limit,
     oat_spec,
     squeeze_trace,
 )
 from spinsqueeze.cli import main
+from spinsqueeze.coherent_dynamics import XI2_MEAN_GUARD
 
 from observables import mp
 
@@ -79,8 +81,8 @@ def assert_kernel_matches(spec, mu, bound):
         errors["mean"] = rel(trace.perp_expectation, mean)
     if math.isfinite(trace.xi2):
         errors["xi2"] = rel(trace.xi2, xi2)
-    else:  # the kernel's vanishing-mean guard
-        assert abs(mean) < 1e-12 * spec.decomposition.f * spec.n
+    else:  # the one collapsed-mean rule, held against the 60-digit mean
+        assert abs(mean) <= XI2_MEAN_GUARD * css_expectation_perp(spec)
     assert max(errors.values()) <= bound, errors
 
 
