@@ -11,17 +11,19 @@ minimized analytically over the quadrature angle nu, measured in the
 O_2-O_3 plane via O_nu = O_2 cos(nu) - O_3 sin(nu).
 
 Each formula has one home.  `EnsembleSpec` derives the active blocks
-(J_l > 0 and |zeta_l|^2 > 0) and c_sum = sum_l J_l |zeta_l|^2 once per
-ensemble.  `_moments` is the one pass over those blocks: it returns the mean
-<O_1> and (base, P, Q) of the variance base + P (1 + cos 2 nu) - Q sin 2 nu,
-where base is the O_3 variance, which twisting conserves.  `_extrema` turns
-(base, P, Q) into the extremal variances and the minimizing angle; `_xi2`
-holds the squeezing parameter and the one rule for when it is defined, read
-by every caller: inf once the mean has collapsed to XI2_MEAN_GUARD of its
-coherent value.  `_trace` finishes a record from the mean and (base, P, Q),
-and `squeeze_trace` feeds it `_moments`; that is the one public per-mu entry
-point: the mean, the extremal variances, the minimizing angle and xi^2 are
-all fields of its record.  `find_limit` minimizes xi^2 over mu on a
+(J_l > 0 and |zeta_l|^2 > 0), c_sum = sum_l J_l |zeta_l|^2 and each active
+block's kernel constants (its integer exponents, the parity of 2 J_l and its
+three coefficients) once per ensemble.  `_moments` is the one pass over those
+blocks: it returns the mean <O_1> and (base, P, Q) of the variance
+base + P (1 + cos 2 nu) - Q sin 2 nu, where base is the O_3 variance, which
+twisting conserves.  `_extrema` turns (base, P, Q) into the extremal
+variances and the minimizing angle; `_xi2` holds the squeezing parameter and
+the one rule for when it is defined, read by every caller: inf once the mean
+has collapsed to XI2_MEAN_GUARD of its coherent value.  `_trace` finishes a
+record from the mean and (base, P, Q), and `squeeze_trace` feeds it
+`_moments`; that is the one public per-mu entry point: the mean, the
+extremal variances, the minimizing angle and xi^2 are all fields of its
+record.  `find_limit` minimizes xi^2 over mu on a
 24-point log grid seeded from the active blocks (the minimum sits near
 1.5 (c N)^(-2/3), with c_l = J_l |zeta_l|^2), then by Brent's bounded
 method (parabolic steps, golden-section fallback), composing `_moments`,
@@ -29,13 +31,22 @@ method (parabolic steps, golden-section fallback), composing `_moments`,
 The css_* functions give the untwisted coherent values, and the exact
 oracle finishes its measured moments with `_trace`.
 
-The pass works in the log domain.  log|cos mu| and log|cos(mu/2)| are taken
-once per mu as log1p(-2 sin^2) of the half angle (of the cosine past
-|cos| = 0), and each subspace's two shrink factors 1 - w (1 - cos^(2 J_l))
-once as log1p; all exponents are integers, so a negative base is exact by
-parity.  Every power is an exp of a sum of logs, every 1 - power an -expm1,
-and var_min = base - Q^2 / (P + sqrt(P^2 + Q^2)) with P >= 0, so no step
+`_moments` checks nothing.  `squeeze_trace` refuses a mu that is not a
+finite number >= 0 and a start off theta = pi/2, phi = 0 at every call;
+`find_limit` refuses such a start once, before its first evaluation, and
+every mu it makes is finite and >= 0 by construction.
+
+The pass works in the log domain, as one flat loop with no helper call per
+block.  log|cos mu| and log|cos(mu/2)| are taken once per mu as
+log1p(-2 sin^2) of the half angle (of the cosine past |cos| = 0), and each
+subspace's two shrink factors 1 - w (1 - cos^(2 J_l)) once as log1p; all
+exponents are integers, so a negative base is exact by parity.  Every power
+is an exp of a sum of logs, every 1 - power an -expm1, and
+var_min = base - Q^2 / (P + sqrt(P^2 + Q^2)) with P >= 0, so no step
 cancels except that final subtraction, which is xi^2's own conditioning.
+The loop makes the same float operations in the same order as the
+per-helper kernel it replaced (kept as tests/observables.py's
+`moments_reference`), so it returns the same floats.
 Against a 60-digit evaluation of the same formulas, the relative error of
 xi^2 around the limit is at most 7e-13 at N = 1e5, 6e-11 at N = 1e7 and
 5e-10 at N = 1e9 (tests/test_kernel_precision.py); the kernel stays scalar
@@ -120,6 +131,10 @@ class EnsembleSpec:
     # with spin and weight, and c_sum = sum_l J_l |zeta_l|^2 over them
     active_blocks: tuple[tuple[float, int, float], ...] = field(init=False, repr=False, compare=False)
     c_sum: float = field(init=False, repr=False, compare=False)
+    # derived once: what `_moments` reads of each active block, with w_l = |zeta_l|^2:
+    # (2 J_l, w_l, its exponents 2 J_l - 1, 4 J_l - 2 and 2 J_l - 2, whether 2 J_l is
+    # odd, and the coefficients J_l w_l, J_l w_l * J_l (N - 1) w_l, J_l w_l * (J_l - 1/2))
+    kernel_blocks: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _particle_count(self.n))
@@ -127,13 +142,18 @@ class EnsembleSpec:
             raise DimensionMismatch(
                 f"{len(self.coherent.zeta)} weights for r = {self.decomposition.r} subspaces"
             )
-        blocks = tuple(
-            (twice / 2.0, twice, w)
-            for twice, w in zip(self.decomposition.twice_subspins, self.coherent.weights)
-            if twice > 0 and w > 0.0
-        )
-        object.__setattr__(self, "active_blocks", blocks)
+        blocks, kernel_blocks = [], []
+        for tj, w in zip(self.decomposition.twice_subspins, self.coherent.weights):
+            if tj > 0 and w > 0.0:
+                jl = tj / 2.0
+                jw = jl * w
+                blocks.append((jl, tj, w))
+                kernel_blocks.append(
+                    (tj, w, tj - 1, 2 * tj - 2, tj - 2, tj % 2 == 1, jw, jw * (jl * (self.n - 1) * w), jw * (jl - 0.5))
+                )
+        object.__setattr__(self, "active_blocks", tuple(blocks))
         object.__setattr__(self, "c_sum", sum(jl * w for jl, _, w in blocks))
+        object.__setattr__(self, "kernel_blocks", tuple(kernel_blocks))
 
 
 def oat_spec(decomposition: IrrepDecomposition, n: int, zeta) -> EnsembleSpec:
@@ -175,53 +195,34 @@ def css_fluctuation(spec: EnsembleSpec) -> float:
     return 0.5 * f * f * spec.n * spec.c_sum
 
 
-def _check_oat(spec: EnsembleSpec, mu: float) -> None:
-    """Refuse a mu that is not a finite number >= 0, and a start off theta = pi/2, phi = 0.
+def _check_start(spec: EnsembleSpec) -> None:
+    """Refuse a start off theta = pi/2, phi = 0, which the twisting closed forms assume."""
+    c = spec.coherent
+    if abs(c.theta - math.pi / 2) > OAT_ANGLE_TOL or abs(c.phi) > OAT_ANGLE_TOL:
+        raise NotOatStart(f"closed forms need theta = pi/2, phi = 0, got {c.theta!r}, {c.phi!r}")
 
-    The closed forms assume that start; NaN slips past mu < 0, so finiteness comes first.
+
+def _check_oat(spec: EnsembleSpec, mu: float) -> None:
+    """Refuse a mu that is not a finite number >= 0, then a start off theta = pi/2, phi = 0.
+
+    NaN slips past mu < 0, so finiteness comes first.
     """
     mu = _real(mu, "mu")
     if not math.isfinite(mu):
         raise NonFiniteInput(f"mu must be finite, got {mu!r}")
     if mu < 0:
         raise InvalidInput(f"mu must be >= 0, got {mu!r}")
-    c = spec.coherent
-    if abs(c.theta - math.pi / 2) > OAT_ANGLE_TOL or abs(c.phi) > OAT_ANGLE_TOL:
-        raise NotOatStart(f"closed forms need theta = pi/2, phi = 0, got {c.theta!r}, {c.phi!r}")
-
-
-def _log1m(v: float) -> tuple[float, bool]:
-    """(log|1 - v|, 1 - v < 0); log1p keeps the digits of a small v."""
-    if v < 1.0:
-        return math.log1p(-v), False
-    return (math.log(v - 1.0) if v > 1.0 else -math.inf), True
+    _check_start(spec)
 
 
 def _log_cos(x: float) -> tuple[float, bool]:
     """(log|cos x|, cos x < 0) as log1p(-2 sin^2(x/2)), or log1p(-2 cos^2(x/2)) once cos x < 0."""
     s, c = math.sin(0.5 * x), math.cos(0.5 * x)
-    if abs(s) <= abs(c):
-        return _log1m(2.0 * s * s)
-    return _log1m(2.0 * c * c)[0], True
-
-
-def _pow(lx: float, nx: bool, k: int, ly: float = 0.0, ny: bool = False, m: int = 0) -> tuple[float, bool]:
-    """x^k y^m as (log|.|, sign < 0) from (log|x|, x < 0) and (log|y|, y < 0).
-
-    Exponents below 1 count as 0, so 0 * log 0 never makes a NaN; negative
-    ones only occur where the coefficient vanishes (N = 1 or J_l = 1/2).
-    """
-    log = (k * lx if k > 0 else 0.0) + (m * ly if m > 0 else 0.0)
-    return log, (nx and k % 2 == 1) != (ny and m % 2 == 1)
-
-
-def _value(log: float, neg: bool) -> float:
-    return -math.exp(log) if neg else math.exp(log)
-
-
-def _one_minus(log: float, neg: bool) -> float:
-    """1 - value, as -expm1(log) where the value is positive."""
-    return 1.0 + math.exp(log) if neg else -math.expm1(log)
+    small = abs(s) <= abs(c)
+    v = 2.0 * s * s if small else 2.0 * c * c
+    if v < 1.0:
+        return math.log1p(-v), not small
+    return (math.log(v - 1.0) if v > 1.0 else -math.inf), True
 
 
 def _moments(spec: EnsembleSpec, mu: float) -> tuple[float, float, float, float]:
@@ -229,27 +230,48 @@ def _moments(spec: EnsembleSpec, mu: float) -> tuple[float, float, float, float]
 
     mean is <O_1>(mu).  The variance of O_2 cos(nu) - O_3 sin(nu) is
     base + P (1 + cos 2 nu) - Q sin 2 nu, where base = f^2 N c_sum / 2 is the
-    O_3 variance, which twisting conserves, and P >= 0.  Every power is
-    an exponentiated log and every 1 - power an expm1, so nothing cancels.
+    O_3 variance, which twisting conserves, and P >= 0.  Every power
+    x^k y^m is exp(k log|x| + m log|y|), its sign the parity of the negative
+    bases' exponents, and every 1 - power an expm1, so nothing cancels.  An
+    exponent below 1 counts as 0, so 0 * log 0 never makes a NaN; a negative
+    one only occurs where its coefficient vanishes (N = 1 or J_l = 1/2).
+    mu is not checked here: `squeeze_trace` checks it, and the limit search
+    makes only finite mu >= 0.
     """
-    _check_oat(spec, mu)
-    n = spec.n
+    n1, n2 = spec.n - 1, spec.n - 2
+    odd1, odd2 = n1 % 2 == 1, n2 % 2 == 1
     lc, nc = _log_cos(mu)
     lh, nh = _log_cos(0.5 * mu)
     mean = p = q = 0.0
-    for jl, tj, w in spec.active_blocks:
-        # shrink factors 1 - w (1 - cos^(2 J_l) x) at x = mu and mu / 2
-        ls, ns = _log1m(w * _one_minus(*_pow(lc, nc, tj)))
-        lsh, nsh = _log1m(w * _one_minus(*_pow(lh, nh, tj)))
-        jw, pair, single = jl * w, jl * (n - 1) * w, jl - 0.5  # pair and single-particle terms
-        mean += jw * _value(*_pow(lh, nh, tj - 1, lsh, nsh, n - 1))
-        p += jw * pair * _one_minus(*_pow(lc, nc, 2 * tj - 2, ls, ns, n - 2))
-        p += jw * single * _one_minus(*_pow(lc, nc, tj - 2, ls, ns, n - 1))
-        q += jw * pair * _value(*_pow(lh, nh, 2 * tj - 2, lsh, nsh, n - 2))
-        q += jw * single * _value(*_pow(lh, nh, tj - 2, lsh, nsh, n - 1))
+    for tj, w, k1, k2, k3, odd, jw, jw_pair, jw_single in spec.kernel_blocks:
+        # shrink factors s = 1 - w (1 - cos^(2 J_l) x) at x = mu and mu / 2, as (log|s|, s < 0)
+        v = w * (1.0 + math.exp(tj * lc) if nc and odd else -math.expm1(tj * lc))
+        if v < 1.0:
+            ls, ns = math.log1p(-v), False
+        else:
+            ls, ns = (math.log(v - 1.0) if v > 1.0 else -math.inf), True
+        v = w * (1.0 + math.exp(tj * lh) if nh and odd else -math.expm1(tj * lh))
+        if v < 1.0:
+            lsh, nsh = math.log1p(-v), False
+        else:
+            lsh, nsh = (math.log(v - 1.0) if v > 1.0 else -math.inf), True
+        # cos^k(x) s^m(x) for the mean and for the pair and single-particle terms of P
+        # (x = mu) and Q (x = mu / 2); k1 = 2 J_l - 1 is odd where 2 J_l is even,
+        # k2 = 4 J_l - 2 is even and k3 = 2 J_l - 2 is odd where 2 J_l is odd
+        lsh1 = n1 * lsh if n1 > 0 else 0.0
+        x = (k1 * lh if k1 > 0 else 0.0) + lsh1
+        mean += jw * (-math.exp(x) if (nh and not odd) != (nsh and odd1) else math.exp(x))
+        x = (k2 * lc if k2 > 0 else 0.0) + (n2 * ls if n2 > 0 else 0.0)
+        p += jw_pair * (1.0 + math.exp(x) if ns and odd2 else -math.expm1(x))
+        x = (k3 * lc if k3 > 0 else 0.0) + (n1 * ls if n1 > 0 else 0.0)
+        p += jw_single * (1.0 + math.exp(x) if (nc and odd) != (ns and odd1) else -math.expm1(x))
+        x = (k2 * lh if k2 > 0 else 0.0) + (n2 * lsh if n2 > 0 else 0.0)
+        q += jw_pair * (-math.exp(x) if nsh and odd2 else math.exp(x))
+        x = (k3 * lh if k3 > 0 else 0.0) + lsh1
+        q += jw_single * (-math.exp(x) if (nh and odd) != (nsh and odd1) else math.exp(x))
     f = spec.decomposition.f
-    pref = 0.5 * f * f * n
-    return f * n * mean, pref * spec.c_sum, 0.5 * pref * p, 2.0 * math.sin(0.5 * mu) * pref * q
+    pref = 0.5 * f * f * spec.n
+    return f * spec.n * mean, pref * spec.c_sum, 0.5 * pref * p, 2.0 * math.sin(0.5 * mu) * pref * q
 
 
 def _extrema(base: float, p: float, q: float) -> tuple[float, float, float]:
@@ -289,6 +311,7 @@ def _trace(spec: EnsembleSpec, mu: float, mean: float, base: float, p: float, q:
 
 def squeeze_trace(spec: EnsembleSpec, mu: float) -> SqueezeTrace:
     """Full transverse record at one mu; xi2 = inf where the mean has collapsed (see `_xi2`)."""
+    _check_oat(spec, mu)
     return _trace(spec, mu, *_moments(spec, mu))
 
 
@@ -368,6 +391,7 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     """
     if spec.c_sum <= 0.0:
         raise VanishingMeanSpin("no weight on nontrivial subspaces")
+    _check_start(spec)  # every mu below is finite and >= 0 by construction
     c = [jl * w * spec.n for jl, _, w in spec.active_blocks]
     mu_hi = min(SEED_HI * min(c) ** (-2.0 / 3.0), MU_MAX)
     mu_lo = min(SEED_LO * max(c) ** (-2.0 / 3.0), mu_hi * SEED_LO / SEED_HI)
@@ -378,8 +402,8 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
 
     evaluations = expansions = 0
     while True:
-        grid = np.geomspace(mu_lo, mu_hi, SEED_POINTS)
-        values = [xi2(float(m)) for m in grid]
+        grid = np.geomspace(mu_lo, mu_hi, SEED_POINTS).tolist()
+        values = [xi2(m) for m in grid]
         evaluations += SEED_POINTS
         best = int(np.argmin(values))
         on_edge = best == SEED_POINTS - 1 and math.isfinite(values[best]) and mu_hi < MU_MAX
@@ -391,8 +415,8 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     if not math.isfinite(values[best]):
         return LimitResult(math.inf, math.nan, evaluations, "no_squeezing", expansions)
 
-    lo = float(grid[best - 1]) if best > 0 else float(grid[0]) * 1e-3
-    hi = float(grid[best + 1]) if best < SEED_POINTS - 1 else float(grid[-1])
+    lo = grid[best - 1] if best > 0 else grid[0] * 1e-3
+    hi = grid[best + 1] if best < SEED_POINTS - 1 else grid[-1]
     mu_min, xi2_min, refined = _brent(xi2, lo, hi)
     status = "no_squeezing" if xi2_min >= 1.0 else "ok"
     return LimitResult(xi2_min, mu_min, evaluations + refined, status, expansions)

@@ -54,7 +54,7 @@ from .errors import (
     NotDiagonal,
     SizeLimit,
 )
-from .lie_algebra import HermitianOperator, SpinQuantum, _off_diagonal, _particle_count, _real
+from .lie_algebra import HermitianOperator, SpinQuantum, _off_diagonal, _particle_count, _real, _sequence
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -366,7 +366,7 @@ class OracleComparison:
 def compare_with_oracle(workspace: OracleWorkspace, coherent: CoherentSpec, mus) -> OracleComparison:
     """Closed form at the workspace's N and class against its oracle; an empty grid is refused."""
     spec = EnsembleSpec(workspace.n, workspace.triple.decomposition, coherent)
-    mus = [_real(mu, "mu") for mu in mus]
+    mus = [_real(mu, "mu") for mu in _sequence(mus, "the mu grid")]
     if not mus:
         raise InvalidInput("the mu grid is empty")
     pairs = tuple((squeeze_trace(spec, mu), workspace.squeezing(coherent, mu)) for mu in mus)

@@ -61,6 +61,14 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _sequence(values, what: str) -> tuple:
+    """`values` as a tuple; a number or other non-iterable is refused."""
+    try:
+        return tuple(values)
+    except TypeError as exc:
+        raise InvalidInput(f"{what} must be a sequence, got {values!r}") from exc
+
+
 def _particle_count(n) -> int:
     """`n` as an exact int >= 1: the one refusal of a bad particle count N."""
     n = _exact_int(n, "particle count")

@@ -10,7 +10,7 @@ import numpy as np
 from .classification import IrrepDecomposition
 from .coherent_dynamics import LimitResult, find_limit, oat_spec
 from .errors import FitDiverged, InvalidInput, NonFiniteInput, VanishingMeanSpin
-from .lie_algebra import _particle_count, _real
+from .lie_algebra import _particle_count, _real, _sequence
 
 FIT_MAXFEV = 10_000  # model evaluations allowed to curve_fit before FitDiverged
 
@@ -31,8 +31,8 @@ class ScanConfig:
         try:
             if isinstance(self.zeta1_sq_grid, (str, bytes)):  # iterates to characters, not numbers
                 raise TypeError(f"got {self.zeta1_sq_grid!r}")
-            grid = tuple(float(w) for w in self.zeta1_sq_grid)
-        except (TypeError, ValueError) as exc:
+            grid = tuple(_real(w, "zeta1_sq") for w in self.zeta1_sq_grid)
+        except (TypeError, InvalidInput) as exc:
             raise InvalidInput(f"the weight grid must be a sequence of numbers: {exc}") from exc
         object.__setattr__(self, "zeta1_sq_grid", grid)
         if self.decomposition.r < 2:
@@ -91,7 +91,7 @@ def n_scan(
 ) -> list[tuple[int, float, float, str]]:
     """Squeezing limit versus particle number at a fixed weight split."""
     _check_weight(zeta1_sq)
-    ns = [_particle_count(n) for n in n_values]
+    ns = [_particle_count(n) for n in _sequence(n_values, "n_values")]
     if not ns:
         raise InvalidInput("no particle numbers to scan")
     rows = []

@@ -7,6 +7,8 @@ expression for xi^2, which the tests hold against the exact closed form.
 `sweep_limit_reference` is the limit search that `find_limit` replaced: a
 128-point sweep over six decades of mu, then a golden section to the same
 GOLDEN_REL_TOL that `find_limit`'s Brent refinement uses.
+`moments_reference` is the `_moments` that the flat pass replaced, one helper
+call per log, power and 1 - power; the kernel must return the same floats.
 `su2_triple_reference` is the per-block construction that `build_su2_triple`
 replaced: each block's `spin_matrices`, scaled by f, added into zero matrices.
 `simple_root_ladders` picks the simple roots out of `compute_roots`.
@@ -109,6 +111,62 @@ def type_iii_reference(spec, mu):
         lead = 1 - (1 - 2 * w * sh * sh) ** (n - 2)
         delta += lead - mp.sqrt(lead**2 + (4 * w * sh * (1 - 2 * w * sq4) ** (n - 2)) ** 2)
     return (1 + (n - 1) * delta / 4) / denom
+
+
+def _log1m(v: float) -> tuple[float, bool]:
+    """(log|1 - v|, 1 - v < 0); log1p keeps the digits of a small v."""
+    if v < 1.0:
+        return math.log1p(-v), False
+    return (math.log(v - 1.0) if v > 1.0 else -math.inf), True
+
+
+def _log_cos(x: float) -> tuple[float, bool]:
+    """(log|cos x|, cos x < 0) as log1p(-2 sin^2(x/2)), or log1p(-2 cos^2(x/2)) once cos x < 0."""
+    s, c = math.sin(0.5 * x), math.cos(0.5 * x)
+    if abs(s) <= abs(c):
+        return _log1m(2.0 * s * s)
+    return _log1m(2.0 * c * c)[0], True
+
+
+def _pow(lx: float, nx: bool, k: int, ly: float = 0.0, ny: bool = False, m: int = 0) -> tuple[float, bool]:
+    """x^k y^m as (log|.|, sign < 0) from (log|x|, x < 0) and (log|y|, y < 0); exponents below 1 count as 0."""
+    log = (k * lx if k > 0 else 0.0) + (m * ly if m > 0 else 0.0)
+    return log, (nx and k % 2 == 1) != (ny and m % 2 == 1)
+
+
+def _value(log: float, neg: bool) -> float:
+    return -math.exp(log) if neg else math.exp(log)
+
+
+def _one_minus(log: float, neg: bool) -> float:
+    """1 - value, as -expm1(log) where the value is positive."""
+    return 1.0 + math.exp(log) if neg else -math.expm1(log)
+
+
+def moments_reference(spec, mu: float) -> tuple[float, float, float, float]:
+    """(mean, base, P, Q) of the twisted state, one helper call per power, for a checked mu.
+
+    The same floating-point operations in the same order as `_moments`:
+    the shrink factors 1 - w (1 - cos^(2 J_l) x) at x = mu and mu / 2 as
+    logs, then each power exp(k log|x| + m log|y|) with the sign of its
+    negative bases' odd exponents.
+    """
+    n = spec.n
+    lc, nc = _log_cos(mu)
+    lh, nh = _log_cos(0.5 * mu)
+    mean = p = q = 0.0
+    for jl, tj, w in spec.active_blocks:
+        ls, ns = _log1m(w * _one_minus(*_pow(lc, nc, tj)))
+        lsh, nsh = _log1m(w * _one_minus(*_pow(lh, nh, tj)))
+        jw, pair, single = jl * w, jl * (n - 1) * w, jl - 0.5
+        mean += jw * _value(*_pow(lh, nh, tj - 1, lsh, nsh, n - 1))
+        p += jw * pair * _one_minus(*_pow(lc, nc, 2 * tj - 2, ls, ns, n - 2))
+        p += jw * single * _one_minus(*_pow(lc, nc, tj - 2, ls, ns, n - 1))
+        q += jw * pair * _value(*_pow(lh, nh, 2 * tj - 2, lsh, nsh, n - 2))
+        q += jw * single * _value(*_pow(lh, nh, tj - 2, lsh, nsh, n - 1))
+    f = spec.decomposition.f
+    pref = 0.5 * f * f * n
+    return f * n * mean, pref * spec.c_sum, 0.5 * pref * p, 2.0 * math.sin(0.5 * mu) * pref * q
 
 
 def sweep_limit_reference(spec) -> LimitResult:

@@ -19,16 +19,18 @@ from spinsqueeze import (
     oat_spec,
     squeeze_trace,
 )
+from spinsqueeze import coherent_dynamics
 from spinsqueeze.coherent_dynamics import GOLDEN_REL_TOL, _brent, _moments
 from spinsqueeze.errors import (
     DimensionMismatch,
     InvalidInput,
     NonFiniteInput,
     NormalizationError,
+    NotOatStart,
     VanishingMeanSpin,
 )
 
-from observables import sweep_limit_reference, type_iii_reference
+from observables import moments_reference, sweep_limit_reference, type_iii_reference
 
 J32 = SpinQuantum(3)
 DEC_I = IrrepDecomposition(J32, (3,))
@@ -78,11 +80,15 @@ def test_ensemble_derives_its_active_blocks_once():
     # 2J_l = 1 has no weight and 2J_l = 0 no spin, so one block is active
     w = spec.coherent.weights[0]
     assert spec.active_blocks == ((1.0, 2, w),) and spec.c_sum == w
+    assert spec.kernel_blocks == ((2, w, 1, 2, 0, False, w, w * (999999 * w), w * 0.5),)
+    assert "kernel_blocks" not in repr(spec)
     fewer = dataclasses.replace(spec, n=7)
     assert fewer.n == 7 and fewer.active_blocks == spec.active_blocks and fewer != spec
+    assert fewer.kernel_blocks == ((2, w, 1, 2, 0, False, w, w * (6 * w), w * 0.5),)
     moved = dataclasses.replace(spec, coherent=CoherentSpec(math.pi / 2, 0.0, (0.0, 0.6, 0.8)))
     w = moved.coherent.weights[1]
     assert moved.active_blocks == ((0.5, 1, w),) and moved.c_sum == 0.5 * w
+    assert moved.kernel_blocks == ((1, w, 0, 0, -1, True, 0.5 * w, 0.5 * w * (0.5 * 999999 * w), 0.0),)
 
     rng = np.random.default_rng(3)
     for twice_j in (3, 5, 7):
@@ -142,6 +148,45 @@ def test_squeeze_trace_rejects_non_finite_mu(mu):
 def test_squeeze_trace_rejects_negative_mu():
     with pytest.raises(InvalidInput, match="got -0.5"):
         squeeze_trace(oat_spec(DEC_I, 10, (1,)), -0.5)
+
+
+def test_find_limit_refuses_an_off_axis_start_before_evaluating(monkeypatch):
+    """The limit search checks the start once; the mu it makes need no check."""
+    calls = []
+    monkeypatch.setattr(coherent_dynamics, "_moments", lambda spec, mu: calls.append(mu))
+    for theta, phi in ((math.pi / 2 + 1e-9, 0.0), (math.pi / 2, -1e-9), (0.3, 0.5)):
+        spec = EnsembleSpec(100, DEC_III, CoherentSpec(theta, phi, (0.6, 0.8)))
+        with pytest.raises(NotOatStart, match="theta = pi/2, phi = 0"):
+            find_limit(spec)
+    assert calls == []
+
+
+def test_moments_equal_the_per_helper_reference():
+    """The flat pass returns the very floats of the per-helper kernel it replaced, signed zeros too.
+
+    2J <= 9, N in {1, 2, 3} or log-uniform to 1e9, weights with zeroed blocks;
+    mu at 0, pi, 2 pi and 3 pi, on both sides of each sign change of cos(mu)
+    and cos(mu / 2) up to 4 pi, and random in [0, 4 pi] and near the limit.
+    """
+    classes = [d for tj in range(1, 10) for d in enumerate_classes(SpinQuantum(tj))]
+    flips = [k * math.pi / 2 for k in (1, 2, 3, 5, 6, 7)]  # zeros of cos(mu) and of cos(mu / 2)
+    sides = [y for z in flips for y in (math.nextafter(z, 0.0), math.nextafter(z, 4 * math.pi), z * (1 - 1e-9),
+                                         z * (1 + 1e-9))]
+    rng = np.random.default_rng(11)
+    draws = 0
+    while draws < 400:
+        n = draws % 4 + 1  # a quarter of the draws each at N = 1, 2 and 3
+        spec = _random_spec(rng, classes, *((n, n) if n < 4 else (1, 1e9)), zero_prob=0.3)
+        if spec is None:
+            continue
+        draws += 1
+        limit = 1.5 * (spec.c_sum * spec.n) ** (-2.0 / 3.0)
+        mus = [0.0, math.pi, 2 * math.pi, 3 * math.pi, *sides, *rng.uniform(0.0, 4 * math.pi, 4),
+               *(limit * rng.uniform(0.1, 10.0, 4))]
+        for mu in mus:
+            got, want = _moments(spec, mu), moments_reference(spec, mu)
+            assert got == want, (spec, mu, got, want)
+            assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want], (spec, mu)
 
 
 def test_css_expectation_values():

@@ -511,6 +511,12 @@ def test_compare_with_oracle_refuses_an_empty_grid():
         compare_with_oracle(_StandIn(spec), spec.coherent, np.linspace(0.0, 1.0, 0))
 
 
+def test_compare_with_oracle_refuses_a_mu_where_the_grid_belongs():
+    spec = oat_spec(IrrepDecomposition(J32, (1, 1)), 4, (0.6, 0.8))
+    with pytest.raises(InvalidInput, match="^the mu grid must be a sequence, got 0.5$"):
+        compare_with_oracle(_StandIn(spec), spec.coherent, 0.5)
+
+
 def test_oracle_refuses_weights_of_another_class():
     """N and the class come from the workspace; a weight count off its r is refused, not zipped."""
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))  # {1/2, 1/2}, r = 2

@@ -45,6 +45,20 @@ def test_scan_config_rejects_non_numeric_grid(grid):
         ScanConfig(DEC_III, 100, grid)
 
 
+def test_scan_config_reads_each_grid_entry_as_a_real_number():
+    """A numeric string is refused in the grid, as n_scan refuses it as the weight."""
+    with pytest.raises(InvalidInput, match="zeta1_sq must be a real number, got '0.5'"):
+        ScanConfig(DEC_III, 10, ("0.5", "0.7"))
+    with pytest.raises(InvalidInput, match="zeta1_sq must be a real number, got '0.5'"):
+        n_scan(DEC_III, "0.5", [10])
+    assert ScanConfig(DEC_III, 10, (np.float64(0.25), 1)).zeta1_sq_grid == (0.25, 1.0)
+
+
+def test_n_scan_refuses_a_count_where_the_counts_belong():
+    with pytest.raises(InvalidInput, match="^n_values must be a sequence, got 10$"):
+        n_scan(DEC_III, 0.5, 10)
+
+
 def test_scan_config_rejects_empty_grid():
     with pytest.raises(ValueError):
         ScanConfig(DEC_III, 100, ())
