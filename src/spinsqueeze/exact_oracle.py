@@ -30,9 +30,10 @@ All of it is array code; no Python loop runs over basis states.
   A point costs two sparse matrix-vector products, each over half the
   nonzeros of one collective O1, and every moment is an inner product of
   the ladder images.  The twisting phases come from a table of the distinct
-  twist values.  Coherent states are cached per `CoherentSpec`, at most
-  COHERENT_CACHE_SIZE of them per workspace (least recently used evicted),
-  because twisting only multiplies the cached state by a diagonal phase.
+  twist values.  Coherent states, each with its `EnsembleSpec`, are cached
+  per `CoherentSpec`, at most COHERENT_CACHE_SIZE of them per workspace
+  (least recently used evicted), because twisting only multiplies the
+  cached state by a diagonal phase.
 """
 
 from __future__ import annotations
@@ -282,8 +283,9 @@ class OracleWorkspace:
     Lambda3 as the vector occ @ diag(O3), and tabulates the distinct values
     of the twisting diagonal.  A (zeta, mu) point then costs one exp per
     distinct twist value and two sparse matrix-vector products, each over
-    half the nonzeros of O1.  The coherent state of each spec is built once
-    and kept until COHERENT_CACHE_SIZE other specs have been used after it.
+    half the nonzeros of O1.  The coherent state of each spec, and the
+    ensemble `_trace` reads, are built once and kept until
+    COHERENT_CACHE_SIZE other specs have been used after it.
     """
 
     def __init__(self, triple: Su2Triple, n: int):
@@ -296,24 +298,34 @@ class OracleWorkspace:
         self._minus = self._plus.conj().T
         self._lam3 = self.basis.float_states @ np.real(np.diagonal(triple.o3.matrix))
         self._f = triple.decomposition.f
-        self._coherent: dict[CoherentSpec, SymmetricState] = {}
+        self._coherent: dict[CoherentSpec, tuple[SymmetricState, EnsembleSpec]] = {}
 
-    def coherent(self, coherent_spec: CoherentSpec) -> SymmetricState:
-        state = self._coherent.pop(coherent_spec, None)
-        if state is None:
-            state = coherent_state(self.triple, self.basis, coherent_spec)
+    def _cached(self, coherent_spec: CoherentSpec) -> tuple[SymmetricState, EnsembleSpec]:
+        """The spec's coherent state and ensemble, each built once while the spec stays cached."""
+        entry = self._coherent.pop(coherent_spec, None)
+        if entry is None:
+            ensemble = EnsembleSpec(self.n, self.triple.decomposition, coherent_spec)
+            entry = (coherent_state(self.triple, self.basis, coherent_spec), ensemble)
             if len(self._coherent) >= COHERENT_CACHE_SIZE:
                 del self._coherent[next(iter(self._coherent))]
-        self._coherent[coherent_spec] = state  # most recently used last
-        return state
+        self._coherent[coherent_spec] = entry  # most recently used last
+        return entry
 
-    def _twisted_amplitudes(self, coherent_spec: CoherentSpec, mu: float) -> np.ndarray:
-        """Coherent amplitudes twisted to mu; any finite mu, negative included, is valid."""
+    def coherent(self, coherent_spec: CoherentSpec) -> SymmetricState:
+        return self._cached(coherent_spec)[0]
+
+    def _twisted_amplitudes(self, coherent_spec: CoherentSpec, mu: float) -> tuple[np.ndarray, EnsembleSpec]:
+        """Coherent amplitudes twisted to mu, with the spec's ensemble.
+
+        Any finite mu, negative included, is valid; mu is checked before the
+        coherent state is looked up or built.
+        """
         mu = _real(mu, "mu")
         if not math.isfinite(mu):
             raise NonFiniteInput(f"mu must be finite, got {mu!r}")
         phases = np.exp(-1j * mu / (2.0 * self._f * self._f) * self._twist_values)
-        return self.coherent(coherent_spec).amplitudes * phases.take(self._twist_index)
+        state, ensemble = self._cached(coherent_spec)
+        return state.amplitudes * phases.take(self._twist_index), ensemble
 
     def squeezing(self, coherent_spec: CoherentSpec, mu: float) -> SqueezeTrace:
         """Transverse moments of the twisted state, minimized over nu exactly.
@@ -327,7 +339,7 @@ class OracleWorkspace:
         <Lambda+> = <O1> + i <O2>, O2 psi = (u - d) / 2i, and for Hermitian
         A and B, <{A, B}>/2 = Re <A psi | B psi>.
         """
-        amps = self._twisted_amplitudes(coherent_spec, mu)
+        amps, spec = self._twisted_amplitudes(coherent_spec, mu)
         u = self._plus @ amps
         d = self._minus @ amps
         w3 = self._lam3 * amps
@@ -337,7 +349,6 @@ class OracleWorkspace:
         v22 = float(np.real(np.vdot(u, u) + np.vdot(d, d) - 2.0 * np.vdot(u, d))) / 4.0 - mean2 * mean2
         v33 = float(np.real(np.vdot(w3, w3))) - mean3 * mean3
         c23 = -float(np.imag(np.vdot(u, w3) - np.vdot(d, w3))) / 2.0 - mean2 * mean3
-        spec = EnsembleSpec(self.n, self.triple.decomposition, coherent_spec)
         return _trace(spec, mu, mean1, v33, 0.5 * (v22 - v33), c23)
 
 

@@ -65,7 +65,7 @@ def simple_root_ladders(basis) -> list[np.ndarray]:
 
 def twisted(ws, coherent, mu: float) -> SymmetricState:
     """The workspace's coherent state twisted to mu; a non-finite mu is refused."""
-    return SymmetricState(ws.basis, ws._twisted_amplitudes(coherent, mu))
+    return SymmetricState(ws.basis, ws._twisted_amplitudes(coherent, mu)[0])
 
 
 def perp_observable(triple: Su2Triple, theta: float, phi: float) -> HermitianOperator:

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spinsqueeze import IrrepDecomposition, ScanConfig, SpinQuantum, zeta_scan
 from spinsqueeze.cli import main
 
 
@@ -458,6 +459,16 @@ def test_zeta_scan_cli_and_config(tmp_path, capsys):
     assert lines[0] == "zeta1_sq,xi2_min,mu_min,status"
     assert len(lines) == 4
     assert [float(l.split(",")[0]) for l in lines[1:]] == [0.3, 0.5, 0.7]
+    # the weight-scan CSV, written to a file, with the undefined row at zeta_1^2 = 0
+    target = tmp_path / "scan.csv"
+    argv = ("--j", "3/2", "--class", "1+0", "--n", "1000", "--grid-points", "5", "--no-banner")
+    assert run_cli(capsys, "zeta-scan", *argv, "-o", str(target)) == (0, "", "")
+    dec = IrrepDecomposition(SpinQuantum(3), (2, 0))
+    rows = zeta_scan(ScanConfig(dec, 1000, tuple(np.linspace(0.0, 1.0, 5))))
+    assert rows[0].status == "undefined" and math.isnan(rows[0].xi2_min)
+    assert target.read_text().splitlines() == ["zeta1_sq,xi2_min,mu_min,status"] + [
+        f"{r.zeta1_sq:.17g},{r.xi2_min:.17g},{r.mu_min:.17g},{r.status}" for r in rows
+    ]
 
 
 def test_zeta_scan_empty_config_grid_is_usage_error(tmp_path, capsys):

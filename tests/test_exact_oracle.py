@@ -366,19 +366,26 @@ def test_analytic_equals_oracle_spot_checks():
 def test_coherent_state_built_once_per_spec_and_cache_bounded(monkeypatch):
     from spinsqueeze import exact_oracle
 
-    built = []
+    built, ensembles = [], []
 
     def counting(triple, basis, coherent):
         built.append(coherent)
         return coherent_state(triple, basis, coherent)
 
+    def counting_ensemble(n, decomposition, coherent):
+        ensembles.append(coherent)
+        return EnsembleSpec(n, decomposition, coherent)
+
     monkeypatch.setattr(exact_oracle, "coherent_state", counting)
+    monkeypatch.setattr(exact_oracle, "EnsembleSpec", counting_ensemble)
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
     ws = OracleWorkspace(triple, 4)
     specs = [CoherentSpec(math.pi / 2, 0.0, (math.cos(t), math.sin(t))) for t in np.linspace(0.1, 1.4, 9)]
     for mu in (0.0, 0.3, 0.9):
         ws.squeezing(specs[0], mu)
     assert built == [specs[0]]
+    # two ensembles per cache miss: coherent_state's weight-count check and the cache entry
+    assert ensembles == [specs[0]] * 2
     assert twisted(ws, specs[0], 0.3).amplitudes.shape == (ws.basis.size,)
     assert len(built) == 1
     size = exact_oracle.COHERENT_CACHE_SIZE
@@ -390,6 +397,7 @@ def test_coherent_state_built_once_per_spec_and_cache_bounded(monkeypatch):
     assert len(built) == size + 1
     ws.squeezing(specs[0], 0.5)
     assert len(built) == size + 2
+    assert len(ensembles) == 2 * len(built)  # none for a cached spec
 
 
 def assert_oracle_agrees(workspace, zeta, mus):
