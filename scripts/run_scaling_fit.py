@@ -7,7 +7,9 @@ Generates xi2_min(N) and mu_min(N) for (a) the irreducible spin-3/2 class
 correction), then fits both datasets and prints the parameters.
 
 A refused argument (say, fewer than 4 points to fit, or an --n-lo that
-rounds to no particles) prints `error: <message>` to stderr and exits 1.
+rounds to no particles) prints `error: <message>` to stderr and exits 1;
+the CSVs are written only after both scans and all three fits succeed, so
+a refused run writes none.
 """
 
 import argparse
@@ -34,25 +36,28 @@ def write_csv(path: Path, rows) -> None:
 
 
 def scan_and_fit(args) -> None:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Scan both classes and fit all three laws, then write the two CSVs.
+
+    Nothing is written until every fit has passed, so a refused run leaves
+    no partial dataset behind.
+    """
     ns = np.round(np.geomspace(args.n_lo, args.n_hi, args.points)).astype(int)
     j32 = SpinQuantum(3)
 
     # irreducible class: pure power law
-    dec_full = IrrepDecomposition(j32, (3,))
-    rows = n_scan(dec_full, 1.0, ns)
-    write_csv(outdir / "irreducible.csv", rows)
-    fit = fit_power_law([(n, xi) for n, xi, _, _ in rows], model="power")
-    print(f"irreducible: xi2_min ~ {fit.param('a')[0]:.4f} N^-{fit.param('p')[0]:.4f}")
+    full = n_scan(IrrepDecomposition(j32, (3,)), 1.0, ns)
+    fit = fit_power_law([(n, xi) for n, xi, _, _ in full], model="power")
 
     # half-spin pair at the scan maximum: saturating law
-    dec_pair = IrrepDecomposition(j32, (1, 1))
-    weight = 1 - math.pi / 4
-    rows = n_scan(dec_pair, weight, ns)
-    write_csv(outdir / "pair_at_maximum.csv", rows)
-    fx = fit_power_law([(n, xi) for n, xi, _, _ in rows], model="offset-power")
-    fm = fit_power_law([(n, mu) for n, _, mu, _ in rows], model="power")
+    pair = n_scan(IrrepDecomposition(j32, (1, 1)), 1 - math.pi / 4, ns)
+    fx = fit_power_law([(n, xi) for n, xi, _, _ in pair], model="offset-power")
+    fm = fit_power_law([(n, mu) for n, _, mu, _ in pair], model="power")
+
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_csv(outdir / "irreducible.csv", full)
+    write_csv(outdir / "pair_at_maximum.csv", pair)
+    print(f"irreducible: xi2_min ~ {fit.param('a')[0]:.4f} N^-{fit.param('p')[0]:.4f}")
     c, a, p, b = fx.values
     print(
         f"pair @ |zeta1|^2=1-pi/4: xi2_min ~ {c:.4f} + {a:.3f} N^-{p:.3f} + {b:.2f}/N; "

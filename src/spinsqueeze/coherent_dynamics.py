@@ -11,15 +11,17 @@ minimized analytically over the quadrature angle nu, measured in the
 O_2-O_3 plane via O_nu = O_2 cos(nu) - O_3 sin(nu).
 
 Each formula has one home.  `EnsembleSpec` derives the active blocks
-(J_l > 0 and |zeta_l|^2 > 0), c_sum = sum_l J_l |zeta_l|^2 and each active
+(J_l > 0 and |zeta_l|^2 > 0), c_sum = sum_l J_l |zeta_l|^2, the
+collapsed-mean bound `mean_guard` = XI2_MEAN_GUARD f N c_sum and each active
 block's kernel constants (its integer exponents, the parity of 2 J_l and its
 three coefficients) once per ensemble.  `_moments` is the one pass over those
 blocks: it returns the mean <O_1> and (base, P, Q) of the variance
 base + P (1 + cos 2 nu) - Q sin 2 nu, where base is the O_3 variance, which
-twisting conserves.  `_extrema` turns (base, P, Q) into the extremal
-variances and the minimizing angle; `_xi2` holds the squeezing parameter and
-the one rule for when it is defined, read by every caller: inf once the mean
-has collapsed to XI2_MEAN_GUARD of its coherent value.  `_trace` finishes a
+twisting conserves.  `_var_min` turns (base, P, Q) into the minimal
+variance, and `_extrema` adds the maximal one and the minimizing angle;
+`_xi2` holds the squeezing parameter and the one rule for when it is
+defined, read by every caller: inf once the mean has collapsed to
+`mean_guard`, XI2_MEAN_GUARD of its coherent value.  `_trace` finishes a
 record from the mean and (base, P, Q), and `squeeze_trace` feeds it
 `_moments`; that is the one public per-mu entry point: the mean, the
 extremal variances, the minimizing angle and xi^2 are all fields of its
@@ -27,7 +29,9 @@ record.  `find_limit` minimizes xi^2 over mu on a
 24-point log grid seeded from the active blocks (the minimum sits near
 1.5 (c N)^(-2/3), with c_l = J_l |zeta_l|^2), then by Brent's bounded
 method (parabolic steps, golden-section fallback), composing `_moments`,
-`_extrema` and `_xi2` directly rather than building a record per point.
+`_var_min` and `_xi2` directly rather than building a record per point:
+each point computes var_min alone, and the grid and its minimum are plain
+`math` and builtins, since numpy's fixed cost per call outweighs 24 points.
 The css_* functions give the untwisted coherent values, and the exact
 oracle finishes its measured moments with `_trace`.
 
@@ -59,8 +63,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .classification import IrrepDecomposition
 from .errors import (
@@ -128,9 +130,11 @@ class EnsembleSpec:
     decomposition: IrrepDecomposition
     coherent: CoherentSpec
     # derived once: (J_l, 2 J_l, |zeta_l|^2), in subspin order, of the subspaces
-    # with spin and weight, and c_sum = sum_l J_l |zeta_l|^2 over them
+    # with spin and weight, c_sum = sum_l J_l |zeta_l|^2 over them, and the
+    # collapsed-mean bound XI2_MEAN_GUARD * f N c_sum that `_xi2` reads
     active_blocks: tuple[tuple[float, int, float], ...] = field(init=False, repr=False, compare=False)
     c_sum: float = field(init=False, repr=False, compare=False)
+    mean_guard: float = field(init=False, repr=False, compare=False)
     # derived once: what `_moments` reads of each active block, with w_l = |zeta_l|^2:
     # (2 J_l, w_l, its exponents 2 J_l - 1, 4 J_l - 2 and 2 J_l - 2, whether 2 J_l is
     # odd, and the coefficients J_l w_l, J_l w_l * J_l (N - 1) w_l, J_l w_l * (J_l - 1/2))
@@ -151,8 +155,10 @@ class EnsembleSpec:
                 kernel_blocks.append(
                     (tj, w, tj - 1, 2 * tj - 2, tj - 2, tj % 2 == 1, jw, jw * (jl * (self.n - 1) * w), jw * (jl - 0.5))
                 )
+        c_sum = sum(jl * w for jl, _, w in blocks)
         object.__setattr__(self, "active_blocks", tuple(blocks))
-        object.__setattr__(self, "c_sum", sum(jl * w for jl, _, w in blocks))
+        object.__setattr__(self, "c_sum", c_sum)
+        object.__setattr__(self, "mean_guard", XI2_MEAN_GUARD * (self.decomposition.f * self.n * c_sum))
         object.__setattr__(self, "kernel_blocks", tuple(kernel_blocks))
 
 
@@ -274,18 +280,27 @@ def _moments(spec: EnsembleSpec, mu: float) -> tuple[float, float, float, float]
     return f * spec.n * mean, pref * spec.c_sum, 0.5 * pref * p, 2.0 * math.sin(0.5 * mu) * pref * q
 
 
+def _var_min(base: float, p: float, q: float) -> float:
+    """Minimum over nu of base + P (1 + cos 2 nu) - Q sin 2 nu: base + P - sqrt(P^2 + Q^2).
+
+    For P > 0 it is written base - Q^2 / (P + sqrt(P^2 + Q^2)), where nothing
+    cancels but the final subtraction.
+    """
+    if p > 0.0:
+        return base - q * q / (p + math.hypot(p, q))
+    return base + p - math.hypot(p, q)
+
+
 def _extrema(base: float, p: float, q: float) -> tuple[float, float, float]:
     """(var_min, var_max, nu_min) of base + P (1 + cos 2 nu) - Q sin 2 nu over nu.
 
-    The extrema are base + P -+ sqrt(P^2 + Q^2).  For P > 0 the minimum is
-    written base - Q^2 / (P + sqrt(P^2 + Q^2)), where nothing cancels but the
-    final subtraction.  It sits at nu = atan2(Q, -P) / 2, reported in [0, pi);
-    when P = Q = 0 (isotropic, e.g. mu = 0) the returned angle is an arbitrary 0.
+    The extrema are base + P -+ sqrt(P^2 + Q^2), the minimum from `_var_min`.
+    It sits at nu = atan2(Q, -P) / 2, reported in [0, pi); when P = Q = 0
+    (isotropic, e.g. mu = 0) the returned angle is an arbitrary 0.
     """
     amp = math.hypot(p, q)
     nu_min = 0.0 if amp == 0.0 else (0.5 * math.atan2(q, -p)) % math.pi
-    var_min = base - q * q / (p + amp) if p > 0.0 else base + p - amp
-    return var_min, base + p + amp, nu_min
+    return _var_min(base, p, q), base + p + amp, nu_min
 
 
 def _xi2(spec: EnsembleSpec, mean: float, var_min: float) -> float:
@@ -295,10 +310,11 @@ def _xi2(spec: EnsembleSpec, mean: float, var_min: float) -> float:
     search, the oracle and the oracle comparison all read it.  A mean at or
     below XI2_MEAN_GUARD of its coherent value counts as collapsed: there
     xi^2 grows as 1 / <O_perp>^2 and the float kernel reads anything from 0
-    to the true value.  The bound is inclusive, so an ensemble with all its
-    weight on singlets (c_sum = 0) reads inf instead of dividing by zero.
+    to the true value.  The bound, `EnsembleSpec.mean_guard`, is inclusive,
+    so an ensemble with all its weight on singlets (c_sum = 0) reads inf
+    instead of dividing by zero.
     """
-    if abs(mean) <= XI2_MEAN_GUARD * css_expectation_perp(spec):
+    if abs(mean) <= spec.mean_guard:
         return math.inf
     return 2.0 * spec.n * spec.c_sum * var_min / (mean * mean)
 
@@ -381,8 +397,9 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     1.5 (c N)^(-2/3) for some c between the extremes, so the SEED_POINTS grid
     spans [SEED_LO (c_max N)^(-2/3), SEED_HI (c_min N)^(-2/3)], capped at
     MU_MAX (the lower end then stays at least SEED_HI / SEED_LO below the
-    cap).  Whenever the grid minimum lands on the upper edge, the edge is
-    quadrupled, never past MU_MAX, and `expansions` counts these widenings.
+    cap); its points are mu_lo exp(k step), with both ends exact.  Whenever
+    the grid minimum lands on the upper edge, the edge is quadrupled, never
+    past MU_MAX, and `expansions` counts these widenings.
     Brent's method (`_brent`) then refines between the grid neighbours of
     the minimum.  Every mu where `_xi2` finds the mean collapsed reads
     xi^2 = inf, so Brent's parabolic steps never home in on the float
@@ -398,14 +415,15 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
 
     def xi2(mu: float) -> float:
         mean, base, p, q = _moments(spec, mu)
-        return _xi2(spec, mean, _extrema(base, p, q)[0])
+        return _xi2(spec, mean, _var_min(base, p, q))
 
     evaluations = expansions = 0
     while True:
-        grid = np.geomspace(mu_lo, mu_hi, SEED_POINTS).tolist()
+        step = math.log(mu_hi / mu_lo) / (SEED_POINTS - 1)
+        grid = [mu_lo * math.exp(k * step) for k in range(SEED_POINTS - 1)] + [mu_hi]
         values = [xi2(m) for m in grid]
         evaluations += SEED_POINTS
-        best = int(np.argmin(values))
+        best = min(range(SEED_POINTS), key=values.__getitem__)  # the first index on ties
         on_edge = best == SEED_POINTS - 1 and math.isfinite(values[best]) and mu_hi < MU_MAX
         if not on_edge or expansions == MAX_EXPANSIONS:
             break

@@ -20,7 +20,7 @@ from spinsqueeze import (
     squeeze_trace,
 )
 from spinsqueeze import coherent_dynamics
-from spinsqueeze.coherent_dynamics import GOLDEN_REL_TOL, _brent, _moments
+from spinsqueeze.coherent_dynamics import GOLDEN_REL_TOL, XI2_MEAN_GUARD, _brent, _moments, _xi2
 from spinsqueeze.errors import (
     DimensionMismatch,
     InvalidInput,
@@ -358,7 +358,7 @@ def test_find_limit_skips_a_collapsed_mean(twice_j, twice_subspins, zeta):
     """
     res = find_limit(oat_spec(IrrepDecomposition(SpinQuantum(twice_j), twice_subspins), 2, zeta))
     assert res.status == "ok"
-    assert abs(res.xi2_min - 0.5) <= 1e-7, res
+    assert abs(res.xi2_min - 0.5) <= 1e-8, res
 
 
 @pytest.mark.parametrize(
@@ -385,6 +385,27 @@ def test_find_limit_requires_active_weight():
 def test_xi2_is_inf_with_all_weight_on_a_singlet():
     """c_sum = 0: the mean and its guard are both 0, and the inclusive bound reads inf."""
     assert squeeze_trace(oat_spec(DEC_II, 5, (0, 1)), 0.3).xi2 == math.inf
+
+
+def test_mean_guard_is_the_share_of_the_coherent_mean():
+    """`EnsembleSpec.mean_guard` is XI2_MEAN_GUARD of the coherent mean, to the last bit."""
+    classes = [d for tj in range(1, 10) for d in enumerate_classes(SpinQuantum(tj))]
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        spec = _random_spec(rng, classes, 1, 1e9, zero_prob=0.3)
+        if spec is not None:
+            assert spec.mean_guard == XI2_MEAN_GUARD * css_expectation_perp(spec), spec
+    assert oat_spec(DEC_II, 5, (0, 1)).mean_guard == 0.0
+
+
+def test_xi2_reads_inf_at_the_inclusive_bound():
+    spec = oat_spec(DEC_III, 10, (0.6, 0.8))
+    guard = spec.mean_guard
+    assert guard > 0.0
+    for mean in (guard, -guard, 0.5 * guard, 0.0):
+        assert _xi2(spec, mean, 1.0) == math.inf
+    above = math.nextafter(guard, math.inf)
+    assert math.isfinite(_xi2(spec, above, 1.0)) and math.isfinite(_xi2(spec, -above, 1.0))
 
 
 def _random_spec(rng, classes, n_lo, n_hi, zero_prob=0.0):
@@ -429,6 +450,8 @@ def test_find_limit_matches_the_sweep_it_replaced():
             continue
         assert 0.0 < new.mu_min <= 2 * math.pi, spec
         assert all(math.isfinite(squeeze_trace(spec, r.mu_min).xi2) for r in (new, ref)), (spec, new, ref)
+        # the search and the per-mu record read xi^2 through one formula
+        assert squeeze_trace(spec, new.mu_min).xi2 == new.xi2_min, (spec, new)
         tol = 1e-9 if spec.n <= 10**8 else 3e-9
         assert abs(new.xi2_min - ref.xi2_min) <= tol * ref.xi2_min, (spec, new, ref)
         assert new.xi2_min <= ref.xi2_min * (1.0 + tol), (spec, new, ref)

@@ -40,3 +40,5 @@ def test_scaling_fit_reports_a_refused_argument(tmp_path, capsys, argv, message)
     out, err = capsys.readouterr()
     assert err == f"error: {message}\n"
     assert "pair @" not in out
+    assert not list(tmp_path.rglob("*.csv"))  # nothing is written before every fit passes
+
