@@ -14,6 +14,11 @@ codes: 0 success; 1 refused input (an argparse error, InvalidInput from the
 library or from parsing, an unreadable file); 2 numerical status (no
 squeezing found, oracle discrepancy, any other library error such as a fit
 divergence or an oversized basis).
+
+The argument parser is built once per process, on the first `main` call
+rather than at import, and reused by every later call; parsing leaves it
+unchanged.  `main` runs a command through the module function
+`_cmd_<command>` (with "-" read as "_"), looked up when it is called.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -348,7 +354,9 @@ def _cmd_oracle_check(args) -> int:
     return 0 if comparison.worst <= ORACLE_CHECK_TOL else 2  # NaN <= tol is False
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and the same object after it."""
     parser = argparse.ArgumentParser(
         prog="spinsqueeze",
         description="Classify collective spin/multipole squeezing and compute twisting dynamics.",
@@ -356,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spinsqueeze {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help, spin=True, ensemble=False, table=False):
+    def add(name, help, spin=True, ensemble=False, table=False):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
         p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
         if spin:
             p.add_argument("--j", required=True, help='spin as "p/q", e.g. 3/2')
@@ -374,21 +381,21 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-banner", action="store_true", help="omit the CSV version banner")
         return p
 
-    add("generators", _cmd_generators, "emit the generator basis as JSON")
-    add("roots", _cmd_roots, "emit the root system as JSON")
-    p = add("classify", _cmd_classify, "enumerate unitary equivalence classes")
+    add("generators", "emit the generator basis as JSON")
+    add("roots", "emit the root system as JSON")
+    p = add("classify", "enumerate unitary equivalence classes")
     p.add_argument("--emit-matrices", action="store_true", help="include the triple matrices")
-    add("coherent", _cmd_coherent, "coherent-state expectations for one class", ensemble=True)
+    add("coherent", "coherent-state expectations for one class", ensemble=True)
 
-    p = add("oat-sweep", _cmd_oat_sweep, "twisting dynamics over a mu grid (CSV)",
+    p = add("oat-sweep", "twisting dynamics over a mu grid (CSV)",
             ensemble=True, table=True)
     p.add_argument("--mu-min", type=float, default=0.0)
     p.add_argument("--mu-max", type=float, required=True)
     p.add_argument("--mu-points", type=int, default=101)
 
-    add("limits", _cmd_limits, "squeezing limit over mu (JSON)", ensemble=True)
+    add("limits", "squeezing limit over mu (JSON)", ensemble=True)
 
-    p = add("zeta-scan", _cmd_zeta_scan, "squeezing limit along the weight grid (CSV)",
+    p = add("zeta-scan", "squeezing limit along the weight grid (CSV)",
             spin=False, table=True)
     p.add_argument("--j", help='spin as "p/q", e.g. 3/2')
     p.add_argument("--class", dest="cls", default=None)
@@ -396,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-points", type=int, default=None, help="points on [0, 1] (default 101)")
     p.add_argument("--config", default=None, help="JSON config file")
 
-    p = add("fit", _cmd_fit, "power-law fit of a scan CSV (JSON out)", spin=False)
+    p = add("fit", "power-law fit of a scan CSV (JSON out)", spin=False)
     p.add_argument("--input", required=True, help="CSV with a header row")
     p.add_argument("--model", choices=["power", "offset-power"], default="power")
     p.add_argument("--x-col", default="n")
     p.add_argument("--y-col", default="xi2_min")
 
-    p = add("oracle-check", _cmd_oracle_check, "analytic vs exact-simulation comparison (CSV)",
+    p = add("oracle-check", "analytic vs exact-simulation comparison (CSV)",
             ensemble=True, table=True)
     p.add_argument("--mu-points", type=int, default=50)
     p.add_argument("--mu-max", type=float, default=math.pi)
@@ -417,7 +424,7 @@ def main(argv=None) -> int:
         # argparse uses 2 for usage errors; remap to the documented code 1
         return 0 if exc.code in (0, None) else 1
     try:
-        code = args.func(args)
+        code = globals()[f"_cmd_{args.command.replace('-', '_')}"](args)
     except (InvalidInput, OSError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -32,6 +32,9 @@ method (parabolic steps, golden-section fallback), composing `_moments`,
 `_var_min` and `_xi2` directly rather than building a record per point:
 each point computes var_min alone, and the grid and its minimum are plain
 `math` and builtins, since numpy's fixed cost per call outweighs 24 points.
+The scans in scan_fit call the same search through `_find_limit` with the
+previous row's mu_min as a seed: Brent's method alone on a bracket around
+it, with the grid search as the fallback.
 The css_* functions give the untwisted coherent values, and the exact
 oracle finishes its measured moments with `_trace`.
 
@@ -79,6 +82,8 @@ SEED_POINTS = 24  # log grid of the limit search
 SEED_LO, SEED_HI = 0.05, 20.0  # its ends, in units of (c N)^(-2/3)
 GOLDEN_REL_TOL = 1e-6  # relative precision in mu of the refined limit
 MAX_EXPANSIONS = 8
+_WARM_SPAN = 1.5  # a seeded search brackets [seed / _WARM_SPAN, _WARM_SPAN seed]
+_WARM_EDGE = 0.01  # share of that bracket at each end where a minimum sends it back to the grid
 MU_MAX = 2.0 * math.pi  # xi^2 repeats every 4 pi and mirrors about 2 pi
 OAT_ANGLE_TOL = 1e-12
 WEIGHT_NORM_TOL = 1e-12  # |sum |zeta_l|^2 - 1| accepted as normalized
@@ -406,18 +411,39 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     noise there.  A search that never sees xi^2 < 1 reports status
     "no_squeezing" instead of raising.
     """
+    return _find_limit(spec, None)
+
+
+def _find_limit(spec: EnsembleSpec, seed_mu: float | None) -> LimitResult:
+    """`find_limit`, first trying Brent's method alone on [seed_mu / 1.5, 1.5 seed_mu] when seeded.
+
+    A scan passes the previous row's mu_min as seed_mu, since mu_min moves
+    smoothly from row to row.  The seeded result stands only when the
+    bracket is not empty, its minimum lies more than _WARM_EDGE of the way in
+    from both ends, and xi^2 is finite and below 1; otherwise the cold search
+    runs, so every status other than "ok" comes from it.  `iterations` counts
+    the evaluations of both.
+    """
     if spec.c_sum <= 0.0:
         raise VanishingMeanSpin("no weight on nontrivial subspaces")
     _check_start(spec)  # every mu below is finite and >= 0 by construction
-    c = [jl * w * spec.n for jl, _, w in spec.active_blocks]
-    mu_hi = min(SEED_HI * min(c) ** (-2.0 / 3.0), MU_MAX)
-    mu_lo = min(SEED_LO * max(c) ** (-2.0 / 3.0), mu_hi * SEED_LO / SEED_HI)
 
     def xi2(mu: float) -> float:
         mean, base, p, q = _moments(spec, mu)
         return _xi2(spec, mean, _var_min(base, p, q))
 
     evaluations = expansions = 0
+    if seed_mu is not None:
+        lo, hi = seed_mu / _WARM_SPAN, min(_WARM_SPAN * seed_mu, MU_MAX)
+        if lo < hi:
+            mu_min, xi2_min, evaluations = _brent(xi2, lo, hi)
+            edge = _WARM_EDGE * (hi - lo)
+            if lo + edge < mu_min < hi - edge and xi2_min < 1.0:  # also refuses inf and NaN
+                return LimitResult(xi2_min, mu_min, evaluations, "ok")
+
+    c = [jl * w * spec.n for jl, _, w in spec.active_blocks]
+    mu_hi = min(SEED_HI * min(c) ** (-2.0 / 3.0), MU_MAX)
+    mu_lo = min(SEED_LO * max(c) ** (-2.0 / 3.0), mu_hi * SEED_LO / SEED_HI)
     while True:
         step = math.log(mu_hi / mu_lo) / (SEED_POINTS - 1)
         grid = [mu_lo * math.exp(k * step) for k in range(SEED_POINTS - 1)] + [mu_hi]

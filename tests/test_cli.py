@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinsqueeze
 from spinsqueeze import IrrepDecomposition, ScanConfig, SpinQuantum, zeta_scan
-from spinsqueeze.cli import main
+from spinsqueeze.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -253,6 +258,42 @@ def test_usage_errors(capsys):
         capsys, "limits", "--j", "3/2", "--class", "9", "--n", "5", "--zeta", "1"
     )
     assert code == 1
+
+
+def test_build_parser_returns_one_parser():
+    assert build_parser() is build_parser()
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of the CLI run in a new interpreter on this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spinsqueeze.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "spinsqueeze.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_consecutive_calls_print_what_a_fresh_process_prints(capsys):
+    """One process, one parser: each call prints what the command alone prints, a refusal too."""
+    calls = [
+        ["zeta-scan", "--j", "3/2", "--class", "1,3", "--n", "1000", "--grid-points", "5", "--no-banner"],
+        ["limits", "--j", "3/2", "--class", "1,3", "--n", "1000", "--zeta", "0.6,0.8"],
+        ["limits", "--j", "3/2", "--class", "1,3"],
+        ["classify", "--j", "3/2"],
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [0, 0, 1, 0]
+    assert in_process == [_fresh_process(argv) for argv in calls]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--version"], 0), (["--help"], 0), (["limits", "--help"], 0), (["limits", "--j", "3/2"], 1),
+     (["unknown-command"], 1)],
+)
+def test_parser_exits_keep_their_codes_on_every_call(capsys, argv, code):
+    for _ in range(2):
+        assert main(argv) == code
+    capsys.readouterr()
 
 
 def test_coherent_report(capsys):

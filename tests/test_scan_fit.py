@@ -7,12 +7,16 @@ from spinsqueeze import (
     IrrepDecomposition,
     ScanConfig,
     SpinQuantum,
+    coherent_dynamics,
+    enumerate_classes,
+    find_limit,
     fit_power_law,
     n_scan,
+    oat_spec,
     scan_fit,
     zeta_scan,
 )
-from spinsqueeze.errors import FitDiverged, InvalidInput, NonFiniteInput
+from spinsqueeze.errors import FitDiverged, InvalidInput, NonFiniteInput, VanishingMeanSpin
 
 J32 = SpinQuantum(3)
 DEC_II = IrrepDecomposition(J32, (2, 0))
@@ -101,6 +105,83 @@ def test_zeta_scan_type_ii_full_weight_value():
     # strictly increasing with one point is fine
     assert rows[0].status == "ok"
     assert abs(rows[0].xi2_min / 0.00031 - 1) < 0.1
+
+
+def _cold_row(dec, n, zeta1_sq):
+    """(status, xi2_min) of a per-row `find_limit` on the scan's weights, "undefined" where it refuses."""
+    zeta = (math.sqrt(zeta1_sq), math.sqrt(max(0.0, 1.0 - zeta1_sq))) + (0.0,) * (dec.r - 2)
+    try:
+        res = find_limit(oat_spec(dec, n, zeta))
+    except VanishingMeanSpin:
+        return "undefined", math.nan
+    return res.status, res.xi2_min
+
+
+def test_warm_scan_rows_match_cold_searches():
+    """Each seeded scan row has the status and, to the search's precision, the xi^2 of a cold search.
+
+    Classes with r >= 2 (2J <= 9), N log-uniform in [2, 1e9], weight grids
+    of 5 to 101 points, and n_scan lists in increasing, decreasing and
+    repeated order.  xi^2 agrees to 1e-9 relative up to N = 1e8 and 3e-9
+    above, the bounds of the cold search against the sweep it replaced.
+    """
+    classes = [d for tj in range(1, 10) for d in enumerate_classes(SpinQuantum(tj)) if d.r >= 2]
+    rng = np.random.default_rng(24)
+    log_n = (math.log(2), math.log(1e9))
+    rows = 0
+    for draw in range(90):
+        dec = classes[rng.integers(len(classes))]
+        if draw % 2 == 0:
+            n = round(math.exp(rng.uniform(*log_n)))
+            grid = tuple(np.linspace(0.0, 1.0, int(rng.integers(5, 102))))
+            got = [(n, w, r.status, r.xi2_min) for w, r in zip(grid, zeta_scan(ScanConfig(dec, n, grid)))]
+        else:
+            w = float(rng.uniform(0.0, 1.0))
+            ns = sorted(round(math.exp(x)) for x in rng.uniform(*log_n, int(rng.integers(3, 15))))
+            ns = [ns, ns[::-1], [m for m in ns for _ in range(2)]][draw // 2 % 3]
+            got = [(m, w, status, xi2) for m, xi2, _, status in n_scan(dec, w, ns)]
+        for n, w, status, xi2 in got:
+            rows += 1
+            want_status, want = _cold_row(dec, n, w)
+            assert status == want_status, (dec, n, w, status, want_status)
+            if status == "ok":
+                tol = 1e-9 if n <= 10**8 else 3e-9
+                assert abs(xi2 - want) <= tol * want, (dec, n, w, xi2, want)
+            elif status == "no_squeezing":
+                assert xi2 == want, (dec, n, w, xi2, want)  # the cold search's own result
+    assert rows > 2000
+
+
+def test_warm_scans_halve_the_kernel_evaluations(monkeypatch):
+    """Seeded scans make at most half the xi^2 evaluations of per-row cold searches.
+
+    A 101-point (1, 1) weight scan at N = 1e5 (999 against 3384), and a
+    12-row n_scan from 1e3 to 1e6 at |zeta_1|^2 = 1 - pi/4 (144 against 406).
+    """
+    calls = []
+    moments = coherent_dynamics._moments
+
+    def counted(spec, mu):
+        calls.append(mu)
+        return moments(spec, mu)
+
+    monkeypatch.setattr(coherent_dynamics, "_moments", counted)
+    grid = tuple(np.linspace(0.0, 1.0, 101))
+    rows = zeta_scan(ScanConfig(DEC_III, 10**5, grid))
+    warm = len(calls)
+    calls.clear()
+    cold = [_cold_row(DEC_III, 10**5, w) for w in grid]
+    assert [r.status for r in rows] == [status for status, _ in cold] == ["ok"] * 101
+    assert warm <= len(calls) // 2, (warm, len(calls))
+
+    calls.clear()
+    ns = [int(n) for n in np.round(np.geomspace(1e3, 1e6, 12))]
+    rows = n_scan(DEC_III, 1 - math.pi / 4, ns)
+    warm = len(calls)
+    calls.clear()
+    cold = [_cold_row(DEC_III, n, 1 - math.pi / 4) for n in ns]
+    assert [r[3] for r in rows] == [status for status, _ in cold] == ["ok"] * 12
+    assert warm <= len(calls) // 2, (warm, len(calls))
 
 
 def test_fit_recovers_pure_power_exactly():
