@@ -27,7 +27,8 @@ record from the mean and (base, P, Q), and `squeeze_trace` feeds it
 extremal variances, the minimizing angle and xi^2 are all fields of its
 record.  `find_limit` minimizes xi^2 over mu on a
 24-point log grid seeded from the active blocks (the minimum sits near
-1.5 (c N)^(-2/3), with c_l = J_l |zeta_l|^2), then by Brent's bounded
+1.5 (c N)^(-2/3), with c_l = J_l |zeta_l|^2), searched coarse to fine by
+`_grid_argmin` (at most 11 of its points evaluated), then by Brent's bounded
 method (parabolic steps, golden-section fallback), composing `_moments`,
 `_var_min` and `_xi2` directly rather than building a record per point:
 each point computes var_min alone, and the grid and its minimum are plain
@@ -395,6 +396,27 @@ def _brent(xi2, a: float, b: float) -> tuple[float, float, int]:
                 v, fv = u, fu
 
 
+def _grid_argmin(value, size: int) -> tuple[int, dict[int, float]]:
+    """First-index argmin of value(k) over k in range(size), coarse to fine: (best, values seen).
+
+    It evaluates every 4th index and the last one, then the two indices 2
+    away from the best so far, then the two 1 away from the new best: at
+    most 11 evaluations for size = 24.  Wherever the sequence falls strictly
+    to its first minimum and never falls after it, that is the argmin of all
+    size values: the coarse best lies within 3 of the minimum, the next pass
+    within 1, and the last pass evaluates it.  A sequence with two dips can
+    lose the lower one.
+    """
+    values = {k: value(k) for k in (*range(0, size - 1, 4), size - 1)}
+    best = min(values, key=values.__getitem__)  # keys ascend, so the first index on ties
+    for d in (2, 1):
+        for k in (best - d, best + d):
+            if 0 <= k < size and k not in values:
+                values[k] = value(k)
+        best = min(sorted(values), key=values.__getitem__)
+    return best, values
+
+
 def find_limit(spec: EnsembleSpec) -> LimitResult:
     """Minimize xi^2 over mu in (0, 2 pi]: a seeded log grid, then Brent's method.
 
@@ -402,7 +424,13 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     1.5 (c N)^(-2/3) for some c between the extremes, so the SEED_POINTS grid
     spans [SEED_LO (c_max N)^(-2/3), SEED_HI (c_min N)^(-2/3)], capped at
     MU_MAX (the lower end then stays at least SEED_HI / SEED_LO below the
-    cap); its points are mu_lo exp(k step), with both ends exact.  Whenever
+    cap); its points are mu_lo exp(k step), with both ends exact.
+    `_grid_argmin` finds the grid minimum coarse to fine: every 4th point and
+    the upper edge, then the two points 2 away from the best so far, then the
+    two 1 away from the new best, at most 11 evaluations instead of 24.  Where
+    xi^2 on the grid has one dip, as it does in all but rare two-dip cases,
+    the coarse best lies within 3 points of the minimum and the finer passes
+    reach it, so the result is the full grid's first-index argmin.  Whenever
     the grid minimum lands on the upper edge, the edge is quadrupled, never
     past MU_MAX, and `expansions` counts these widenings.
     Brent's method (`_brent`) then refines between the grid neighbours of
@@ -447,9 +475,8 @@ def _find_limit(spec: EnsembleSpec, seed_mu: float | None) -> LimitResult:
     while True:
         step = math.log(mu_hi / mu_lo) / (SEED_POINTS - 1)
         grid = [mu_lo * math.exp(k * step) for k in range(SEED_POINTS - 1)] + [mu_hi]
-        values = [xi2(m) for m in grid]
-        evaluations += SEED_POINTS
-        best = min(range(SEED_POINTS), key=values.__getitem__)  # the first index on ties
+        best, values = _grid_argmin(lambda k: xi2(grid[k]), SEED_POINTS)
+        evaluations += len(values)
         on_edge = best == SEED_POINTS - 1 and math.isfinite(values[best]) and mu_hi < MU_MAX
         if not on_edge or expansions == MAX_EXPANSIONS:
             break
