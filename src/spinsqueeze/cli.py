@@ -7,8 +7,9 @@ write CSV that starts with a version banner unless --no-banner is given, or
 JSON rows under --format json.
 
 The library holds every input check and every formula; this module only
-parses text and prints the library's records.  The ensemble subcommands
-work on the class decomposition alone: only `classify --emit-matrices` and
+parses text and prints the library's records.  The ensemble and scan
+subcommands (`coherent`, `oat-sweep`, `limits`, `zeta-scan`, `n-scan`) work
+on the class decomposition alone: only `classify --emit-matrices` and
 `oracle-check` build the su(2) matrix triple.  Exit
 codes: 0 success; 1 refused input (an argparse error, InvalidInput from the
 library or from parsing, an unreadable file); 2 numerical status (no
@@ -56,7 +57,7 @@ from .errors import InvalidInput, SpinSqueezeError
 from .exact_oracle import OracleWorkspace, compare_with_oracle
 from .lie_algebra import SpinQuantum, multipole_basis
 from .root_system import compute_roots, default_cartan
-from .scan_fit import ScanConfig, fit_power_law, zeta_scan
+from .scan_fit import ScanConfig, fit_power_law, n_scan, zeta_scan
 
 ORACLE_CHECK_TOL = 1e-8
 
@@ -250,7 +251,8 @@ def _cmd_coherent(args) -> int:
         fluctuation=fluct,
         uncertainty_product=fluct * fluct,
         min_uncertainty_bound=0.25 * dec.f**2 * perp * perp,
-        xi2=1.0,
+        # `_xi2`'s collapsed-mean rule; elsewhere the coherent value, exactly 1
+        xi2=math.inf if perp <= spec.mean_guard else 1.0,
     )
 
 
@@ -305,6 +307,22 @@ def _cmd_zeta_scan(args) -> int:
         grid = tuple(np.linspace(0.0, 1.0, pts))
     rows = [dataclasses.astuple(r) for r in zeta_scan(ScanConfig(dec, n, grid))]
     return _emit_table(args, ["zeta1_sq", "xi2_min", "mu_min", "status"], rows)
+
+
+def _n_grid(n_lo: float, n_hi: float, points: int) -> list[int]:
+    """Log-spaced N between positive finite ends, rounded to exact ints; the library refuses N < 1."""
+    if points < 1:
+        raise InvalidInput(f"--points must be at least 1, got {points}")
+    for flag, end in (("--n-lo", n_lo), ("--n-hi", n_hi)):
+        if not (math.isfinite(end) and end > 0.0):
+            raise InvalidInput(f"{flag} must be positive and finite, got {end!r}")
+    return [int(n) for n in np.round(np.geomspace(n_lo, n_hi, points))]
+
+
+def _cmd_n_scan(args) -> int:
+    ns = _n_grid(args.n_lo, args.n_hi, args.points)
+    dec = decompose_subset(_parse_class(SpinQuantum.from_string(args.j), args.cls))
+    return _emit_table(args, ["n", "xi2_min", "mu_min", "status"], n_scan(dec, args.zeta1_sq, ns))
 
 
 def _cmd_fit(args) -> int:
@@ -402,6 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--grid-points", type=int, default=None, help="points on [0, 1] (default 101)")
     p.add_argument("--config", default=None, help="JSON config file")
+
+    p = add("n-scan", "squeezing limit along a log-spaced N range (CSV)", table=True)
+    p.add_argument("--class", dest="cls", required=True, help='vertex subset "1,3" or subspins "1/2+1/2"')
+    p.add_argument("--zeta1-sq", type=float, required=True,
+                   help="weight |zeta_1|^2 on the first subspace, the rest on the second")
+    p.add_argument("--n-lo", type=float, default=1e3)
+    p.add_argument("--n-hi", type=float, default=1e6)
+    p.add_argument("--points", type=int, default=12)
 
     p = add("fit", "power-law fit of a scan CSV (JSON out)", spin=False)
     p.add_argument("--input", required=True, help="CSV with a header row")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spinsqueeze
-from spinsqueeze import IrrepDecomposition, ScanConfig, SpinQuantum, zeta_scan
+from spinsqueeze import IrrepDecomposition, ScanConfig, SpinQuantum, fit_power_law, n_scan, zeta_scan
 from spinsqueeze.cli import build_parser, main
 
 
@@ -232,6 +232,7 @@ ENSEMBLE_ARGS = ("--j", "3/2", "--class", "1,3", "--n", "100", "--zeta", "0.6,0.
         ("oat-sweep", *ENSEMBLE_ARGS, "--mu-max", "0.5", "--mu-points", "5"),
         ("limits", *ENSEMBLE_ARGS),
         ("zeta-scan", "--j", "3/2", "--class", "1,3", "--n", "100", "--grid-points", "5"),
+        ("n-scan", "--j", "3/2", "--class", "1,3", "--zeta1-sq", "0.5", "--n-hi", "1e4", "--points", "3"),
     ],
 )
 def test_class_only_commands_build_no_matrices(capsys, monkeypatch, argv):
@@ -309,6 +310,21 @@ def test_coherent_report(capsys):
     assert payload["uncertainty_product"] == pytest.approx(
         payload["min_uncertainty_bound"], rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "zeta, xi2",
+    [("1,0,0", "1"), ("1e-150,1,0", "1"), ("0.6,0,0.8", "1"), ("0,1,0", "Infinity")],
+)
+def test_coherent_xi2_follows_the_collapsed_mean_rule(capsys, zeta, xi2):
+    """xi^2 is exactly 1 wherever the mean is nonzero, and inf, as in oat-sweep and limits, where
+    all the weight sits on singlets.  squeeze_trace at mu = 0 reads 0.9999999999999999 for "1,0,0"."""
+    argv = ("coherent", "--j", "3/2", "--class", "1/2+0+0", "--n", "10", "--zeta", zeta)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert f'"xi2": {xi2}\n' in out
+    payload = json.loads(out)
+    assert (payload["perp_expectation"] == 0) == (xi2 == "Infinity")
 
 
 def test_oracle_check_passes(capsys):
@@ -559,3 +575,81 @@ def test_output_file_writing(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert len(payload["classes"]) == 2
+
+
+def test_n_scan_writes_both_datasets(tmp_path, capsys):
+    """The irreducible class, and the half-spin pair at its scan maximum |zeta_1|^2 = 1 - pi/4."""
+    for cls, zeta1_sq in (("3/2", "1"), ("1/2+1/2", repr(1 - math.pi / 4))):
+        target = tmp_path / "scan.csv"
+        argv = ("n-scan", "--j", "3/2", "--class", cls, "--zeta1-sq", zeta1_sq,
+                "--n-lo", "1e3", "--n-hi", "1e4", "--points", "5", "--no-banner", "-o", str(target))
+        assert run_cli(capsys, *argv) == (0, "", "")
+        lines = target.read_text().splitlines()
+        assert lines[0] == "n,xi2_min,mu_min,status"
+        assert len(lines) == 6
+        assert all(line.endswith(",ok") for line in lines[1:])
+
+
+def test_n_scan_rows_and_fit_match_the_library(tmp_path, capsys):
+    """17 significant digits round-trip: the CSV holds n_scan's floats and fit reads back fit_power_law's."""
+    w = 1 - math.pi / 4
+    target = tmp_path / "pair.csv"
+    argv = ("n-scan", "--j", "3/2", "--class", "1/2+1/2", "--zeta1-sq", repr(w),
+            "--n-lo", "1e3", "--n-hi", "1e4", "--points", "5", "-o", str(target))
+    assert run_cli(capsys, *argv) == (0, "", "")
+    banner, header, *lines = target.read_text().splitlines()
+    assert banner == f"# spinsqueeze {spinsqueeze.__version__}"
+    assert header == "n,xi2_min,mu_min,status"
+    ns = [1000, 1778, 3162, 5623, 10000]
+    rows = n_scan(IrrepDecomposition(SpinQuantum(3), (1, 1)), w, ns)
+    parsed = [line.split(",") for line in lines]
+    assert [(int(n), float(xi), float(mu), status) for n, xi, mu, status in parsed] == rows
+    for model, y in (("power", "xi2_min"), ("offset-power", "xi2_min"), ("power", "mu_min")):
+        code, out, _ = run_cli(capsys, "fit", "--input", str(target), "--model", model, "--y-col", y)
+        assert code == 0
+        k = header.split(",").index(y)
+        res = fit_power_law([(row[0], row[k]) for row in rows], model=model)
+        params = json.loads(out)["params"]
+        assert [params[name]["value"] for name in res.names] == list(res.values)
+        assert [params[name]["stderr"] for name in res.names] == list(res.stderr)
+
+
+N_SCAN_ARGS = ("n-scan", "--j", "3/2", "--class", "3/2", "--zeta1-sq", "1")
+
+
+def test_n_scan_refuses_a_count_that_rounds_to_zero(tmp_path, capsys):
+    target = tmp_path / "scan.csv"
+    code, out, err = run_cli(capsys, *N_SCAN_ARGS, "--n-lo", "0.2", "--n-hi", "1e4", "-o", str(target))
+    assert (code, out) == (1, "")
+    assert err == "error: n-scan: particle count must be >= 1, got 0\n"
+    assert not target.exists()
+
+
+def test_fit_of_a_three_row_n_scan_is_refused(tmp_path, capsys):
+    target = tmp_path / "scan.csv"
+    assert run_cli(capsys, *N_SCAN_ARGS, "--n-hi", "1e4", "--points", "3", "-o", str(target)) == (0, "", "")
+    assert len(target.read_text().splitlines()) == 5  # banner, header, three rows
+    code, out, err = run_cli(capsys, "fit", "--input", str(target))
+    assert (code, out) == (1, "")
+    assert err == "error: fit: need at least 4 points to fit, got 3\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--points", "0"), ("--points", "-1"), ("--n-lo", "0"), ("--n-lo", "-5"), ("--n-lo", "nan"),
+     ("--n-hi", "inf")],
+)
+def test_n_scan_refuses_a_bad_range_at_the_flag(tmp_path, capsys, flag, value):
+    target = tmp_path / "scan.csv"
+    code, out, err = run_cli(capsys, *N_SCAN_ARGS, f"{flag}={value}", "-o", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: n-scan: {flag} ")
+    assert len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+def test_n_scan_keeps_counts_beyond_int64_exact(capsys):
+    code, out, _ = run_cli(capsys, *N_SCAN_ARGS, "--n-hi", "1e30", "--points", "4", "--no-banner")
+    assert code == 0
+    ns = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert ns == [1000, 10**12, 10**21, int(1e30)]
