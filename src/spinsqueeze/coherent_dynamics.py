@@ -25,7 +25,11 @@ defined, read by every caller: inf once the mean has collapsed to
 record from the mean and (base, P, Q), and `squeeze_trace` feeds it
 `_moments`; that is the one public per-mu entry point: the mean, the
 extremal variances, the minimizing angle and xi^2 are all fields of its
-record.  `find_limit` minimizes xi^2 over mu on a
+record.  `find_limit` on an ensemble with one active block starts from the
+one-axis-twisting law mu* = 12^(1/6) (c N)^(-2/3), c = J_l |zeta_l|^2, and
+runs Brent's method alone on [mu* / 1.5, 1.5 mu*] while 1.5 mu* <= pi / 2;
+otherwise, and when that bracket does not hold the minimum well inside it,
+it minimizes xi^2 over mu on a
 24-point log grid seeded from the active blocks (the minimum sits near
 1.5 (c N)^(-2/3), with c_l = J_l |zeta_l|^2), searched coarse to fine by
 `_grid_argmin` (at most 11 of its points evaluated), then by Brent's bounded
@@ -66,6 +70,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .classification import IrrepDecomposition
@@ -91,6 +96,9 @@ WEIGHT_NORM_TOL = 1e-12  # |sum |zeta_l|^2 - 1| accepted as normalized
 # Share of its coherent value the mean must keep for xi^2 to count: at or
 # below it xi^2 is numerically unconditioned, and `_xi2` reads it as inf.
 XI2_MEAN_GUARD = 1e-4
+# An "ok" xi^2_min must lie above this floor: the kernel rounds xi^2 by up to
+# 7e-16 absolute (measured for N = 1e9 to 1e23), more than 1e-3 of any value below it.
+_XI2_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -318,11 +326,18 @@ def _xi2(spec: EnsembleSpec, mean: float, var_min: float) -> float:
     xi^2 grows as 1 / <O_perp>^2 and the float kernel reads anything from 0
     to the true value.  The bound, `EnsembleSpec.mean_guard`, is inclusive,
     so an ensemble with all its weight on singlets (c_sum = 0) reads inf
-    instead of dividing by zero.
+    instead of dividing by zero.  A mean above the bound whose square is not
+    a finite normal float is refused with InvalidInput: below about 1.5e-154
+    (weights near 1e-300 on the spinful blocks) the square has lost its
+    precision or underflowed to 0, and above about 1.3e154 (N past 1e154) it
+    is inf.
     """
     if abs(mean) <= spec.mean_guard:
         return math.inf
-    return 2.0 * spec.n * spec.c_sum * var_min / (mean * mean)
+    square = mean * mean
+    if not sys.float_info.min <= square < math.inf:
+        raise InvalidInput(f"the mean spin {mean!r} is out of range for xi^2: its square is {square!r}")
+    return 2.0 * spec.n * spec.c_sum * var_min / square
 
 
 def _trace(spec: EnsembleSpec, mu: float, mean: float, base: float, p: float, q: float) -> SqueezeTrace:
@@ -418,7 +433,18 @@ def _grid_argmin(value, size: int) -> tuple[int, dict[int, float]]:
 
 
 def find_limit(spec: EnsembleSpec) -> LimitResult:
-    """Minimize xi^2 over mu in (0, 2 pi]: a seeded log grid, then Brent's method.
+    """Minimize xi^2 over mu in (0, 2 pi]: from the one-block law, or a seeded log grid, then Brent's method.
+
+    An ensemble with one active block, c = J_l |zeta_l|^2, starts from the
+    one-axis-twisting law mu* = 12^(1/6) (c N)^(-2/3) (`_r1_law`, the law of
+    `asymptotic_limit_r1` with J replaced by c): Brent's method alone on
+    [mu* / 1.5, 1.5 mu*], accepted on the rule of a scan's seeded row (see
+    `_find_limit`).  The law is used only while 1.5 mu* <= pi / 2 (c N of
+    about 1.74 or more); a wider bracket can reach the revival near 2 pi and
+    settle on its dip.  Any other ensemble, and a law-seeded search that is
+    not accepted, runs the cold search below.  A single-block call at
+    N >= 400 takes a median of 9 evaluations this way, against 20 for the
+    grid.
 
     With c_l = J_l |zeta_l|^2 over the active blocks, the minimum sits near
     1.5 (c N)^(-2/3) for some c between the extremes, so the SEED_POINTS grid
@@ -437,7 +463,12 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     the minimum.  Every mu where `_xi2` finds the mean collapsed reads
     xi^2 = inf, so Brent's parabolic steps never home in on the float
     noise there.  A search that never sees xi^2 < 1 reports status
-    "no_squeezing" instead of raising.
+    "no_squeezing" instead of raising.  Before any evaluation it refuses a
+    J_l |zeta_l|^2 N that overflows (NonFiniteInput) or underflows to 0
+    (InvalidInput).  It refuses with InvalidInput an "ok" minimum at or
+    below _XI2_FLOOR = 1e-12, reached past N of about 1e17 on the locus,
+    where the kernel's rounding of a few 1e-16 is more than 1e-3 of xi^2;
+    `_xi2` refuses a mean whose square leaves the normal float range.
     """
     return _find_limit(spec, None)
 
@@ -446,10 +477,11 @@ def _find_limit(spec: EnsembleSpec, seed_mu: float | None) -> LimitResult:
     """`find_limit`, first trying Brent's method alone on [seed_mu / 1.5, 1.5 seed_mu] when seeded.
 
     A scan passes the previous row's mu_min as seed_mu, since mu_min moves
-    smoothly from row to row.  The seeded result stands only when the
-    bracket is not empty, its minimum lies more than _WARM_EDGE of the way in
-    from both ends, and xi^2 is finite and below 1; otherwise the cold search
-    runs, so every status other than "ok" comes from it.  `iterations` counts
+    smoothly from row to row; with no seed, a one-block ensemble seeds
+    itself from `_r1_law`'s mu* while 1.5 mu* <= pi / 2.  The seeded result
+    stands only when the bracket is not empty, its minimum lies more than
+    _WARM_EDGE of the way in from both ends, and xi^2 is finite and below 1;
+    otherwise the cold search runs, so every status other than "ok" comes from it.  `iterations` counts
     the evaluations of both.
     """
     if spec.c_sum <= 0.0:
@@ -460,6 +492,16 @@ def _find_limit(spec: EnsembleSpec, seed_mu: float | None) -> LimitResult:
         mean, base, p, q = _moments(spec, mu)
         return _xi2(spec, mean, _var_min(base, p, q))
 
+    c = [jl * w * spec.n for jl, _, w in spec.active_blocks]
+    if math.isinf(max(c)):
+        raise NonFiniteInput(f"J_l |zeta_l|^2 N overflows the float range at N = {spec.n}")
+    if min(c) == 0.0:  # a weight near the smallest subnormal: (c N)^(-2/3) would divide by zero
+        raise InvalidInput(f"J_l |zeta_l|^2 N underflows to 0 at N = {spec.n}, weights {spec.coherent.weights!r}")
+    if seed_mu is None and len(c) == 1:
+        mu_star = _r1_law(c[0])[1]
+        if _WARM_SPAN * mu_star <= 0.5 * math.pi:  # the bracket stays clear of the revival near 2 pi
+            seed_mu = mu_star
+
     evaluations = expansions = 0
     if seed_mu is not None:
         lo, hi = seed_mu / _WARM_SPAN, min(_WARM_SPAN * seed_mu, MU_MAX)
@@ -467,9 +509,8 @@ def _find_limit(spec: EnsembleSpec, seed_mu: float | None) -> LimitResult:
             mu_min, xi2_min, evaluations = _brent(xi2, lo, hi)
             edge = _WARM_EDGE * (hi - lo)
             if lo + edge < mu_min < hi - edge and xi2_min < 1.0:  # also refuses inf and NaN
-                return LimitResult(xi2_min, mu_min, evaluations, "ok")
+                return _resolved(spec, LimitResult(xi2_min, mu_min, evaluations, "ok"))
 
-    c = [jl * w * spec.n for jl, _, w in spec.active_blocks]
     mu_hi = min(SEED_HI * min(c) ** (-2.0 / 3.0), MU_MAX)
     mu_lo = min(SEED_LO * max(c) ** (-2.0 / 3.0), mu_hi * SEED_LO / SEED_HI)
     while True:
@@ -490,7 +531,22 @@ def _find_limit(spec: EnsembleSpec, seed_mu: float | None) -> LimitResult:
     hi = grid[best + 1] if best < SEED_POINTS - 1 else grid[-1]
     mu_min, xi2_min, refined = _brent(xi2, lo, hi)
     status = "no_squeezing" if xi2_min >= 1.0 else "ok"
-    return LimitResult(xi2_min, mu_min, evaluations + refined, status, expansions)
+    return _resolved(spec, LimitResult(xi2_min, mu_min, evaluations + refined, status, expansions))
+
+
+def _resolved(spec: EnsembleSpec, res: LimitResult) -> LimitResult:
+    """res, unless its status is "ok" with xi^2_min at or below _XI2_FLOOR (or NaN): InvalidInput then."""
+    if res.status == "ok" and not res.xi2_min > _XI2_FLOOR:
+        raise InvalidInput(
+            f"xi^2_min reads {res.xi2_min!r} at N = {spec.n}, below the {_XI2_FLOOR:g} the float kernel "
+            "resolves: N is too large"
+        )
+    return res
+
+
+def _r1_law(jn: float) -> tuple[float, float]:
+    """(xi^2_min, mu_min) of the one-block law at J N: (3 / (2 J N))^(2/3) / 2 + 1 / (2 J N), 12^(1/6) (J N)^(-2/3)."""
+    return 0.5 * (1.5 / jn) ** (2.0 / 3.0) + 0.5 / jn, 12.0 ** (1.0 / 6.0) * jn ** (-2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -512,5 +568,4 @@ def asymptotic_limit_r1(twice_j_sub: int, n: int) -> R1Limit:
         raise InvalidInput(f"the weighted subspace must have J_l > 0, got 2J_l = {twice_j_sub}")
     if n < 2:
         raise InvalidInput(f"asymptotics need N >= 2, got {n}")
-    jn = (twice_j_sub / 2.0) * n
-    return R1Limit(0.5 * (1.5 / jn) ** (2.0 / 3.0) + 0.5 / jn, 12.0 ** (1.0 / 6.0) * jn ** (-2.0 / 3.0))
+    return R1Limit(*_r1_law((twice_j_sub / 2.0) * n))

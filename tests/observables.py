@@ -7,6 +7,8 @@ expression for xi^2, which the tests hold against the exact closed form.
 `sweep_limit_reference` is the limit search that `find_limit` replaced: a
 128-point sweep over six decades of mu, then a golden section to the same
 GOLDEN_REL_TOL that `find_limit`'s Brent refinement uses.
+`dense_limit_reference` is the small-N judge: a linear grid over (0, 2 pi]
+with every local minimum refined by `_brent`.
 `moments_reference` is the `_moments` that the flat pass replaced, one helper
 call per log, power and 1 - power; the kernel must return the same floats.
 `su2_triple_reference` is the per-block construction that `build_su2_triple`
@@ -31,7 +33,15 @@ from spinsqueeze import (
     squeeze_trace,
 )
 from spinsqueeze.classification import _subset_blocks, decompose_subset
-from spinsqueeze.coherent_dynamics import GOLDEN_REL_TOL, MAX_EXPANSIONS, MU_MAX
+from spinsqueeze.coherent_dynamics import (
+    GOLDEN_REL_TOL,
+    MAX_EXPANSIONS,
+    MU_MAX,
+    _brent,
+    _moments,
+    _var_min,
+    _xi2,
+)
 from spinsqueeze.errors import VanishingMeanSpin
 from spinsqueeze.exact_oracle import SymmetricState
 from spinsqueeze.lie_algebra import spin_matrices
@@ -219,3 +229,33 @@ def sweep_limit_reference(spec) -> LimitResult:
     if xi2_min >= 1.0:
         return LimitResult(xi2_min, mu_min, evaluations, "no_squeezing")
     return LimitResult(xi2_min, mu_min, evaluations, "ok")
+
+
+def dense_limit_reference(spec, points: int = 4000) -> tuple[float, float]:
+    """(xi2_min, mu_min) over mu_k = 2 pi k / points, k = 1..points, each local grid minimum refined by `_brent`.
+
+    A grid value no larger than its neighbours counts as a local minimum;
+    the refinement brackets it by those neighbours (the first by 1e-3 of
+    its own mu).  Each point reads xi^2 as the limit search does, through
+    `_moments`, `_var_min` and `_xi2`, so a collapsed mean reads inf.
+    While 4 J_max N <= points, the grid samples xi^2 at about twice its
+    highest frequency, so it sees every dip; at larger N a dip narrower
+    than the spacing can fall between points.  (inf, nan) when no grid
+    value is finite.
+    """
+
+    def xi2(mu: float) -> float:
+        mean, base, p, q = _moments(spec, mu)
+        return _xi2(spec, mean, _var_min(base, p, q))
+
+    mus = [MU_MAX * k / points for k in range(1, points + 1)]
+    values = [xi2(mu) for mu in mus]
+    best = (math.inf, math.nan)
+    for k, v in enumerate(values):
+        if not math.isfinite(v) or (k > 0 and values[k - 1] < v) or (k < points - 1 and values[k + 1] < v):
+            continue
+        lo = mus[k - 1] if k > 0 else 1e-3 * mus[0]
+        hi = mus[k + 1] if k < points - 1 else mus[k]
+        mu, x, _ = _brent(xi2, lo, hi)
+        best = min(best, (v, mus[k]), (x, mu))
+    return best

@@ -649,7 +649,35 @@ def test_n_scan_refuses_a_bad_range_at_the_flag(tmp_path, capsys, flag, value):
 
 
 def test_n_scan_keeps_counts_beyond_int64_exact(capsys):
-    code, out, _ = run_cli(capsys, *N_SCAN_ARGS, "--n-hi", "1e30", "--points", "4", "--no-banner")
+    """An off-locus {1/2, 1/2} split, whose limit plateaus near 0.0645 and stays resolved at N = 1e30."""
+    code, out, _ = run_cli(
+        capsys, "n-scan", "--j", "3/2", "--class", "1/2+1/2", "--zeta1-sq", "0.35",
+        "--n-hi", "1e30", "--points", "4", "--no-banner",
+    )
     assert code == 0
     ns = [int(line.split(",")[0]) for line in out.splitlines()[1:]]
     assert ns == [1000, 10**12, 10**21, int(1e30)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the {3/2} limit falls below what the float kernel resolves: it printed -3.75e-16 at N = 1e30
+        ((*N_SCAN_ARGS, "--n-hi", "1e30", "--points", "4"), "xi^2_min reads "),
+        # J_l |zeta_l|^2 N overflows: the grid's log(mu_hi / mu_lo) divided by zero
+        ((*N_SCAN_ARGS, "--n-lo", "1.7e308", "--n-hi", "1.7e308", "--points", "1"), "J_l |zeta_l|^2 N overflows"),
+        # that scan's middle row, N = 1.3e155, already has a mean whose square is inf
+        ((*N_SCAN_ARGS, "--n-hi", "1.7e308", "--points", "3"), "the mean spin "),
+        # the mean's square underflows: xi^2 divided by zero
+        (("limits", "--j", "3/2", "--class", "1/2+0+0", "--n", "10", "--zeta", "1e-150,1,0"), "the mean spin "),
+        (("oat-sweep", "--j", "3/2", "--class", "1/2+0+0", "--n", "10", "--zeta", "1e-150,1,0", "--mu-max", "1"),
+         "the mean spin "),
+    ],
+)
+def test_out_of_range_limits_are_refused_without_output(tmp_path, capsys, argv, message):
+    target = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, *argv, "-o", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {argv[0]}: {message}"), err
+    assert len(err.splitlines()) == 1
+    assert not target.exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from spinsqueeze.coherent_dynamics import (
     _brent,
     _grid_argmin,
     _moments,
+    _r1_law,
     _xi2,
 )
+from spinsqueeze.cli import main
 from spinsqueeze.errors import (
     DimensionMismatch,
     InvalidInput,
@@ -38,7 +41,7 @@ from spinsqueeze.errors import (
     VanishingMeanSpin,
 )
 
-from observables import moments_reference, sweep_limit_reference, type_iii_reference
+from observables import dense_limit_reference, moments_reference, sweep_limit_reference, type_iii_reference
 
 J32 = SpinQuantum(3)
 DEC_I = IrrepDecomposition(J32, (3,))
@@ -578,6 +581,177 @@ def test_find_limit_never_widens_in_the_benchmark_range():
         spec = _random_spec(rng, classes, 400, 1e6)
         res = find_limit(spec)
         assert res.status == "ok" and res.expansions == 0, (spec, res)
+
+
+def _single_block_spec(rng, n_lo, n_hi):
+    """oat_spec of one spinful block, 2J_l in 1..9, beside 0-2 singlets, N log-uniform in [n_lo, n_hi].
+
+    With singlets the block takes w log-uniform in [1e-4, 1] and the first
+    singlet the rest.
+    """
+    twice_jl, singlets = int(rng.integers(1, 10)), int(rng.integers(0, 3))
+    dec = IrrepDecomposition(SpinQuantum(twice_jl + singlets), (twice_jl,) + (0,) * singlets)
+    w = math.exp(rng.uniform(math.log(1e-4), 0.0)) if singlets else 1.0
+    n = int(round(math.exp(rng.uniform(math.log(n_lo), math.log(n_hi)))))
+    return oat_spec(dec, n, (math.sqrt(w), math.sqrt(1.0 - w), 0.0)[: 1 + singlets])
+
+
+def _law_seeds(spec) -> bool:
+    """Whether the search starts from the one-block law: one active block and 1.5 mu* <= pi / 2."""
+    if len(spec.active_blocks) != 1:
+        return False
+    (jl, _, w), = spec.active_blocks
+    return 1.5 * _r1_law(jl * w * spec.n)[1] <= 0.5 * math.pi
+
+
+def test_law_seeded_limits_match_the_dense_and_sweep_references():
+    """Single-block draws at N in [2, 2000] read no xi^2 above either reference by more than 1e-9.
+
+    The dense reference (4000 linear points over (0, 2 pi], every local
+    minimum refined) sees every dip at these N, so a seeded bracket that
+    settled on a wrong dip would read above it.  Draws the law does not
+    seed run the cold search unchanged and are skipped.
+    """
+    rng = np.random.default_rng(5)
+    seeded = 0
+    for _ in range(150):
+        spec = _single_block_spec(rng, 2, 2000)
+        if not _law_seeds(spec):
+            continue
+        seeded += 1
+        res, sweep = find_limit(spec), sweep_limit_reference(spec)
+        dense_xi2, _ = dense_limit_reference(spec)
+        assert res.status == sweep.status == "ok" and res.expansions == 0, (spec, res, sweep)
+        assert res.xi2_min <= min(sweep.xi2_min, dense_xi2) * (1.0 + 1e-9), (spec, res, sweep, dense_xi2)
+    assert seeded >= 80, seeded
+
+
+def test_law_seeded_limits_match_the_sweep_up_to_1e9():
+    """Single-block draws at N in [2, 1e9]: within 1e-9 of the 128-point sweep, 3e-9 above N = 1e8."""
+    rng = np.random.default_rng(6)
+    seeded = 0
+    for _ in range(300):
+        spec = _single_block_spec(rng, 2, 1e9)
+        res, ref = find_limit(spec), sweep_limit_reference(spec)
+        assert res.status == ref.status, (spec, res, ref)
+        seeded += _law_seeds(spec)
+        if res.status == "ok":
+            tol = 1e-9 if spec.n <= 10**8 else 3e-9
+            assert abs(res.xi2_min - ref.xi2_min) <= tol * ref.xi2_min, (spec, res, ref)
+            assert res.xi2_min <= ref.xi2_min * (1.0 + tol), (spec, res, ref)
+    assert seeded >= 200, seeded
+
+
+def test_law_seeded_limits_take_a_median_of_at_most_10_evaluations():
+    """Single-block draws at N in [400, 1e6]: Brent alone on [mu* / 1.5, 1.5 mu*] in the median case."""
+    rng = np.random.default_rng(8)
+    evaluations = [find_limit(_single_block_spec(rng, 400, 1e6)).iterations for _ in range(300)]
+    assert np.median(evaluations) <= 10, sorted(evaluations)
+
+
+def test_law_seed_stays_off_the_revival():
+    """(5, 0, 0) at N = 22, w = 0.0016: 1.5 mu* > pi / 2, so the cold search runs.
+
+    The bracket around mu* = 7.65, capped at 2 pi, holds the revival, where
+    Brent accepts a dip of 0.685 at mu = 5.77; the minimum is 0.467 at
+    mu = 0.579.
+    """
+    spec = oat_spec(IrrepDecomposition(SpinQuantum(7), (5, 0, 0)), 22, (0.04, math.sqrt(1 - 0.0016), 0.0))
+    assert not _law_seeds(spec)
+    wrong = coherent_dynamics._find_limit(spec, _r1_law(2.5 * 0.0016 * 22)[1])
+    assert wrong.xi2_min == pytest.approx(0.685, abs=1e-3) and wrong.mu_min == pytest.approx(5.77, abs=1e-2)
+    res, ref = find_limit(spec), sweep_limit_reference(spec)
+    assert res.xi2_min == pytest.approx(0.467, abs=1e-3) and res.mu_min == pytest.approx(0.579, abs=1e-3)
+    assert res.xi2_min <= ref.xi2_min * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("--j", "3/2", "--class", "1/2+1/2", "--n", "100000", "--zeta", "0.5,0.8660254037844386"),
+         ("0.10886586642088658", "0.00091335581092896799", 21)),
+        (("--j", "5/2", "--class", "1+1/2+0", "--n", "5000", "--zeta", "0.6,0.7,0.3872983346207417"),
+         ("0.037252228181431153", "0.010441624089489314", 19)),
+        (("--j", "7/2", "--class", "3/2+1+0", "--n", "40", "--zeta", "0.8,0.6,0"),
+         ("0.19680309158911391", "0.11510841355949646", 20)),
+        (("--j", "9/2", "--class", "2+1+1/2", "--n", "700", "--zeta", "0.5,0.5,0.7071067811865476"),
+         ("0.12291593581951367", "0.030829356078277283", 20)),
+        (("--j", "2", "--class", "1/2+1/2+0", "--n", "2", "--zeta", "0.1,0.99498743710662,0"),
+         ("0.58033784715102432", "2.0199218615697738", 21)),
+    ],
+)
+def test_multi_block_limits_output_is_unchanged(capsys, argv, want):
+    """Two or more active blocks keep the grid search: `limits` prints the bytes it printed before the law seed."""
+    assert main(["limits", *argv]) == 0
+    xi2_min, mu_min, iterations = want
+    expected = (
+        f'{{\n  "schema": "1",\n  "xi2_min": {xi2_min},\n  "mu_min": {mu_min},\n'
+        f'  "iterations": {iterations},\n  "status": "ok"\n}}\n'
+    )
+    assert capsys.readouterr().out == expected
+
+
+def test_find_limit_refuses_an_overflowing_j_w_n_before_evaluating(monkeypatch):
+    """J_l |zeta_l|^2 N = inf: the law's mu* is 0 and the grid's log(mu_hi / mu_lo) divides by zero."""
+    calls = []
+    monkeypatch.setattr(coherent_dynamics, "_moments", lambda spec, mu: calls.append(mu))
+    spec = oat_spec(DEC_I, int(1.7e308), (1,))
+    for seed in (None, 1e-3):
+        with pytest.raises(NonFiniteInput, match="overflows the float range"):
+            coherent_dynamics._find_limit(spec, seed)
+    assert calls == []
+
+
+def test_find_limit_refuses_a_j_w_n_that_underflows_before_evaluating(monkeypatch):
+    """|zeta_2|^2 = 5e-324 on a J_l = 1/2 block: J_l |zeta_l|^2 N rounds to 0 at N = 1."""
+    calls = []
+    monkeypatch.setattr(coherent_dynamics, "_moments", lambda spec, mu: calls.append(mu))
+    with pytest.raises(InvalidInput, match="underflows to 0"):
+        find_limit(oat_spec(DEC_III, 1, (1.0, 2.3e-162)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("dec, zeta", [(DEC_I, (1,)), (DEC_II, (math.sqrt(0.7), math.sqrt(0.3)))])
+@pytest.mark.parametrize("n", [10**23, 10**30, 10**100])
+def test_find_limit_refuses_a_limit_below_the_float_resolution(dec, zeta, n):
+    """Past N of about 1e17 the locus limit falls below 1e-12, where the kernel's rounding of a
+    few 1e-16 is more than 1e-3 of it; (3) read -2.2e-16 with status "ok" at N = 1e23."""
+    with pytest.raises(InvalidInput, match="resolves: N is too large"):
+        find_limit(oat_spec(dec, n, zeta))
+
+
+def test_off_locus_limits_stay_resolved_at_large_n():
+    """An off-locus split plateaus: {1/2, 1/2} at w = 0.35 reads 0.0645 up to N = 1e100."""
+    for n in (10**23, 10**100):
+        res = find_limit(oat_spec(DEC_III, n, (math.sqrt(0.35), math.sqrt(0.65))))
+        assert res.status == "ok" and res.xi2_min == pytest.approx(0.0644882, rel=1e-5)
+
+
+def test_xi2_refuses_a_mean_whose_square_leaves_the_normal_range():
+    """A mean above the guard whose square underflows (or overflows) is refused, not divided by."""
+    spec = oat_spec(DEC_IV, 10, (1e-150, 1, 0))  # limits --zeta 1e-150,1,0 divided by zero
+    with pytest.raises(InvalidInput, match="out of range for xi\\^2"):
+        squeeze_trace(spec, 0.1)
+    with pytest.raises(InvalidInput, match="out of range for xi\\^2"):
+        find_limit(spec)
+    with pytest.raises(InvalidInput, match="its square is inf"):
+        squeeze_trace(oat_spec(DEC_I, 10**200, (1,)), 0.0)
+    # at the normal range's edge xi^2 is the same float as before the check
+    spec = oat_spec(DEC_III, 10, (0.6, 0.8))
+    for mean in (math.sqrt(sys.float_info.min) * 1.0000001, 1e154, 0.3):
+        square = mean * mean
+        assert sys.float_info.min <= square < math.inf
+        assert _xi2(spec, mean, 0.7) == 2.0 * spec.n * spec.c_sum * 0.7 / square
+
+
+def test_asymptotic_limit_r1_is_the_law_it_always_was():
+    """`asymptotic_limit_r1` reads `_r1_law`, which the search's seed also reads, and keeps every bit."""
+    for twice_j_sub in range(1, 10):
+        for n in (2, 37, 10**3, 123457, 10**9):
+            jn = (twice_j_sub / 2.0) * n
+            r1 = asymptotic_limit_r1(twice_j_sub, n)
+            assert r1.xi2 == 0.5 * (1.5 / jn) ** (2.0 / 3.0) + 0.5 / jn
+            assert r1.mu == 12.0 ** (1.0 / 6.0) * jn ** (-2.0 / 3.0)
 
 
 def test_asymptotic_limit_r1_values():

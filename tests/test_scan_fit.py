@@ -155,7 +155,7 @@ def test_warm_scan_rows_match_cold_searches():
 def test_warm_scans_halve_the_kernel_evaluations(monkeypatch):
     """Seeded scans make at most half the xi^2 evaluations of per-row cold searches.
 
-    A 101-point (1, 1) weight scan at N = 1e5 makes 986 against 2071 cold.
+    A 101-point (1, 1) weight scan at N = 1e5 makes 975 against 2049 cold.
     A 12-row n_scan from 1e3 to 1e6 at |zeta_1|^2 = 1 - pi/4 makes 131
     against 250 cold, just over half, because the coarse-to-fine seed grid
     made the cold rows cheaper (406 before it, with 144 warm), so that half
