@@ -25,21 +25,18 @@ defined, read by every caller: inf once the mean has collapsed to
 record from the mean and (base, P, Q), and `squeeze_trace` feeds it
 `_moments`; that is the one public per-mu entry point: the mean, the
 extremal variances, the minimizing angle and xi^2 are all fields of its
-record.  `find_limit` on an ensemble with one active block starts from the
-one-axis-twisting law mu* = 12^(1/6) (c N)^(-2/3), c = J_l |zeta_l|^2, and
-runs Brent's method alone on [mu* / 1.5, 1.5 mu*] while 1.5 mu* <= pi / 2;
-otherwise, and when that bracket does not hold the minimum well inside it,
-it minimizes xi^2 over mu on a
-24-point log grid seeded from the active blocks (the minimum sits near
-1.5 (c N)^(-2/3), with c_l = J_l |zeta_l|^2), searched coarse to fine by
-`_grid_argmin` (at most 11 of its points evaluated), then by Brent's bounded
-method (parabolic steps, golden-section fallback), composing `_moments`,
-`_var_min` and `_xi2` directly rather than building a record per point:
-each point computes var_min alone, and the grid and its minimum are plain
-`math` and builtins, since numpy's fixed cost per call outweighs 24 points.
-The scans in scan_fit call the same search through `_find_limit` with the
-previous row's mu_min as a seed: Brent's method alone on a bracket around
-it, with the grid search as the fallback.
+record.  `find_limit` starts from the one-axis-twisting law at the largest
+c_l = J_l |zeta_l|^2 N, mu* = 12^(1/6) c_max^(-2/3), and runs Brent's method
+alone on [0.4 mu*, 1.2 mu*] while 1.2 mu* <= pi / 2; otherwise, and when
+that bracket does not hold the minimum well inside it, it minimizes xi^2
+over mu on a 24-point log grid seeded from the active blocks (the minimum
+sits near 1.5 c^(-2/3) for a c between c_min and c_max), searched coarse to
+fine by `_grid_argmin` (at most 11 of its points evaluated), then by Brent's
+bounded method (parabolic steps, golden-section fallback), composing
+`_moments`, `_var_min` and `_xi2` directly rather than building a record per
+point: each point computes var_min alone, and the grid and its minimum are
+plain `math` and builtins, since numpy's fixed cost per call outweighs 24
+points.  The scans in scan_fit call `find_limit` once per row.
 The css_* functions give the untwisted coherent values, and the exact
 oracle finishes its measured moments with `_trace`.
 
@@ -88,8 +85,13 @@ SEED_POINTS = 24  # log grid of the limit search
 SEED_LO, SEED_HI = 0.05, 20.0  # its ends, in units of (c N)^(-2/3)
 GOLDEN_REL_TOL = 1e-6  # relative precision in mu of the refined limit
 MAX_EXPANSIONS = 8
-_WARM_SPAN = 1.5  # a seeded search brackets [seed / _WARM_SPAN, _WARM_SPAN seed]
-_WARM_EDGE = 0.01  # share of that bracket at each end where a minimum sends it back to the grid
+# The limit search first runs Brent's method alone on [_LAW_LO mu*, _LAW_HI mu*],
+# mu* the one-block law's mu_min at c_max = max_l J_l |zeta_l|^2 N.  On 2654
+# law-seeded one-block draws (N = 2 to 1e9) mu_min / mu* never exceeded 1.000;
+# on the 864 multi-block draws of the closed_form bench's seeds 1-3 it lay in
+# 0.477-1.091, so the bracket reaches further below mu* than above it.
+_LAW_LO, _LAW_HI = 0.4, 1.2
+_LAW_EDGE = 0.01  # share of that bracket at each end where a minimum sends it back to the grid
 MU_MAX = 2.0 * math.pi  # xi^2 repeats every 4 pi and mirrors about 2 pi
 OAT_ANGLE_TOL = 1e-12
 WEIGHT_NORM_TOL = 1e-12  # |sum |zeta_l|^2 - 1| accepted as normalized
@@ -298,10 +300,16 @@ def _var_min(base: float, p: float, q: float) -> float:
     """Minimum over nu of base + P (1 + cos 2 nu) - Q sin 2 nu: base + P - sqrt(P^2 + Q^2).
 
     For P > 0 it is written base - Q^2 / (P + sqrt(P^2 + Q^2)), where nothing
-    cancels but the final subtraction.
+    cancels but the final subtraction.  Where Q^2 overflows (|Q| past about
+    1.3e154, at N past about 1e115) the quotient is taken as
+    Q (Q / (P + sqrt(P^2 + Q^2))), which does not; wherever Q^2 is finite
+    the first form stands, so those floats do not depend on the second.
     """
     if p > 0.0:
-        return base - q * q / (p + math.hypot(p, q))
+        square = q * q
+        if square == math.inf:
+            return base - q * (q / (p + math.hypot(p, q)))
+        return base - square / (p + math.hypot(p, q))
     return base + p - math.hypot(p, q)
 
 
@@ -433,22 +441,25 @@ def _grid_argmin(value, size: int) -> tuple[int, dict[int, float]]:
 
 
 def find_limit(spec: EnsembleSpec) -> LimitResult:
-    """Minimize xi^2 over mu in (0, 2 pi]: from the one-block law, or a seeded log grid, then Brent's method.
+    """Minimize xi^2 over mu in (0, 2 pi]: Brent's method from the one-block law, or a seeded log grid.
 
-    An ensemble with one active block, c = J_l |zeta_l|^2, starts from the
-    one-axis-twisting law mu* = 12^(1/6) (c N)^(-2/3) (`_r1_law`, the law of
-    `asymptotic_limit_r1` with J replaced by c): Brent's method alone on
-    [mu* / 1.5, 1.5 mu*], accepted on the rule of a scan's seeded row (see
-    `_find_limit`).  The law is used only while 1.5 mu* <= pi / 2 (c N of
-    about 1.74 or more); a wider bracket can reach the revival near 2 pi and
-    settle on its dip.  Any other ensemble, and a law-seeded search that is
-    not accepted, runs the cold search below.  A single-block call at
-    N >= 400 takes a median of 9 evaluations this way, against 20 for the
-    grid.
+    With c_l = J_l |zeta_l|^2 N over the active blocks, the search first
+    tries the one-axis-twisting law at the largest c_l, mu* = 12^(1/6)
+    c_max^(-2/3) (`_r1_law`, the law of `asymptotic_limit_r1` with J N
+    replaced by c_max): Brent's method alone on [_LAW_LO mu*, _LAW_HI mu*].
+    The result stands when the minimum lies more than _LAW_EDGE of the
+    bracket width in from both ends and xi^2 is finite and below 1.  The
+    law is tried only while _LAW_HI mu* <= pi / 2 (c_max of about 1.24 or
+    more); a bracket reaching further can hold the revival near 2 pi and
+    settle on its dip.  A one-block ensemble sits on the law, with mu_min
+    at or just below mu*; with more blocks mu_min / mu* measured 0.477 to
+    1.091, hence the asymmetric bracket.  At N in [400, 1e6] the median
+    call takes 9 or 10 evaluations this way, against 20 for the grid.
 
-    With c_l = J_l |zeta_l|^2 over the active blocks, the minimum sits near
-    1.5 (c N)^(-2/3) for some c between the extremes, so the SEED_POINTS grid
-    spans [SEED_LO (c_max N)^(-2/3), SEED_HI (c_min N)^(-2/3)], capped at
+    Otherwise, and when the law's result does not stand, the cold search
+    runs, so every status other than "ok" comes from it.  The minimum sits
+    near 1.5 c^(-2/3) for some c between the extremes, so the SEED_POINTS
+    grid spans [SEED_LO c_max^(-2/3), SEED_HI c_min^(-2/3)], capped at
     MU_MAX (the lower end then stays at least SEED_HI / SEED_LO below the
     cap); its points are mu_lo exp(k step), with both ends exact.
     `_grid_argmin` finds the grid minimum coarse to fine: every 4th point and
@@ -460,7 +471,8 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     the grid minimum lands on the upper edge, the edge is quadrupled, never
     past MU_MAX, and `expansions` counts these widenings.
     Brent's method (`_brent`) then refines between the grid neighbours of
-    the minimum.  Every mu where `_xi2` finds the mean collapsed reads
+    the minimum.  `iterations` counts the evaluations of both searches.
+    Every mu where `_xi2` finds the mean collapsed reads
     xi^2 = inf, so Brent's parabolic steps never home in on the float
     noise there.  A search that never sees xi^2 < 1 reports status
     "no_squeezing" instead of raising.  Before any evaluation it refuses a
@@ -469,20 +481,6 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     below _XI2_FLOOR = 1e-12, reached past N of about 1e17 on the locus,
     where the kernel's rounding of a few 1e-16 is more than 1e-3 of xi^2;
     `_xi2` refuses a mean whose square leaves the normal float range.
-    """
-    return _find_limit(spec, None)
-
-
-def _find_limit(spec: EnsembleSpec, seed_mu: float | None) -> LimitResult:
-    """`find_limit`, first trying Brent's method alone on [seed_mu / 1.5, 1.5 seed_mu] when seeded.
-
-    A scan passes the previous row's mu_min as seed_mu, since mu_min moves
-    smoothly from row to row; with no seed, a one-block ensemble seeds
-    itself from `_r1_law`'s mu* while 1.5 mu* <= pi / 2.  The seeded result
-    stands only when the bracket is not empty, its minimum lies more than
-    _WARM_EDGE of the way in from both ends, and xi^2 is finite and below 1;
-    otherwise the cold search runs, so every status other than "ok" comes from it.  `iterations` counts
-    the evaluations of both.
     """
     if spec.c_sum <= 0.0:
         raise VanishingMeanSpin("no weight on nontrivial subspaces")
@@ -497,19 +495,15 @@ def _find_limit(spec: EnsembleSpec, seed_mu: float | None) -> LimitResult:
         raise NonFiniteInput(f"J_l |zeta_l|^2 N overflows the float range at N = {spec.n}")
     if min(c) == 0.0:  # a weight near the smallest subnormal: (c N)^(-2/3) would divide by zero
         raise InvalidInput(f"J_l |zeta_l|^2 N underflows to 0 at N = {spec.n}, weights {spec.coherent.weights!r}")
-    if seed_mu is None and len(c) == 1:
-        mu_star = _r1_law(c[0])[1]
-        if _WARM_SPAN * mu_star <= 0.5 * math.pi:  # the bracket stays clear of the revival near 2 pi
-            seed_mu = mu_star
 
     evaluations = expansions = 0
-    if seed_mu is not None:
-        lo, hi = seed_mu / _WARM_SPAN, min(_WARM_SPAN * seed_mu, MU_MAX)
-        if lo < hi:
-            mu_min, xi2_min, evaluations = _brent(xi2, lo, hi)
-            edge = _WARM_EDGE * (hi - lo)
-            if lo + edge < mu_min < hi - edge and xi2_min < 1.0:  # also refuses inf and NaN
-                return _resolved(spec, LimitResult(xi2_min, mu_min, evaluations, "ok"))
+    mu_star = _r1_law(max(c))[1]
+    if _LAW_HI * mu_star <= 0.5 * math.pi:  # the bracket stays clear of the revival near 2 pi
+        lo, hi = _LAW_LO * mu_star, _LAW_HI * mu_star
+        mu_min, xi2_min, evaluations = _brent(xi2, lo, hi)
+        edge = _LAW_EDGE * (hi - lo)
+        if lo + edge < mu_min < hi - edge and xi2_min < 1.0:  # also refuses inf and NaN
+            return _resolved(spec, LimitResult(xi2_min, mu_min, evaluations, "ok"))
 
     mu_hi = min(SEED_HI * min(c) ** (-2.0 / 3.0), MU_MAX)
     mu_lo = min(SEED_LO * max(c) ** (-2.0 / 3.0), mu_hi * SEED_LO / SEED_HI)

@@ -1,13 +1,9 @@
 """Parameter scans over initial weights / particle number and power-law fits.
 
-A scan reuses its previous row: mu_min moves smoothly along a weight grid
-and scales as N^(-2/3) along a particle-number list, so each row seeds the
-limit search with the last row's mu_min (times (N_prev / N)^(2/3) in
-`n_scan`).  The seeded search runs Brent's method on [seed / 1.5, 1.5 seed]
-and keeps its minimum only when it is "ok" and clear of both bracket ends;
-otherwise, and after any row that is not "ok", the row gets the cold search
-of `find_limit`.  Rows agree with per-row `find_limit` calls in status and,
-within the search's own precision, in xi^2_min.
+Each scan row is one `find_limit` call on the row's ensemble, so a row is
+exactly the limit of a per-row call.  Every search starts from the
+one-block law's mu_min, which below N of about 1e7 leaves little for the
+previous row's mu_min to add as a seed.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classification import IrrepDecomposition
-from .coherent_dynamics import LimitResult, _find_limit, oat_spec
+from .coherent_dynamics import find_limit, oat_spec
 from .errors import FitDiverged, InvalidInput, NonFiniteInput, VanishingMeanSpin
 from .lie_algebra import _particle_count, _real, _sequence
 
@@ -82,44 +78,30 @@ def _two_weight_zeta(r: int, zeta1_sq: float) -> tuple[float, ...]:
     return tuple(zeta)
 
 
-def _scan_point(decomposition: IrrepDecomposition, n: int, zeta1_sq: float, seed_mu: float | None) -> ScanRow:
+def _scan_point(decomposition: IrrepDecomposition, n: int, zeta1_sq: float) -> ScanRow:
     spec = oat_spec(decomposition, n, _two_weight_zeta(decomposition.r, zeta1_sq))
     try:
-        res: LimitResult = _find_limit(spec, seed_mu)
+        res = find_limit(spec)
     except VanishingMeanSpin:
         return ScanRow(zeta1_sq, math.nan, math.nan, "undefined")
     return ScanRow(zeta1_sq, res.xi2_min, res.mu_min, res.status)
 
 
 def zeta_scan(config: ScanConfig) -> list[ScanRow]:
-    """Squeezing limit along the first-subspace weight grid, in grid order, each row seeded by the last."""
-    rows: list[ScanRow] = []
-    for w in config.zeta1_sq_grid:
-        seed = rows[-1].mu_min if rows and rows[-1].status == "ok" else None
-        rows.append(_scan_point(config.decomposition, config.n, w, seed))
-    return rows
+    """Squeezing limit along the first-subspace weight grid, in grid order."""
+    return [_scan_point(config.decomposition, config.n, w) for w in config.zeta1_sq_grid]
 
 
 def n_scan(
     decomposition: IrrepDecomposition, zeta1_sq: float, n_values
 ) -> list[tuple[int, float, float, str]]:
-    """Squeezing limit versus particle number at a fixed weight split, in list order.
-
-    Each row is seeded with the last row's mu_min times (N_prev / N)^(2/3).
-    """
+    """Squeezing limit versus particle number at a fixed weight split, in list order."""
     _check_weight(zeta1_sq)
     ns = [_particle_count(n) for n in _sequence(n_values, "n_values")]
     if not ns:
         raise InvalidInput("no particle numbers to scan")
-    rows: list[tuple[int, float, float, str]] = []
-    for n in ns:
-        seed = None
-        if rows and rows[-1][3] == "ok":
-            n_prev, _, mu_prev, _ = rows[-1]
-            seed = mu_prev * (n_prev / n) ** (2.0 / 3.0)
-        row = _scan_point(decomposition, n, zeta1_sq, seed)
-        rows.append((n, row.xi2_min, row.mu_min, row.status))
-    return rows
+    rows = [_scan_point(decomposition, n, zeta1_sq) for n in ns]
+    return [(n, row.xi2_min, row.mu_min, row.status) for n, row in zip(ns, rows)]
 
 
 @dataclass(frozen=True)

@@ -237,7 +237,11 @@ def dense_limit_reference(spec, points: int = 4000) -> tuple[float, float]:
     A grid value no larger than its neighbours counts as a local minimum;
     the refinement brackets it by those neighbours (the first by 1e-3 of
     its own mu).  Each point reads xi^2 as the limit search does, through
-    `_moments`, `_var_min` and `_xi2`, so a collapsed mean reads inf.
+    `_moments`, `_var_min` and `_xi2`, so a collapsed mean reads inf.  A
+    minimum next to an inf is a dip that ends at the collapsed-mean guard:
+    it keeps its grid value, since Brent's method would walk into the float
+    noise beside the guard (N = 2, all weight on one J_l = 1/2 block, read
+    0.4999999978 there, below the infimum 1/2).
     While 4 J_max N <= points, the grid samples xi^2 at about twice its
     highest frequency, so it sees every dip; at larger N a dip narrower
     than the spacing can fall between points.  (inf, nan) when no grid
@@ -254,8 +258,11 @@ def dense_limit_reference(spec, points: int = 4000) -> tuple[float, float]:
     for k, v in enumerate(values):
         if not math.isfinite(v) or (k > 0 and values[k - 1] < v) or (k < points - 1 and values[k + 1] < v):
             continue
+        best = min(best, (v, mus[k]))
+        if not all(math.isfinite(values[i]) for i in (k - 1, k + 1) if 0 <= i < points):
+            continue
         lo = mus[k - 1] if k > 0 else 1e-3 * mus[0]
         hi = mus[k + 1] if k < points - 1 else mus[k]
         mu, x, _ = _brent(xi2, lo, hi)
-        best = min(best, (v, mus[k]), (x, mu))
+        best = min(best, (x, mu))
     return best

@@ -23,12 +23,17 @@ from spinsqueeze import (
 from spinsqueeze import coherent_dynamics
 from spinsqueeze.coherent_dynamics import (
     GOLDEN_REL_TOL,
+    MU_MAX,
     SEED_POINTS,
     XI2_MEAN_GUARD,
+    _LAW_EDGE,
+    _LAW_HI,
+    _LAW_LO,
     _brent,
     _grid_argmin,
     _moments,
     _r1_law,
+    _var_min,
     _xi2,
 )
 from spinsqueeze.cli import main
@@ -48,6 +53,9 @@ DEC_I = IrrepDecomposition(J32, (3,))
 DEC_II = IrrepDecomposition(J32, (2, 0))
 DEC_III = IrrepDecomposition(J32, (1, 1))
 DEC_IV = IrrepDecomposition(J32, (1, 0, 0))
+MULTI_BLOCK_CLASSES = [
+    d for tj in range(1, 10) for d in enumerate_classes(SpinQuantum(tj)) if sum(t > 0 for t in d.twice_subspins) >= 2
+]
 
 
 def r1_xi2_series(twice_j_sub: int, n: int, mu: float) -> float:
@@ -466,7 +474,7 @@ def test_find_limit_matches_the_sweep_it_replaced():
         tol = 1e-9 if spec.n <= 10**8 else 3e-9
         assert abs(new.xi2_min - ref.xi2_min) <= tol * ref.xi2_min, (spec, new, ref)
         assert new.xi2_min <= ref.xi2_min * (1.0 + tol), (spec, new, ref)
-    assert np.median(evaluations) <= 24  # 7 to 11 seed points and about 9 Brent steps
+    assert np.median(evaluations) <= 12  # Brent alone from the law at c_max; the grid path took 20
 
 
 def test_find_limit_keeps_the_two_dip_census_at_n_2():
@@ -477,18 +485,16 @@ def test_find_limit_keeps_the_two_dip_census_at_n_2():
     6000-draw census of that defect (numpy seed 99, every 2J <= 9 class with
     two or more spinful blocks, eps log-uniform in [1e-6, 0.5]); the full
     24-point grid read 27 of them above the 128-point sweep by more than
-    1e-4 relative, and the coarse-to-fine grid reads the same 27.  The
+    1e-4 relative, and the coarse-to-fine grid reads the same 27, as does
+    the search that starts from the law at c_max (it seeds 820 of the
+    first 1500 draws, whose 86 wrong reads stay the same draws).  The
     defect stays open; this guards against a search that skips more of the
     lower dips.
     """
-    classes = [
-        d for tj in range(1, 10) for d in enumerate_classes(SpinQuantum(tj))
-        if sum(t > 0 for t in d.twice_subspins) >= 2
-    ]
     rng = np.random.default_rng(99)
     above = []
     for _ in range(500):
-        dec = classes[rng.integers(len(classes))]
+        dec = MULTI_BLOCK_CLASSES[rng.integers(len(MULTI_BLOCK_CLASSES))]
         a, b = rng.choice([k for k, t in enumerate(dec.twice_subspins) if t > 0], 2, replace=False)
         eps = math.exp(rng.uniform(math.log(1e-6), math.log(0.5)))
         w = [0.0] * dec.r
@@ -597,11 +603,27 @@ def _single_block_spec(rng, n_lo, n_hi):
 
 
 def _law_seeds(spec) -> bool:
-    """Whether the search starts from the one-block law: one active block and 1.5 mu* <= pi / 2."""
-    if len(spec.active_blocks) != 1:
-        return False
-    (jl, _, w), = spec.active_blocks
-    return 1.5 * _r1_law(jl * w * spec.n)[1] <= 0.5 * math.pi
+    """Whether the search starts from the one-block law: 1.2 mu* <= pi / 2, mu* that of the largest J_l w_l N."""
+    c_max = max(jl * w * spec.n for jl, _, w in spec.active_blocks)
+    return 1.2 * _r1_law(c_max)[1] <= 0.5 * math.pi
+
+
+def _multi_block_spec(rng, n_lo, n_hi, eps):
+    """oat_spec of a class with two or more spinful blocks (2J <= 9), N log-uniform in [n_lo, n_hi].
+
+    Dirichlet weights over all blocks, or with eps the weights eps and
+    1 - eps on two spinful blocks, eps log-uniform in [1e-4, 0.5].
+    """
+    dec = MULTI_BLOCK_CLASSES[rng.integers(len(MULTI_BLOCK_CLASSES))]
+    n = int(round(math.exp(rng.uniform(math.log(n_lo), math.log(n_hi)))))
+    if eps:
+        a, b = rng.choice([k for k, t in enumerate(dec.twice_subspins) if t > 0], 2, replace=False)
+        w = np.zeros(dec.r)
+        w[a] = math.exp(rng.uniform(math.log(1e-4), math.log(0.5)))
+        w[b] = 1.0 - w[a]
+    else:
+        w = rng.dirichlet(np.ones(dec.r))
+    return oat_spec(dec, n, tuple(np.sqrt(w / w.sum())))
 
 
 def test_law_seeded_limits_match_the_dense_and_sweep_references():
@@ -643,45 +665,106 @@ def test_law_seeded_limits_match_the_sweep_up_to_1e9():
 
 
 def test_law_seeded_limits_take_a_median_of_at_most_10_evaluations():
-    """Single-block draws at N in [400, 1e6]: Brent alone on [mu* / 1.5, 1.5 mu*] in the median case."""
+    """Single-block draws at N in [400, 1e6]: Brent alone on [0.4 mu*, 1.2 mu*] in the median case."""
     rng = np.random.default_rng(8)
     evaluations = [find_limit(_single_block_spec(rng, 400, 1e6)).iterations for _ in range(300)]
     assert np.median(evaluations) <= 10, sorted(evaluations)
 
 
 def test_law_seed_stays_off_the_revival():
-    """(5, 0, 0) at N = 22, w = 0.0016: 1.5 mu* > pi / 2, so the cold search runs.
+    """(5, 0, 0) at N = 22, w = 0.0016: 1.2 mu* > pi / 2, so the cold search runs.
 
-    The bracket around mu* = 7.65, capped at 2 pi, holds the revival, where
-    Brent accepts a dip of 0.685 at mu = 5.77; the minimum is 0.467 at
-    mu = 0.579.
+    The law's bracket around mu* = 7.65, capped at 2 pi, holds the revival,
+    where Brent finds a dip of 0.685 at mu = 5.77, well inside the bracket;
+    the minimum is 0.467 at mu = 0.579.
     """
     spec = oat_spec(IrrepDecomposition(SpinQuantum(7), (5, 0, 0)), 22, (0.04, math.sqrt(1 - 0.0016), 0.0))
     assert not _law_seeds(spec)
-    wrong = coherent_dynamics._find_limit(spec, _r1_law(2.5 * 0.0016 * 22)[1])
-    assert wrong.xi2_min == pytest.approx(0.685, abs=1e-3) and wrong.mu_min == pytest.approx(5.77, abs=1e-2)
+
+    def xi2(mu):
+        mean, base, p, q = _moments(spec, mu)
+        return _xi2(spec, mean, _var_min(base, p, q))
+
+    mu_star = _r1_law(2.5 * 0.0016 * 22)[1]
+    lo, hi = _LAW_LO * mu_star, min(_LAW_HI * mu_star, MU_MAX)
+    mu, value, _ = _brent(xi2, lo, hi)
+    assert value == pytest.approx(0.685, abs=1e-3) and mu == pytest.approx(5.77, abs=1e-2)
+    assert lo + _LAW_EDGE * (hi - lo) < mu < hi - _LAW_EDGE * (hi - lo)
     res, ref = find_limit(spec), sweep_limit_reference(spec)
     assert res.xi2_min == pytest.approx(0.467, abs=1e-3) and res.mu_min == pytest.approx(0.579, abs=1e-3)
     assert res.xi2_min <= ref.xi2_min * (1.0 + 1e-9)
+
+
+def test_multi_block_limits_match_the_dense_and_sweep_references():
+    """Multi-block draws at N in [2, 2000] that the law seeds read no xi^2 above either reference by more than 1e-9.
+
+    Half the draws take Dirichlet weights, half eps and 1 - eps on two
+    spinful blocks.  The dense reference sees every dip at these N, so a
+    law bracket at c_max that settled on a wrong dip would read above it.
+    Draws with 1.2 mu* > pi / 2 run the cold search unchanged and are
+    skipped.
+    """
+    rng = np.random.default_rng(5)
+    seeded = 0
+    for draw in range(100):
+        spec = _multi_block_spec(rng, 2, 2000, eps=draw % 2 == 1)
+        if not _law_seeds(spec):
+            continue
+        seeded += 1
+        res, sweep = find_limit(spec), sweep_limit_reference(spec)
+        dense_xi2, _ = dense_limit_reference(spec)
+        assert res.status == sweep.status == "ok", (spec, res, sweep)
+        assert res.xi2_min <= min(sweep.xi2_min, dense_xi2) * (1.0 + 1e-9), (spec, res, sweep, dense_xi2)
+    assert seeded >= 80, seeded
+
+
+def test_multi_block_limits_match_the_sweep_up_to_1e9():
+    """Multi-block draws at N in [2, 1e9]: within 1e-9 of the 128-point sweep, 3e-9 above N = 1e8."""
+    rng = np.random.default_rng(6)
+    seeded = 0
+    for draw in range(300):
+        spec = _multi_block_spec(rng, 2, 1e9, eps=draw % 2 == 1)
+        res, ref = find_limit(spec), sweep_limit_reference(spec)
+        assert res.status == ref.status, (spec, res, ref)
+        seeded += _law_seeds(spec)
+        if res.status == "ok":
+            tol = 1e-9 if spec.n <= 10**8 else 3e-9
+            assert abs(res.xi2_min - ref.xi2_min) <= tol * ref.xi2_min, (spec, res, ref)
+            assert res.xi2_min <= ref.xi2_min * (1.0 + tol), (spec, res, ref)
+    assert seeded >= 250, seeded
+
+
+def test_multi_block_limits_take_a_median_of_at_most_11_evaluations():
+    """Multi-block draws at N in [400, 1e6]: Brent alone on the law's bracket at c_max, where the grid took 20."""
+    rng = np.random.default_rng(8)
+    evaluations = [find_limit(_multi_block_spec(rng, 400, 1e6, eps=k % 2 == 1)).iterations for k in range(300)]
+    assert np.median(evaluations) <= 11, sorted(evaluations)
 
 
 @pytest.mark.parametrize(
     "argv, want",
     [
         (("--j", "3/2", "--class", "1/2+1/2", "--n", "100000", "--zeta", "0.5,0.8660254037844386"),
-         ("0.10886586642088658", "0.00091335581092896799", 21)),
+         ("0.1088658664208858", "0.00091335581704860642", 10)),
         (("--j", "5/2", "--class", "1+1/2+0", "--n", "5000", "--zeta", "0.6,0.7,0.3872983346207417"),
-         ("0.037252228181431153", "0.010441624089489314", 19)),
+         ("0.037252228181430994", "0.010441626167568177", 9)),
         (("--j", "7/2", "--class", "3/2+1+0", "--n", "40", "--zeta", "0.8,0.6,0"),
-         ("0.19680309158911391", "0.11510841355949646", 20)),
+         ("0.19680309158911413", "0.11510841588445052", 9)),
         (("--j", "9/2", "--class", "2+1+1/2", "--n", "700", "--zeta", "0.5,0.5,0.7071067811865476"),
-         ("0.12291593581951367", "0.030829356078277283", 20)),
+         ("0.12291593581951363", "0.030829357781883195", 9)),
         (("--j", "2", "--class", "1/2+1/2+0", "--n", "2", "--zeta", "0.1,0.99498743710662,0"),
          ("0.58033784715102432", "2.0199218615697738", 21)),
     ],
 )
 def test_multi_block_limits_output_is_unchanged(capsys, argv, want):
-    """Two or more active blocks keep the grid search: `limits` prints the bytes it printed before the law seed."""
+    """`limits` on two or more active blocks prints these bytes, each checked against both references.
+
+    The first four start from the law at c_max and take 10, 9, 9 and 9
+    evaluations where the grid took 21, 19, 20 and 20; their xi^2 moved by
+    at most 7e-15 relative and lies within 4e-14 of `sweep_limit_reference`
+    and of `dense_limit_reference` (on enough points for 4 J_max N).  The
+    N = 2 draw, with 1.2 mu* > pi / 2, runs the grid as before.
+    """
     assert main(["limits", *argv]) == 0
     xi2_min, mu_min, iterations = want
     expected = (
@@ -695,10 +778,8 @@ def test_find_limit_refuses_an_overflowing_j_w_n_before_evaluating(monkeypatch):
     """J_l |zeta_l|^2 N = inf: the law's mu* is 0 and the grid's log(mu_hi / mu_lo) divides by zero."""
     calls = []
     monkeypatch.setattr(coherent_dynamics, "_moments", lambda spec, mu: calls.append(mu))
-    spec = oat_spec(DEC_I, int(1.7e308), (1,))
-    for seed in (None, 1e-3):
-        with pytest.raises(NonFiniteInput, match="overflows the float range"):
-            coherent_dynamics._find_limit(spec, seed)
+    with pytest.raises(NonFiniteInput, match="overflows the float range"):
+        find_limit(oat_spec(DEC_I, int(1.7e308), (1,)))
     assert calls == []
 
 
@@ -712,7 +793,7 @@ def test_find_limit_refuses_a_j_w_n_that_underflows_before_evaluating(monkeypatc
 
 
 @pytest.mark.parametrize("dec, zeta", [(DEC_I, (1,)), (DEC_II, (math.sqrt(0.7), math.sqrt(0.3)))])
-@pytest.mark.parametrize("n", [10**23, 10**30, 10**100])
+@pytest.mark.parametrize("n", [10**23, 10**30, 10**100, 10**150])
 def test_find_limit_refuses_a_limit_below_the_float_resolution(dec, zeta, n):
     """Past N of about 1e17 the locus limit falls below 1e-12, where the kernel's rounding of a
     few 1e-16 is more than 1e-3 of it; (3) read -2.2e-16 with status "ok" at N = 1e23."""
@@ -721,10 +802,41 @@ def test_find_limit_refuses_a_limit_below_the_float_resolution(dec, zeta, n):
 
 
 def test_off_locus_limits_stay_resolved_at_large_n():
-    """An off-locus split plateaus: {1/2, 1/2} at w = 0.35 reads 0.0645 up to N = 1e100."""
-    for n in (10**23, 10**100):
+    """An off-locus split plateaus: {1/2, 1/2} at w = 0.35 reads 0.0645 up to N = 1e120.
+
+    Past N of about 1e115, Q^2 overflows in `_var_min`; it read var_min and
+    xi^2 as -inf there, and the search reported "no_squeezing".
+    """
+    for n in (10**23, 10**100, 10**120):
         res = find_limit(oat_spec(DEC_III, n, (math.sqrt(0.35), math.sqrt(0.65))))
         assert res.status == "ok" and res.xi2_min == pytest.approx(0.0644882, rel=1e-5)
+
+
+def test_var_min_divides_before_squaring_only_where_q_squared_overflows():
+    """Every finite Q^2 keeps base - Q^2 / (P + |(P, Q)|) bit for bit; past it Q (Q / ...) stays finite."""
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        base, p, q = (float(x) for x in 10.0 ** rng.uniform(-300, 300, 3))
+        q *= float(rng.choice((-1.0, 1.0)))
+        if math.isfinite(q * q):
+            assert _var_min(base, p, q) == base - q * q / (p + math.hypot(p, q))
+    for q in (1.4e154, 5.4e158, -1e300):
+        assert q * q == math.inf
+        assert _var_min(1e300, 1e120, q) == 1e300 - q * (q / (1e120 + math.hypot(1e120, q)))
+        assert math.isfinite(_var_min(1e300, 1e120, q))
+
+
+@pytest.mark.parametrize(
+    "twice_j, twice_subspins, zeta", [(1, (1,), (1,)), (2, (1, 0), (1, 0)), (3, (1, 1), (1, 0))]
+)
+def test_dense_reference_keeps_a_dip_that_ends_at_the_guard(twice_j, twice_subspins, zeta):
+    """N = 2, all weight on one J_l = 1/2 block: xi^2 falls to 1/2 at mu = pi, where the mean collapses.
+
+    The grid minimum beside the guard's inf keeps its grid value; refined,
+    it read 0.4999999978, below the infimum.
+    """
+    xi2_min, mu_min = dense_limit_reference(oat_spec(IrrepDecomposition(SpinQuantum(twice_j), twice_subspins), 2, zeta))
+    assert 0.5 <= xi2_min <= 0.5 + 1e-6 and mu_min == pytest.approx(math.pi, abs=2e-3)
 
 
 def test_xi2_refuses_a_mean_whose_square_leaves_the_normal_range():
