@@ -27,7 +27,8 @@ record from the mean and (base, P, Q), and `squeeze_trace` feeds it
 extremal variances, the minimizing angle and xi^2 are all fields of its
 record.  `find_limit` starts from the one-axis-twisting law at the largest
 c_l = J_l |zeta_l|^2 N, mu* = 12^(1/6) c_max^(-2/3), and runs Brent's method
-alone on [0.4 mu*, 1.2 mu*] while 1.2 mu* <= pi / 2; otherwise, and when
+alone on [0.4 mu*, 1.2 mu*] while 1.2 mu* <= pi / 2, ending that run as
+soon as its bracket closes on an edge; otherwise, and when
 that bracket does not hold the minimum well inside it, it minimizes xi^2
 over mu on a 24-point log grid seeded from the active blocks (the minimum
 sits near 1.5 c^(-2/3) for a c between c_min and c_max), searched coarse to
@@ -138,6 +139,12 @@ class CoherentSpec:
         object.__setattr__(self, "weights", weights)
 
 
+def _check_weight_count(decomposition: IrrepDecomposition, coherent: CoherentSpec) -> None:
+    """Refuse with DimensionMismatch a weight count that is not the class's r."""
+    if len(coherent.zeta) != decomposition.r:
+        raise DimensionMismatch(f"{len(coherent.zeta)} weights for r = {decomposition.r} subspaces")
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """N identical spin-J particles with a class decomposition and weights."""
@@ -158,10 +165,7 @@ class EnsembleSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _particle_count(self.n))
-        if len(self.coherent.zeta) != self.decomposition.r:
-            raise DimensionMismatch(
-                f"{len(self.coherent.zeta)} weights for r = {self.decomposition.r} subspaces"
-            )
+        _check_weight_count(self.decomposition, self.coherent)
         blocks, kernel_blocks = [], []
         for tj, w in zip(self.decomposition.twice_subspins, self.coherent.weights):
             if tj > 0 and w > 0.0:
@@ -360,7 +364,7 @@ def squeeze_trace(spec: EnsembleSpec, mu: float) -> SqueezeTrace:
     return _trace(spec, mu, *_moments(spec, mu))
 
 
-def _brent(xi2, a: float, b: float) -> tuple[float, float, int]:
+def _brent(xi2, a: float, b: float, window: tuple[float, float] | None = None) -> tuple[float, float, int]:
     """Brent's bounded minimum of xi2 on [a, b], 0 < a < b: (mu, xi2, evaluations).
 
     The algorithm of scipy's fminbound: each step is the vertex of the
@@ -369,6 +373,10 @@ def _brent(xi2, a: float, b: float) -> tuple[float, float, int]:
     section of the larger side otherwise.  It stops once the best point lies
     within GOLDEN_REL_TOL of its own mu from both bracket ends.  An inf value
     (a skipped mu) never enters a parabola: the step falls back to golden.
+    With a window (lo, hi) it also stops, on its best point so far, once the
+    bracket lies at or below lo or at or above hi: the best point always
+    lies in the bracket, so the minimum it would reach is outside the
+    window too.
     """
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     x = a + golden * (b - a)
@@ -376,7 +384,10 @@ def _brent(xi2, a: float, b: float) -> tuple[float, float, int]:
     w, fw, v, fv = x, fx, x, fx  # second and third best points
     step = last = 0.0  # Brent's d and e: the latest step and the one before it
     evaluations = 1
+    stop_lo, stop_hi = window or (-math.inf, math.inf)
     while True:
+        if b <= stop_lo or a >= stop_hi:
+            return x, fx, evaluations
         mid = 0.5 * (a + b)
         tol = 0.5 * GOLDEN_REL_TOL * x
         if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):
@@ -448,7 +459,9 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     c_max^(-2/3) (`_r1_law`, the law of `asymptotic_limit_r1` with J N
     replaced by c_max): Brent's method alone on [_LAW_LO mu*, _LAW_HI mu*].
     The result stands when the minimum lies more than _LAW_EDGE of the
-    bracket width in from both ends and xi^2 is finite and below 1.  The
+    bracket width in from both ends and xi^2 is finite and below 1; Brent's
+    run ends early once its bracket has closed on one of those edge strips,
+    where no result stands.  The
     law is tried only while _LAW_HI mu* <= pi / 2 (c_max of about 1.24 or
     more); a bracket reaching further can hold the revival near 2 pi and
     settle on its dip.  A one-block ensemble sits on the law, with mu_min
@@ -500,8 +513,8 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     mu_star = _r1_law(max(c))[1]
     if _LAW_HI * mu_star <= 0.5 * math.pi:  # the bracket stays clear of the revival near 2 pi
         lo, hi = _LAW_LO * mu_star, _LAW_HI * mu_star
-        mu_min, xi2_min, evaluations = _brent(xi2, lo, hi)
         edge = _LAW_EDGE * (hi - lo)
+        mu_min, xi2_min, evaluations = _brent(xi2, lo, hi, (lo + edge, hi - edge))
         if lo + edge < mu_min < hi - edge and xi2_min < 1.0:  # also refuses inf and NaN
             return _resolved(spec, LimitResult(xi2_min, mu_min, evaluations, "ok"))
 

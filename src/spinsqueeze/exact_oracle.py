@@ -20,20 +20,23 @@ All of it is array code; no Python loop runs over basis states.
   with a particle in each mode, taken once).  Moving one boson b -> a sends
   the k-th holder of mode b to the k-th holder of mode a: adding the fixed
   vector e_a - e_b keeps lexicographic order, and it maps the rows with
-  n_b >= 1 one to one onto the rows with n_a >= 1.
+  n_b >= 1 one to one onto the rows with n_a >= 1.  `_hops` lists these
+  runs of (rows, cols, values) once, for `second_quantize` and the
+  workspace alike.
 - Coherent amplitudes are exp(log multinomial / 2 + occ @ log|psi|) with
   phase occ @ arg(psi); the multinomial term is computed once per basis and
   each block's rotated state is the closed-form binomial vector.
-- `OracleWorkspace` reads the triple as one su(2) ladder.  It quantizes
-  Lambda+ = O1 + i O2 once, with the same routine as `second_quantize`;
-  Lambda- is its conjugate transpose and Lambda3 the vector occ @ diag(O3).
-  A point costs two sparse matrix-vector products, each over half the
-  nonzeros of one collective O1, and every moment is an inner product of
-  the ladder images.  The twisting phases come from a table of the distinct
-  twist values.  Coherent states, each with its `EnsembleSpec`, are cached
-  per `CoherentSpec`, at most COHERENT_CACHE_SIZE of them per workspace
-  (least recently used evicted), because twisting only multiplies the
-  cached state by a diagonal phase.
+- `OracleWorkspace` reads the triple as one su(2) ladder.  It assembles
+  one (2 size x size) CSR matrix [Lambda+; Lambda-] from the hops of
+  Lambda+ = O1 + i O2 (Lambda- = Lambda+^dagger is the same hops swapped
+  and conjugated), and Lambda3 is the vector occ @ diag(O3).  A point costs
+  one sparse matrix-vector product, over the nonzeros of one collective O1,
+  and three inner products of the ladder images.  The twisting phases come
+  from a table of the distinct twist values.  Coherent states are cached
+  per `CoherentSpec` with their `EnsembleSpec` and their O3 mean and
+  variance, which twisting leaves unchanged, at most COHERENT_CACHE_SIZE
+  of them per workspace (least recently used evicted), because twisting
+  only multiplies the cached state by a diagonal phase.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .classification import Su2Triple
-from .coherent_dynamics import CoherentSpec, EnsembleSpec, SqueezeTrace, _trace, squeeze_trace
+from .coherent_dynamics import CoherentSpec, EnsembleSpec, SqueezeTrace, _check_weight_count, _trace, squeeze_trace
 from .errors import (
     DimensionMismatch,
     InvalidInput,
@@ -157,32 +160,67 @@ class SymmetricState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def _quantize(m: np.ndarray, basis: FockBasis) -> sp.csr_matrix:
-    """CSR matrix of sum_{ab} m_ab c+_a c_b for any single-particle matrix m.
+def _hops(m: np.ndarray, basis: FockBasis) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The nonzeros of sum_{ab} m_ab c+_a c_b as runs of (rows, cols, values).
 
-    The diagonal is occ @ diag(m); each nonzero off-diagonal pair (a, b)
-    moves one particle b -> a with weight m_ab sqrt(n_b (n_a + 1)).  The k-th
-    row holding mode b lands on the k-th row holding mode a: adding e_a - e_b
-    keeps lexicographic order and maps the one set of rows onto the other.
+    The first run is the diagonal occ @ diag(m) where it is nonzero; each
+    nonzero off-diagonal pair (a, b) adds one run that moves a particle
+    b -> a with weight m_ab sqrt(n_b (n_a + 1)).  The k-th row holding mode b
+    lands on the k-th row holding mode a: adding e_a - e_b keeps
+    lexicographic order and maps the one set of rows onto the other.  No run
+    repeats a row or a column.
     """
-    # scipy is imported where the oracle uses it: at module level, scipy.sparse
-    # and .special add 28 MB of resident memory to every import.
-    import scipy.sparse as sp
-
     occ = basis.float_states
     diag = occ @ np.diagonal(m)
     keep = np.flatnonzero(diag)
-    rows, cols, vals = [keep], [keep], [diag[keep]]
+    runs = [(keep, keep, diag[keep])]
     holders = [np.flatnonzero(basis.states[:, k]) for k in range(basis.modes)]
     for a, b in zip(*np.nonzero(m)):
         if a == b:
             continue
         src, dst = holders[b], holders[a]
-        rows.append(dst)
-        cols.append(src)
-        vals.append(m[a, b] * np.sqrt(occ[src, b] * (occ[src, a] + 1.0)))
-    coords = (np.concatenate(rows), np.concatenate(cols))
-    return sp.coo_matrix((np.concatenate(vals), coords), shape=(basis.size, basis.size)).tocsr()
+        runs.append((dst, src, m[a, b] * np.sqrt(occ[src, b] * (occ[src, a] + 1.0))))
+    return runs
+
+
+def _quantize(m: np.ndarray, basis: FockBasis) -> sp.csr_matrix:
+    """CSR matrix of sum_{ab} m_ab c+_a c_b for any single-particle matrix m, from its `_hops`."""
+    # scipy is imported where the oracle uses it: at module level, scipy.sparse
+    # and .special add 28 MB of resident memory to every import.
+    import scipy.sparse as sp
+
+    rows, cols, vals = (np.concatenate(part) for part in zip(*_hops(m, basis)))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(basis.size, basis.size)).tocsr()
+
+
+def _stacked_ladder(m: np.ndarray, basis: FockBasis) -> sp.csr_matrix:
+    """The (2 size x size) CSR matrix [L; L^dagger] of L = sum_{ab} m_ab c+_a c_b.
+
+    L^dagger's runs are L's `_hops` with rows and columns swapped and values
+    conjugated, its rows offset by the basis size.  No run repeats a row, so
+    each run fills its own slot of every row it reaches, in a table of one
+    row per matrix row and one slot per run; no hop value is zero, so
+    dropping the zeros of the unfilled slots leaves the CSR matrix, with
+    each row's entries in run order.
+    """
+    import scipy.sparse as sp
+
+    size = basis.size
+    runs = [run for run in _hops(m, basis) if run[0].size]
+    width = len(runs)
+    index = np.int32 if 2 * size * width <= np.iinfo(np.int32).max else np.int64
+    data = np.zeros((2, size, width), dtype=complex)
+    indices = np.zeros((2, size, width), dtype=index)
+    for slot, (rows, cols, vals) in enumerate(runs):
+        data[0, rows, slot] = vals
+        indices[0, rows, slot] = cols
+        data[1, cols, slot] = vals
+        indices[1, cols, slot] = rows
+    np.conjugate(data[1], out=data[1])
+    indptr = np.arange(0, 2 * size * width + 1, width, dtype=index)
+    ladder = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(2 * size, size))
+    ladder.eliminate_zeros()
+    return ladder
 
 
 def second_quantize(op: HermitianOperator, basis: FockBasis) -> sp.csr_matrix:
@@ -220,7 +258,7 @@ def coherent_state(triple: Su2Triple, basis: FockBasis, coherent: CoherentSpec) 
     """
     if triple.j.dim != basis.modes:
         raise DimensionMismatch(f"triple dim {triple.j.dim} != mode count {basis.modes}")
-    EnsembleSpec(basis.n, triple.decomposition, coherent)  # refuses a weight count off r
+    _check_weight_count(triple.decomposition, coherent)
     psi = _single_particle_vector(triple, coherent)
     live = psi != 0
     log_mag = np.zeros(basis.modes)
@@ -275,17 +313,23 @@ def sector_twist_diagonal(triple: Su2Triple, basis: FockBasis) -> np.ndarray:
     return total
 
 
+# A workspace's cache entry per spec: (coherent state, ensemble, <O3>, Var(O3)).
+_Entry = tuple[SymmetricState, EnsembleSpec, float, float]
+
+
 class OracleWorkspace:
     """Cached operators for repeated oracle evaluations of one (class, N) pair.
 
     The triple is read as one su(2) ladder: the workspace second-quantizes
-    Lambda+ = O1 + i O2 once, takes Lambda- as its conjugate transpose and
-    Lambda3 as the vector occ @ diag(O3), and tabulates the distinct values
-    of the twisting diagonal.  A (zeta, mu) point then costs one exp per
-    distinct twist value and two sparse matrix-vector products, each over
-    half the nonzeros of O1.  The coherent state of each spec, and the
-    ensemble `_trace` reads, are built once and kept until
-    COHERENT_CACHE_SIZE other specs have been used after it.
+    Lambda+ = O1 + i O2 once, stacked over its conjugate transpose Lambda-
+    as one (2 size x size) CSR matrix, takes Lambda3 as the vector
+    occ @ diag(O3), and tabulates the distinct values of the twisting
+    diagonal.  A (zeta, mu) point then costs one exp per distinct twist
+    value, one sparse matrix-vector product over the nonzeros of O1 and
+    three inner products.  The coherent state of each spec, the ensemble
+    `_trace` reads, and the state's O3 mean and variance (twisting, diagonal
+    in Lambda3's basis, leaves both unchanged) are computed once and kept
+    until COHERENT_CACHE_SIZE other specs have been used after it.
     """
 
     def __init__(self, triple: Su2Triple, n: int):
@@ -294,18 +338,23 @@ class OracleWorkspace:
         self.n = self.basis.n
         twist_sq = sector_twist_diagonal(triple, self.basis)
         self._twist_values, self._twist_index = np.unique(twist_sq, return_inverse=True)
-        self._plus = _quantize(triple.o1.matrix + 1j * triple.o2.matrix, self.basis)
-        self._minus = self._plus.conj().T
+        self._ladder = _stacked_ladder(triple.o1.matrix + 1j * triple.o2.matrix, self.basis)
         self._lam3 = self.basis.float_states @ np.real(np.diagonal(triple.o3.matrix))
         self._f = triple.decomposition.f
-        self._coherent: dict[CoherentSpec, tuple[SymmetricState, EnsembleSpec]] = {}
+        self._coherent: dict[CoherentSpec, _Entry] = {}
 
-    def _cached(self, coherent_spec: CoherentSpec) -> tuple[SymmetricState, EnsembleSpec]:
-        """The spec's coherent state and ensemble, each built once while the spec stays cached."""
+    def _cached(self, coherent_spec: CoherentSpec) -> _Entry:
+        """The spec's cache entry, built once while the spec stays cached.
+
+        The ensemble is built first, and refuses a weight count off r.
+        """
         entry = self._coherent.pop(coherent_spec, None)
         if entry is None:
             ensemble = EnsembleSpec(self.n, self.triple.decomposition, coherent_spec)
-            entry = (coherent_state(self.triple, self.basis, coherent_spec), ensemble)
+            state = coherent_state(self.triple, self.basis, coherent_spec)
+            w3 = self._lam3 * state.amplitudes
+            mean3 = float(np.vdot(state.amplitudes, w3).real)
+            entry = (state, ensemble, mean3, float(np.vdot(w3, w3).real) - mean3 * mean3)
             if len(self._coherent) >= COHERENT_CACHE_SIZE:
                 del self._coherent[next(iter(self._coherent))]
         self._coherent[coherent_spec] = entry  # most recently used last
@@ -314,8 +363,8 @@ class OracleWorkspace:
     def coherent(self, coherent_spec: CoherentSpec) -> SymmetricState:
         return self._cached(coherent_spec)[0]
 
-    def _twisted_amplitudes(self, coherent_spec: CoherentSpec, mu: float) -> tuple[np.ndarray, EnsembleSpec]:
-        """Coherent amplitudes twisted to mu, with the spec's ensemble.
+    def _twisted_amplitudes(self, coherent_spec: CoherentSpec, mu: float) -> tuple[np.ndarray, _Entry]:
+        """Coherent amplitudes twisted to mu, with the spec's cache entry.
 
         Any finite mu, negative included, is valid; mu is checked before the
         coherent state is looked up or built.
@@ -324,8 +373,8 @@ class OracleWorkspace:
         if not math.isfinite(mu):
             raise NonFiniteInput(f"mu must be finite, got {mu!r}")
         phases = np.exp(-1j * mu / (2.0 * self._f * self._f) * self._twist_values)
-        state, ensemble = self._cached(coherent_spec)
-        return state.amplitudes * phases.take(self._twist_index), ensemble
+        entry = self._cached(coherent_spec)
+        return entry[0].amplitudes * phases.take(self._twist_index), entry
 
     def squeezing(self, coherent_spec: CoherentSpec, mu: float) -> SqueezeTrace:
         """Transverse moments of the twisted state, minimized over nu exactly.
@@ -334,21 +383,21 @@ class OracleWorkspace:
         v33 + P (1 + cos 2 nu) - Q sin 2 nu, with v33 the O_3 variance, P half
         the difference of the O_2 and O_3 variances and Q their covariance;
         the closed form's `_trace` finishes the record.
-        Every moment is an inner product of the ladder images
-        u = Lambda+ psi, d = Lambda- psi and w3 = Lambda3 psi:
-        <Lambda+> = <O1> + i <O2>, O2 psi = (u - d) / 2i, and for Hermitian
-        A and B, <{A, B}>/2 = Re <A psi | B psi>.
+        One product with the stacked ladder gives u = Lambda+ psi and
+        d = Lambda- psi, and e = u - d = 2i O_2 psi.  With the cached O_3
+        moments, three inner products give the rest:
+        <Lambda+> = <psi|u> = <O1> + i <O2>, Var(O2) = |e|^2 / 4 - <O2>^2,
+        and Cov(O2, O3) = Re <O2 psi|O3 psi> - <O2><O3>
+        = -Im <e|Lambda3 psi> / 2 - <O2><O3>.
         """
-        amps, spec = self._twisted_amplitudes(coherent_spec, mu)
-        u = self._plus @ amps
-        d = self._minus @ amps
-        w3 = self._lam3 * amps
+        amps, (_, spec, mean3, v33) = self._twisted_amplitudes(coherent_spec, mu)
+        ud = self._ladder @ amps
+        u, d = ud[: amps.size], ud[amps.size :]
+        e = u - d
         plus = complex(np.vdot(amps, u))
         mean1, mean2 = plus.real, plus.imag
-        mean3 = float(np.real(np.vdot(amps, w3)))
-        v22 = float(np.real(np.vdot(u, u) + np.vdot(d, d) - 2.0 * np.vdot(u, d))) / 4.0 - mean2 * mean2
-        v33 = float(np.real(np.vdot(w3, w3))) - mean3 * mean3
-        c23 = -float(np.imag(np.vdot(u, w3) - np.vdot(d, w3))) / 2.0 - mean2 * mean3
+        v22 = float(np.vdot(e, e).real) / 4.0 - mean2 * mean2
+        c23 = -float(np.vdot(e, self._lam3 * amps).imag) / 2.0 - mean2 * mean3
         return _trace(spec, mu, mean1, v33, 0.5 * (v22 - v33), c23)
 
 

@@ -443,10 +443,21 @@ def _random_spec(rng, classes, n_lo, n_hi, zero_prob=0.0):
     return oat_spec(dec, n, tuple(np.sqrt(w / w.sum())))
 
 
-def test_find_limit_matches_the_sweep_it_replaced():
-    """The seeded bracket finds the 128-point sweep's limit on 1000 seeded draws.
+def _property_draws(count: int = 1000) -> list[EnsembleSpec]:
+    """The seeded limit draws: 2J <= 9, N log-uniform in [2, 1e9], Dirichlet weights with blocks zeroed."""
+    classes = [d for tj in range(1, 10) for d in enumerate_classes(SpinQuantum(tj))]
+    rng = np.random.default_rng(2024)
+    draws = []
+    while len(draws) < count:
+        spec = _random_spec(rng, classes, 2, 1e9, zero_prob=0.3)
+        if spec is not None:
+            draws.append(spec)
+    return draws
 
-    2J <= 9, N log-uniform in [2, 1e9], Dirichlet weights with blocks zeroed.
+
+def test_find_limit_matches_the_sweep_it_replaced():
+    """The seeded bracket finds the 128-point sweep's limit on the 1000 property draws.
+
     Both searches stop on the kernel's rounding once the bracket is
     narrow, so xi^2 agrees to 1e-9 up to N = 1e8 and to 3e-9 above, where
     each evaluation carries about 5e-10 of noise (the worst pair measured
@@ -454,13 +465,8 @@ def test_find_limit_matches_the_sweep_it_replaced():
     `_xi2`, so neither minimum sits at a collapsed mean, and every draw is
     compared.
     """
-    classes = [d for tj in range(1, 10) for d in enumerate_classes(SpinQuantum(tj))]
-    rng = np.random.default_rng(2024)
     evaluations = []
-    while len(evaluations) < 1000:
-        spec = _random_spec(rng, classes, 2, 1e9, zero_prob=0.3)
-        if spec is None:
-            continue
+    for spec in _property_draws():
         new, ref = find_limit(spec), sweep_limit_reference(spec)
         evaluations.append(new.iterations)
         assert new.status == ref.status, spec
@@ -693,6 +699,43 @@ def test_law_seed_stays_off_the_revival():
     res, ref = find_limit(spec), sweep_limit_reference(spec)
     assert res.xi2_min == pytest.approx(0.467, abs=1e-3) and res.mu_min == pytest.approx(0.579, abs=1e-3)
     assert res.xi2_min <= ref.xi2_min * (1.0 + 1e-9)
+
+
+def _brent_without_window(monkeypatch):
+    """Make find_limit run every Brent search to convergence, as before the law bracket's early stop."""
+    monkeypatch.setattr(coherent_dynamics, "_brent", lambda xi2, a, b, window=None: _brent(xi2, a, b))
+
+
+def test_law_bracket_stops_once_it_closes_on_an_edge(monkeypatch):
+    """(1, 1) at w_1 = 0.2 and N = 1e8: mu_min lies below 0.4 mu*, so the law's run walks to the lower edge.
+
+    It ends there after 11 evaluations instead of 31, and the cold grid
+    finds the same limit: 32 evaluations in all, against 52 when the run
+    converges on the edge.
+    """
+    spec = oat_spec(DEC_III, 10**8, (math.sqrt(0.2), math.sqrt(0.8)))
+    assert _law_seeds(spec)
+    res = find_limit(spec)
+    assert res.status == "ok" and res.iterations <= 34, res
+    _brent_without_window(monkeypatch)
+    full = find_limit(spec)
+    assert full.iterations >= res.iterations + 15, (res, full)
+    assert dataclasses.replace(full, iterations=res.iterations) == res
+
+
+def test_law_bracket_early_stop_changes_only_the_iteration_count(monkeypatch):
+    """On the 1000 property draws every LimitResult field but `iterations` is bit-identical to full runs."""
+    draws = _property_draws()
+    stopped = [find_limit(spec) for spec in draws]
+    _brent_without_window(monkeypatch)
+    fewer = 0
+    for spec, res in zip(draws, stopped):
+        full = find_limit(spec)
+        assert res.iterations <= full.iterations, (spec, res, full)
+        fewer += res.iterations < full.iterations
+        for name in ("xi2_min", "mu_min", "status", "expansions"):
+            assert repr(getattr(res, name)) == repr(getattr(full, name)), (spec, name, res, full)  # float repr round-trips
+    assert fewer >= 50, fewer  # 53 measured; the mean goes 12.52 -> 11.53 evaluations
 
 
 def test_multi_block_limits_match_the_dense_and_sweep_references():

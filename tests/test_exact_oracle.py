@@ -384,8 +384,8 @@ def test_coherent_state_built_once_per_spec_and_cache_bounded(monkeypatch):
     for mu in (0.0, 0.3, 0.9):
         ws.squeezing(specs[0], mu)
     assert built == [specs[0]]
-    # two ensembles per cache miss: coherent_state's weight-count check and the cache entry
-    assert ensembles == [specs[0]] * 2
+    # one ensemble per cache miss, the cache entry's; coherent_state checks the weight count alone
+    assert ensembles == [specs[0]]
     assert twisted(ws, specs[0], 0.3).amplitudes.shape == (ws.basis.size,)
     assert len(built) == 1
     size = exact_oracle.COHERENT_CACHE_SIZE
@@ -397,7 +397,7 @@ def test_coherent_state_built_once_per_spec_and_cache_bounded(monkeypatch):
     assert len(built) == size + 1
     ws.squeezing(specs[0], 0.5)
     assert len(built) == size + 2
-    assert len(ensembles) == 2 * len(built)  # none for a cached spec
+    assert len(ensembles) == len(built)  # none for a cached spec
 
 
 def assert_oracle_agrees(workspace, zeta, mus):

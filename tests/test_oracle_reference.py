@@ -28,7 +28,10 @@ from spinsqueeze import (
 )
 from spinsqueeze.coherent_dynamics import EnsembleSpec, _extrema, _xi2
 from spinsqueeze.exact_oracle import (
+    COHERENT_CACHE_SIZE,
+    _quantize,
     _single_particle_vector,
+    _stacked_ladder,
     coherent_state,
     second_quantize,
     sector_twist_diagonal,
@@ -258,3 +261,68 @@ def test_ladder_moments_match_three_operator_reference(twice_j, twice_subspins, 
             assert abs(got.var_max - var_max) <= MOMENT_TOL
             if math.isfinite(xi2):
                 assert got.xi2 == pytest.approx(xi2, rel=XI2_REL_TOL)
+
+
+# Every class with 2J <= 7, each at a random N whose basis holds at most 330 states.
+PROPERTY_CLASSES = [dec for twice_j in range(1, 8) for dec in enumerate_classes(SpinQuantum(twice_j))]
+
+
+def test_one_product_point_matches_three_operator_reference_on_random_draws():
+    """Seeded draws: every class with 2J <= 7, random N, phased zeta, mu in [0, 4 pi).
+
+    Mean and extremal variances agree to MOMENT_TOL relative to
+    max(1, |value|), xi^2 to XI2_REL_TOL wherever the reference reads it
+    finite, and the workspace reads it inf exactly where the reference does.
+    """
+    rng = np.random.default_rng(29)
+    compared = 0
+    for dec in PROPERTY_CLASSES:
+        twice_j = dec.j.twice_j
+        n_max = max(n for n in range(1, 40) if math.comb(n + twice_j, twice_j) <= 330)
+        ws = OracleWorkspace(build_su2_triple(canonical_subset(dec)), int(rng.integers(1, n_max + 1)))
+        for _ in range(2):
+            coherent = random_coherent(dec.r, rng)
+            for mu in rng.uniform(0.0, 4.0 * math.pi, 3):
+                _, want = reference_squeezing(ws, coherent, mu)
+                got = ws.squeezing(coherent, mu)
+                for value, ref in zip((got.perp_expectation, got.var_min, got.var_max), want[:3]):
+                    assert abs(value - ref) <= MOMENT_TOL * max(1.0, abs(ref)), (dec, ws.n, mu, got, want)
+                assert math.isinf(got.xi2) == math.isinf(want[3]), (dec, ws.n, mu, got, want)
+                if math.isfinite(want[3]):
+                    assert got.xi2 == pytest.approx(want[3], rel=XI2_REL_TOL), (dec, ws.n, mu, got, want)
+                    compared += 1
+    assert compared >= len(PROPERTY_CLASSES) * 3
+
+
+def test_rebuilt_spec_gives_bit_identical_traces():
+    """A spec evicted from the coherent cache and built again reads the same traces, bit for bit."""
+    (dec,) = [d for d in enumerate_classes(SpinQuantum(5)) if d.twice_subspins == (3, 1)]
+    ws = OracleWorkspace(build_su2_triple(canonical_subset(dec)), 6)
+    rng = np.random.default_rng(30)
+    specs = [random_coherent(dec.r, rng) for _ in range(COHERENT_CACHE_SIZE + 1)]
+    mus = rng.uniform(0.0, 4.0 * math.pi, 4)
+    first = [repr(ws.squeezing(specs[0], mu)) for mu in mus]
+    for spec in specs[1:]:
+        ws.squeezing(spec, 0.5)
+    assert specs[0] not in ws._coherent  # evicted, so the next call rebuilds it
+    assert [repr(ws.squeezing(specs[0], mu)) for mu in mus] == first  # float repr round-trips
+
+
+@pytest.mark.parametrize("twice_j,n,subset", CASES)
+def test_stacked_ladder_is_the_quantized_operator_over_its_adjoint(twice_j, n, subset):
+    """[L; L^dagger] holds exactly the entries of second_quantize's L and of its conjugate transpose.
+
+    L is the class's Lambda+ and a random matrix with a diagonal; the
+    stacked matrix keeps no explicit zeros.
+    """
+    import scipy.sparse as sp
+
+    j = SpinQuantum(twice_j)
+    basis = build_basis(n, j)
+    triple = build_su2_triple(VertexSubset(j, frozenset(subset)))
+    for m in (triple.o1.matrix + 1j * triple.o2.matrix, random_hermitian(j.dim, np.random.default_rng(n), pairs=3)):
+        ladder = _stacked_ladder(m, basis)
+        single = _quantize(m, basis)
+        assert ladder.shape == (2 * basis.size, basis.size)
+        assert ladder.nnz == 2 * single.nnz and np.all(ladder.data != 0)
+        assert abs(ladder - sp.vstack([single, single.conj().T])).max() == 0.0
