@@ -161,9 +161,11 @@ class Su2Triple:
     subspins, i.e. coherent-state weights zeta_l attach to blocks[l].  The
     constructor is where the class is checked, once: besides the su(2)
     commutators, O3/f must be the union of the blocks' multiplets
-    m = J_l ... -J_l.  A diagonal O3 is matched level by level, which pins the
-    offsets the oracle reads; any other O3 by its sorted spectrum, so a
-    unitarily rotated triple keeps its class.
+    m = J_l ... -J_l.  The blocks, walked by offset, must each start where
+    the previous one ended and the last end at 2J+1.  A diagonal O3 is
+    matched level by level, which pins the offsets the oracle reads; any
+    other O3 by its sorted spectrum, so a unitarily rotated triple keeps its
+    class.  Every residual is compared as `not resid <= tol`, so a NaN fails.
     """
 
     o1: HermitianOperator
@@ -187,21 +189,21 @@ class Su2Triple:
         f = dec.f
         o1, o2, o3 = self.o1.matrix, self.o2.matrix, self.o3.matrix
         plus = o1 + 1j * o2
-        resid = np.max(np.abs(o3 @ plus - plus @ o3 - f * plus))
-        if resid > COMMUTATION_TOL:
+        resid = abs(o3 @ plus - plus @ o3 - f * plus).max()
+        if not resid <= COMMUTATION_TOL:
             raise NotAnSu2Triple(f"[O3, O+] != f O+ (residual {resid:.3e})")
         # [O3, O-] = -f O- is the adjoint of the check above (O3 is Hermitian).  Both
         # are linear in O+, so a rescaled or zero O1, O2 passes them; this one is not.
         minus = plus.conj().T
-        resid = np.max(np.abs(plus @ minus - minus @ plus - 2.0 * f * o3))
-        if resid > COMMUTATION_TOL:
+        resid = abs(plus @ minus - minus @ plus - 2.0 * f * o3).max()
+        if not resid <= COMMUTATION_TOL:
             raise NotAnSu2Triple(f"[O+, O-] != 2f O3 (residual {resid:.3e})")
 
         blocks = tuple((_exact_int(off, "block offset"), _exact_int(t, "2J_l")) for off, t in self.blocks)
         object.__setattr__(self, "blocks", blocks)
         if tuple(t for _, t in blocks) != dec.twice_subspins:
             raise NotAnSu2Triple(f"blocks {blocks} do not list the subspins {dec.twice_subspins}")
-        if sorted(lvl for off, t in blocks for lvl in range(off, off + t + 1)) != list(range(dim)):
+        if not _tiles(blocks, dim):
             raise NotAnSu2Triple(f"blocks {blocks} do not tile the {dim} levels")
         expected = np.empty(dim)
         for off, t in blocks:
@@ -210,9 +212,19 @@ class Su2Triple:
             observed, expected = np.linalg.eigvalsh(o3), np.sort(expected)
         else:
             observed = o3.diagonal().real
-        resid = np.max(np.abs(observed / f - expected))
-        if resid > SPECTRUM_TOL:
+        resid = abs(observed / f - expected).max()
+        if not resid <= SPECTRUM_TOL:
             raise NotAnSu2Triple(f"O3/f is not the blocks' multiplets J_l ... -J_l (residual {resid:.3e})")
+
+
+def _tiles(blocks: tuple[tuple[int, int], ...], dim: int) -> bool:
+    """True iff the blocks, walked by offset, each start where the previous one ended and the last ends at dim."""
+    end = 0
+    for off, t in sorted(blocks):
+        if off != end:
+            return False
+        end = off + t + 1
+    return end == dim
 
 
 def build_su2_triple(subset: VertexSubset) -> Su2Triple:

@@ -18,6 +18,8 @@ within each rank (c1, s1, c2, s2, ..., diagonal last) is a convention of this
 library, fixed so that rank 1 comes out as (Jx, Jy, Jz).  Each component of
 rank d and magnetic band |q| is made orthogonal to the lower-rank components
 of the same band; components of different bands are orthogonal by support.
+The inner product tr(A^dagger B) is `np.vdot(A, B)`: one pass over the
+entries, with no matrix product.
 
 A spin-J multiplet (m = J ... -J and its raising ladder) is written once, in
 `_multiplet`, and its three components once, in `_su2_components`:
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, NormalizationError, NotTraceless
+from .errors import DimensionMismatch, InvalidInput, NonFiniteInput, NormalizationError, NotTraceless
 
 HERMITIAN_TOL = 1e-12
 TRACELESS_TOL = 1e-12
@@ -132,7 +134,8 @@ class HermitianOperator:
     """Dense complex Hermitian matrix; the workhorse value type.
 
     The entries are validated against Hermiticity at construction and the
-    array is frozen, so instances can be shared freely.
+    array is frozen, so instances can be shared freely.  A NaN or infinite
+    entry makes the deviation non-finite and is refused as NonFiniteInput.
     """
 
     matrix: np.ndarray
@@ -141,8 +144,10 @@ class HermitianOperator:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-        if dev > HERMITIAN_TOL:
+        dev = abs(m - m.conj().T).max() if m.size else 0.0
+        if not dev <= HERMITIAN_TOL:
+            if not math.isfinite(dev):
+                raise NonFiniteInput(f"matrix has a non-finite entry (deviation {dev})")
             raise InvalidInput(f"matrix is not Hermitian (deviation {dev:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -183,7 +188,9 @@ class GeneratorSet:
 
 def _off_diagonal(m: np.ndarray) -> float:
     """Largest modulus off the main diagonal; each caller compares it with its own tolerance."""
-    return np.max(np.abs(m - np.diag(np.diagonal(m))))
+    a = abs(m)
+    np.fill_diagonal(a, 0.0)
+    return a.max()
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +263,10 @@ def _general_multipoles(j: SpinQuantum) -> tuple[list[np.ndarray], list[str]]:
     jx, jy, jz = spin_matrices(j)
     mats = [jx.matrix.copy(), jy.matrix.copy(), jz.matrix.copy()]
     names = ["Jx", "Jy", "Jz"]
-    bands: dict[int, list[np.ndarray]] = {1: mats[:2], 0: mats[2:]}
+    # each band holds (matrix, tr(g^dagger g)), the norm taken once as the matrix joins
+    bands: dict[int, list[tuple[np.ndarray, complex]]] = {
+        q: [(g, np.vdot(g, g)) for g in gs] for q, gs in ((1, mats[:2]), (0, mats[2:]))
+    }
     for rank in range(2, j.twice_j + 1):
         comps = _tensor_components(j, rank)
         block: list[tuple[int, np.ndarray]] = []
@@ -269,12 +279,13 @@ def _general_multipoles(j: SpinQuantum) -> tuple[list[np.ndarray], list[str]]:
         block.append((0, comps[rank]))  # q = 0, diagonal
         names.append(f"T{rank}z")
         for q, m in block:
-            # Gram-Schmidt against the band's accepted matrices, then renormalize.
+            # Gram-Schmidt against the band's accepted matrices, tr(A^dagger B) = vdot(A, B),
+            # then renormalize.
             band = bands.setdefault(q, [])
-            for prev in band:
-                m -= (np.trace(prev.conj().T @ m) / np.trace(prev.conj().T @ prev)) * prev
+            for prev, norm2 in band:
+                m -= (np.vdot(prev, m) / norm2) * prev
             m *= scale / np.linalg.norm(m)
-            band.append(m)
+            band.append((m, np.vdot(m, m)))
             mats.append(m)
     return mats, names
 
@@ -356,6 +367,8 @@ def expand_observable(basis: GeneratorSet, coeffs) -> HermitianOperator:
     v = np.asarray(coeffs, dtype=float)
     if v.shape != (len(basis),):
         raise DimensionMismatch(f"expected {len(basis)} coefficients, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("coefficients must be finite, got a NaN or an infinity")
     total = float(np.sum(v * v))
     if abs(total - 1.0) > 1e-12:
         raise NormalizationError(f"coefficients have squared norm {total!r}, expected 1")

@@ -94,11 +94,11 @@ def compute_roots(basis: GeneratorSet, cartan: CartanChoice) -> list[RootDatum]:
         for b in range(dim)
         if a != b
     ]
-    out.sort(key=_root_key, reverse=True)
-    for prev, rd in zip(out, out[1:]):
-        if _root_key(prev) == _root_key(rd):
+    keyed = sorted(((_root_key(rd), rd) for rd in out), key=lambda kr: kr[0], reverse=True)
+    for (prev, _), (key, rd) in zip(keyed, keyed[1:]):
+        if prev == key:
             raise DegenerateRootSpace(f"root tuple {rd.root} has multiplicity > 1")
-    return out
+    return [rd for _, rd in keyed]
 
 
 def _root_key(rd: RootDatum) -> tuple[int, ...]:

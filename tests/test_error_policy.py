@@ -9,6 +9,7 @@ import pytest
 
 from spinsqueeze import (
     CartanChoice,
+    HermitianOperator,
     IrrepDecomposition,
     OracleWorkspace,
     ScanConfig,
@@ -21,11 +22,14 @@ from spinsqueeze import (
     cli,
     compare_with_oracle,
     errors,
+    expand_observable,
+    multipole_basis,
     n_scan,
     oat_spec,
     squeeze_trace,
     structure_factor,
 )
+from spinsqueeze.classification import Su2Triple
 
 SRC = Path(cli.__file__).resolve().parent
 
@@ -135,3 +139,34 @@ def test_numpy_integers_are_counts():
     assert VertexSubset(J32, frozenset({i64(1), i64(3)})).chosen == {1, 3}
     assert CartanChoice(J32, (i64(2), i64(7), i64(10))).indices == (2, 7, 10)
     assert [type(row[0]) for row in n_scan(PAIR, 0.5, np.array([100, 200]))] == [int, int]
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.array([[0.0, np.inf], [np.inf, 0.0]])],
+    ids=["all_nan", "inf_on_diagonal", "inf_off_diagonal"],
+)
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+def test_non_finite_matrix_refused(matrix):
+    """A NaN or an infinity makes the Hermiticity deviation NaN or inf, never 'small'.
+    inf - inf warns on the way; the refusal is what counts."""
+    with pytest.raises(errors.NonFiniteInput, match="non-finite"):
+        HermitianOperator(matrix)
+
+
+def test_all_nan_triple_refused():
+    """Operators that reach Su2Triple with NaN entries fail its residual tests:
+    every comparison with NaN is false, so each test is written `not resid <= tol`."""
+    nan = object.__new__(HermitianOperator)
+    object.__setattr__(nan, "matrix", np.full((4, 4), np.nan, dtype=complex))
+    with pytest.raises(errors.NotAnSu2Triple):
+        Su2Triple(nan, nan, nan, FULL, ((0, 3),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficient_refused(bad):
+    basis = multipole_basis(J32)
+    coeffs = np.zeros(len(basis))
+    coeffs[0] = bad
+    with pytest.raises(errors.NonFiniteInput, match="finite"):
+        expand_observable(basis, coeffs)
