@@ -161,11 +161,10 @@ class Su2Triple:
     subspins, i.e. coherent-state weights zeta_l attach to blocks[l].  The
     constructor is where the class is checked, once: besides the su(2)
     commutators, O3/f must be the union of the blocks' multiplets
-    m = J_l ... -J_l.  The blocks, walked by offset, must each start where
-    the previous one ended and the last end at 2J+1.  A diagonal O3 is
-    matched level by level, which pins the offsets the oracle reads; any
-    other O3 by its sorted spectrum, so a unitarily rotated triple keeps its
-    class.  Every residual is compared as `not resid <= tol`, so a NaN fails.
+    m = J_l ... -J_l.  A diagonal O3 is matched level by level, which pins the
+    offsets the oracle reads; any other O3 by its sorted spectrum, so a
+    unitarily rotated triple keeps its class.  Every residual is compared as
+    `not resid <= tol`, so a NaN fails.
     """
 
     o1: HermitianOperator
@@ -203,7 +202,7 @@ class Su2Triple:
         object.__setattr__(self, "blocks", blocks)
         if tuple(t for _, t in blocks) != dec.twice_subspins:
             raise NotAnSu2Triple(f"blocks {blocks} do not list the subspins {dec.twice_subspins}")
-        if not _tiles(blocks, dim):
+        if sorted(lvl for off, t in blocks for lvl in range(off, off + t + 1)) != list(range(dim)):
             raise NotAnSu2Triple(f"blocks {blocks} do not tile the {dim} levels")
         expected = np.empty(dim)
         for off, t in blocks:
@@ -215,16 +214,6 @@ class Su2Triple:
         resid = abs(observed / f - expected).max()
         if not resid <= SPECTRUM_TOL:
             raise NotAnSu2Triple(f"O3/f is not the blocks' multiplets J_l ... -J_l (residual {resid:.3e})")
-
-
-def _tiles(blocks: tuple[tuple[int, int], ...], dim: int) -> bool:
-    """True iff the blocks, walked by offset, each start where the previous one ended and the last ends at dim."""
-    end = 0
-    for off, t in sorted(blocks):
-        if off != end:
-            return False
-        end = off + t + 1
-    return end == dim
 
 
 def build_su2_triple(subset: VertexSubset) -> Su2Triple:

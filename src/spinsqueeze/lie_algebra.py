@@ -263,10 +263,7 @@ def _general_multipoles(j: SpinQuantum) -> tuple[list[np.ndarray], list[str]]:
     jx, jy, jz = spin_matrices(j)
     mats = [jx.matrix.copy(), jy.matrix.copy(), jz.matrix.copy()]
     names = ["Jx", "Jy", "Jz"]
-    # each band holds (matrix, tr(g^dagger g)), the norm taken once as the matrix joins
-    bands: dict[int, list[tuple[np.ndarray, complex]]] = {
-        q: [(g, np.vdot(g, g)) for g in gs] for q, gs in ((1, mats[:2]), (0, mats[2:]))
-    }
+    bands: dict[int, list[np.ndarray]] = {1: mats[:2], 0: mats[2:]}
     for rank in range(2, j.twice_j + 1):
         comps = _tensor_components(j, rank)
         block: list[tuple[int, np.ndarray]] = []
@@ -282,10 +279,10 @@ def _general_multipoles(j: SpinQuantum) -> tuple[list[np.ndarray], list[str]]:
             # Gram-Schmidt against the band's accepted matrices, tr(A^dagger B) = vdot(A, B),
             # then renormalize.
             band = bands.setdefault(q, [])
-            for prev, norm2 in band:
-                m -= (np.vdot(prev, m) / norm2) * prev
+            for prev in band:
+                m -= (np.vdot(prev, m) / np.vdot(prev, prev)) * prev
             m *= scale / np.linalg.norm(m)
-            band.append((m, np.vdot(m, m)))
+            band.append(m)
             mats.append(m)
     return mats, names
 

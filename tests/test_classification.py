@@ -341,7 +341,7 @@ def test_triple_with_shifted_block_offsets_rejected(j32):
     [
         (((0, 1),), "subspins"),
         (((0, 1), (1, 1)), "tile"),
-        (((0, 1), (0, 1)), "tile"),  # a duplicate: the walk must fail, not stop, at the repeat
+        (((0, 1), (0, 1)), "tile"),  # a duplicate: levels 0..1 twice, 2..3 left out
         (((0, 1), (3, 1)), "tile"),  # levels 3..4 run past 2J + 1 = 4
         (((1, 1), (2, 1)), "tile"),  # ends at level 3 as a tiling does, but level 0 is left out
     ],
