@@ -25,19 +25,14 @@ defined, read by every caller: inf once the mean has collapsed to
 record from the mean and (base, P, Q), and `squeeze_trace` feeds it
 `_moments`; that is the one public per-mu entry point: the mean, the
 extremal variances, the minimizing angle and xi^2 are all fields of its
-record.  `find_limit` starts from the one-axis-twisting law at the largest
-c_l = J_l |zeta_l|^2 N, mu* = 12^(1/6) c_max^(-2/3), and runs Brent's method
-alone on [0.4 mu*, 1.2 mu*] while 1.2 mu* <= pi / 2, ending that run as
-soon as its bracket closes on an edge; otherwise, and when
-that bracket does not hold the minimum well inside it, it minimizes xi^2
-over mu on a 24-point log grid seeded from the active blocks (the minimum
-sits near 1.5 c^(-2/3) for a c between c_min and c_max), searched coarse to
-fine by `_grid_argmin` (at most 11 of its points evaluated), then by Brent's
-bounded method (parabolic steps, golden-section fallback), composing
-`_moments`, `_var_min` and `_xi2` directly rather than building a record per
-point: each point computes var_min alone, and the grid and its minimum are
-plain `math` and builtins, since numpy's fixed cost per call outweighs 24
-points.  The scans in scan_fit call `find_limit` once per row.
+record.  `find_limit` minimizes xi^2 over mu with one search: Brent's method
+alone on [0.4 mu*, 1.2 mu*] around the one-axis-twisting law's
+mu* = 12^(1/6) c_max^(-2/3), c_max the largest J_l |zeta_l|^2 N, where that
+bracket fits and settles the minimum, and otherwise one linear grid of
+4 J_max N + 1 values, at most GRID_POINTS, whose every local minimum
+`_brent` refines.  Each point composes `_moments`, `_var_min` and `_xi2`
+directly, computing var_min alone rather than a record.  The scans in
+scan_fit call `find_limit` once per row.
 The css_* functions give the untwisted coherent values, and the exact
 oracle finishes its measured moments with `_trace`.
 
@@ -82,15 +77,16 @@ from .errors import (
 )
 from .lie_algebra import _exact_int, _particle_count, _real
 
-SEED_POINTS = 24  # log grid of the limit search
-SEED_LO, SEED_HI = 0.05, 20.0  # its ends, in units of (c N)^(-2/3)
+# Most points of the limit search's linear grid, which takes 4 J_max N + 1 below that.
+GRID_POINTS = 32
 GOLDEN_REL_TOL = 1e-6  # relative precision in mu of the refined limit
-MAX_EXPANSIONS = 8
 # The limit search first runs Brent's method alone on [_LAW_LO mu*, _LAW_HI mu*],
 # mu* the one-block law's mu_min at c_max = max_l J_l |zeta_l|^2 N.  On 2654
 # law-seeded one-block draws (N = 2 to 1e9) mu_min / mu* never exceeded 1.000;
 # on the 864 multi-block draws of the closed_form bench's seeds 1-3 it lay in
-# 0.477-1.091, so the bracket reaches further below mu* than above it.
+# 0.477-1.091, so the bracket reaches further below mu* than above it.  On
+# 3000 multi-block draws with N log-uniform in [2, 1e9] it ran 2932 times and
+# stood on 2700, at 0.409-1.124; on the other 232 the limit lay below 0.41 mu*.
 _LAW_LO, _LAW_HI = 0.4, 1.2
 _LAW_EDGE = 0.01  # share of that bracket at each end where a minimum sends it back to the grid
 MU_MAX = 2.0 * math.pi  # xi^2 repeats every 4 pi and mirrors about 2 pi
@@ -207,7 +203,6 @@ class LimitResult:
     mu_min: float
     iterations: int  # xi^2 evaluations
     status: str  # "ok" or "no_squeezing"
-    expansions: int = 0  # widenings of the grid's upper edge
 
 
 def css_expectation_perp(spec: EnsembleSpec) -> float:
@@ -430,29 +425,8 @@ def _brent(xi2, a: float, b: float, window: tuple[float, float] | None = None) -
                 v, fv = u, fu
 
 
-def _grid_argmin(value, size: int) -> tuple[int, dict[int, float]]:
-    """First-index argmin of value(k) over k in range(size), coarse to fine: (best, values seen).
-
-    It evaluates every 4th index and the last one, then the two indices 2
-    away from the best so far, then the two 1 away from the new best: at
-    most 11 evaluations for size = 24.  Wherever the sequence falls strictly
-    to its first minimum and never falls after it, that is the argmin of all
-    size values: the coarse best lies within 3 of the minimum, the next pass
-    within 1, and the last pass evaluates it.  A sequence with two dips can
-    lose the lower one.
-    """
-    values = {k: value(k) for k in (*range(0, size - 1, 4), size - 1)}
-    best = min(values, key=values.__getitem__)  # keys ascend, so the first index on ties
-    for d in (2, 1):
-        for k in (best - d, best + d):
-            if 0 <= k < size and k not in values:
-                values[k] = value(k)
-        best = min(sorted(values), key=values.__getitem__)
-    return best, values
-
-
 def find_limit(spec: EnsembleSpec) -> LimitResult:
-    """Minimize xi^2 over mu in (0, 2 pi]: Brent's method from the one-block law, or a seeded log grid.
+    """Minimize xi^2 over mu in (0, 2 pi]: Brent's method from the one-block law, or one linear grid.
 
     With c_l = J_l |zeta_l|^2 N over the active blocks, the search first
     tries the one-axis-twisting law at the largest c_l, mu* = 12^(1/6)
@@ -461,39 +435,38 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     The result stands when the minimum lies more than _LAW_EDGE of the
     bracket width in from both ends and xi^2 is finite and below 1; Brent's
     run ends early once its bracket has closed on one of those edge strips,
-    where no result stands.  The
-    law is tried only while _LAW_HI mu* <= pi / 2 (c_max of about 1.24 or
-    more); a bracket reaching further can hold the revival near 2 pi and
-    settle on its dip.  A one-block ensemble sits on the law, with mu_min
-    at or just below mu*; with more blocks mu_min / mu* measured 0.477 to
-    1.091, hence the asymmetric bracket.  At N in [400, 1e6] the median
-    call takes 9 or 10 evaluations this way, against 20 for the grid.
+    where no result stands.  The law is tried only when _LAW_HI mu* <= pi / 2
+    (c_max of about 1.24 or more); a bracket reaching further can hold the
+    revival near 2 pi and settle on its dip.  A one-block ensemble sits on
+    the law, with mu_min at or just below mu*; with more blocks mu_min / mu*
+    measured 0.409 to 1.124, hence the asymmetric bracket.
 
-    Otherwise, and when the law's result does not stand, the cold search
-    runs, so every status other than "ok" comes from it.  The minimum sits
-    near 1.5 c^(-2/3) for some c between the extremes, so the SEED_POINTS
-    grid spans [SEED_LO c_max^(-2/3), SEED_HI c_min^(-2/3)], capped at
-    MU_MAX (the lower end then stays at least SEED_HI / SEED_LO below the
-    cap); its points are mu_lo exp(k step), with both ends exact.
-    `_grid_argmin` finds the grid minimum coarse to fine: every 4th point and
-    the upper edge, then the two points 2 away from the best so far, then the
-    two 1 away from the new best, at most 11 evaluations instead of 24.  Where
-    xi^2 on the grid has one dip, as it does in all but rare two-dip cases,
-    the coarse best lies within 3 points of the minimum and the finer passes
-    reach it, so the result is the full grid's first-index argmin.  Whenever
-    the grid minimum lands on the upper edge, the edge is quadrupled, never
-    past MU_MAX, and `expansions` counts these widenings.
-    Brent's method (`_brent`) then refines between the grid neighbours of
-    the minimum.  `iterations` counts the evaluations of both searches.
-    Every mu where `_xi2` finds the mean collapsed reads
-    xi^2 = inf, so Brent's parabolic steps never home in on the float
-    noise there.  A search that never sees xi^2 < 1 reports status
-    "no_squeezing" instead of raising.  Before any evaluation it refuses a
-    J_l |zeta_l|^2 N that overflows (NonFiniteInput) or underflows to 0
-    (InvalidInput).  It refuses with InvalidInput an "ok" minimum at or
-    below _XI2_FLOOR = 1e-12, reached past N of about 1e17 on the locus,
-    where the kernel's rounding of a few 1e-16 is more than 1e-3 of xi^2;
-    `_xi2` refuses a mean whose square leaves the normal float range.
+    Otherwise xi^2 is read on 4 J_max N + 1 equally spaced mu, at most
+    GRID_POINTS, over (0, 2 pi], or over (0, _LAW_HI mu*] when the law ran
+    and its result did not stand, and every local minimum of the grid (a
+    finite value below the one before it and no larger than the one after
+    it, so a flat run counts once) is refined by `_brent` between its
+    neighbours; the smallest refined value is the limit.  A grid that stops
+    short of 2 pi and reads its lowest value at its last point steps on past
+    it, doubling the step, until xi^2 rises or mu reaches 2 pi, and refines
+    there: the law's run can end on its upper edge with the minimum beyond
+    it.  The moments are trigonometric polynomials in mu / 2 of degree at
+    most 4 J_max N, so 4 J_max N + 1 points is about their Nyquist rate.
+    That bounds no dip of xi^2, a ratio with a square root, so the coverage
+    is measured, not guaranteed: on 4000 draws with 4 J_max N <= 64 (2000 of
+    them above 36) the grid alone missed the lowest dip of a 4000-point
+    reference on none, at 4 J_max N + 1 points and at 2 J_max N + 1.
+    Every mu where `_xi2` finds the mean collapsed reads xi^2 = inf, so
+    Brent's parabolic steps never home in on the float noise there; a
+    minimum beside such a point is refined towards the guard all the same.
+    `iterations` counts the evaluations of every search.  A search that
+    never sees xi^2 < 1 reports status "no_squeezing" instead of raising.
+    Before any evaluation it refuses a J_l |zeta_l|^2 N that overflows
+    (NonFiniteInput) or underflows to 0 (InvalidInput).  It refuses with
+    InvalidInput an "ok" minimum at or below _XI2_FLOOR = 1e-12, reached
+    past N of about 1e17 on the locus, where the kernel's rounding of a few
+    1e-16 is more than 1e-3 of xi^2; `_xi2` refuses a mean whose square
+    leaves the normal float range.
     """
     if spec.c_sum <= 0.0:
         raise VanishingMeanSpin("no weight on nontrivial subspaces")
@@ -506,10 +479,10 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
     c = [jl * w * spec.n for jl, _, w in spec.active_blocks]
     if math.isinf(max(c)):
         raise NonFiniteInput(f"J_l |zeta_l|^2 N overflows the float range at N = {spec.n}")
-    if min(c) == 0.0:  # a weight near the smallest subnormal: (c N)^(-2/3) would divide by zero
+    if min(c) == 0.0:  # a weight near the smallest subnormal: c_max^(-2/3) would divide by zero
         raise InvalidInput(f"J_l |zeta_l|^2 N underflows to 0 at N = {spec.n}, weights {spec.coherent.weights!r}")
 
-    evaluations = expansions = 0
+    evaluations, mu_hi = 0, MU_MAX
     mu_star = _r1_law(max(c))[1]
     if _LAW_HI * mu_star <= 0.5 * math.pi:  # the bracket stays clear of the revival near 2 pi
         lo, hi = _LAW_LO * mu_star, _LAW_HI * mu_star
@@ -517,28 +490,33 @@ def find_limit(spec: EnsembleSpec) -> LimitResult:
         mu_min, xi2_min, evaluations = _brent(xi2, lo, hi, (lo + edge, hi - edge))
         if lo + edge < mu_min < hi - edge and xi2_min < 1.0:  # also refuses inf and NaN
             return _resolved(spec, LimitResult(xi2_min, mu_min, evaluations, "ok"))
+        mu_hi = hi
 
-    mu_hi = min(SEED_HI * min(c) ** (-2.0 / 3.0), MU_MAX)
-    mu_lo = min(SEED_LO * max(c) ** (-2.0 / 3.0), mu_hi * SEED_LO / SEED_HI)
-    while True:
-        step = math.log(mu_hi / mu_lo) / (SEED_POINTS - 1)
-        grid = [mu_lo * math.exp(k * step) for k in range(SEED_POINTS - 1)] + [mu_hi]
-        best, values = _grid_argmin(lambda k: xi2(grid[k]), SEED_POINTS)
-        evaluations += len(values)
-        on_edge = best == SEED_POINTS - 1 and math.isfinite(values[best]) and mu_hi < MU_MAX
-        if not on_edge or expansions == MAX_EXPANSIONS:
-            break
-        mu_hi = min(4.0 * mu_hi, MU_MAX)
-        expansions += 1
-
-    if not math.isfinite(values[best]):
-        return LimitResult(math.inf, math.nan, evaluations, "no_squeezing", expansions)
-
-    lo = grid[best - 1] if best > 0 else grid[0] * 1e-3
-    hi = grid[best + 1] if best < SEED_POINTS - 1 else grid[-1]
-    mu_min, xi2_min, refined = _brent(xi2, lo, hi)
-    status = "no_squeezing" if xi2_min >= 1.0 else "ok"
-    return _resolved(spec, LimitResult(xi2_min, mu_min, evaluations + refined, status, expansions))
+    # the blocks' tuples compare by J_l first, so max(...)[0] is J_max
+    points = int(min(GRID_POINTS, 4.0 * max(spec.active_blocks)[0] * spec.n + 1.0))
+    grid = [mu_hi * (k / points) for k in range(1, points + 1)]  # the last point is mu_hi exactly
+    values = [xi2(mu) for mu in grid]
+    evaluations += points
+    best = (math.inf, math.nan)
+    for k, v in enumerate(values):
+        if not math.isfinite(v) or (k > 0 and values[k - 1] <= v) or (k < points - 1 and values[k + 1] < v):
+            continue
+        lo = grid[k - 1] if k > 0 else 1e-3 * grid[0]
+        hi, step = grid[min(k + 1, points - 1)], grid[0]
+        while k == points - 1 and hi < MU_MAX:  # past a grid short of 2 pi, until xi^2 rises
+            mu = min(hi + step, MU_MAX)
+            x = xi2(mu)
+            evaluations += 1
+            if not x < v:
+                hi = mu
+                break
+            lo, hi, v, step = hi, mu, x, 2.0 * step
+        mu, x, refined = _brent(xi2, lo, hi)
+        evaluations += refined
+        best = min(best, (x, mu))
+    xi2_min, mu_min = best
+    status = "ok" if xi2_min < 1.0 else "no_squeezing"
+    return _resolved(spec, LimitResult(xi2_min, mu_min, evaluations, status))
 
 
 def _resolved(spec: EnsembleSpec, res: LimitResult) -> LimitResult:

@@ -35,7 +35,6 @@ from spinsqueeze import (
 from spinsqueeze.classification import _subset_blocks, decompose_subset
 from spinsqueeze.coherent_dynamics import (
     GOLDEN_REL_TOL,
-    MAX_EXPANSIONS,
     MU_MAX,
     _brent,
     _moments,
@@ -47,6 +46,7 @@ from spinsqueeze.exact_oracle import SymmetricState
 from spinsqueeze.lie_algebra import spin_matrices
 
 GRID_POINTS = 128
+MAX_EXPANSIONS = 8  # the sweep's widenings of its upper edge, frozen with it
 
 mp = mpmath.MPContext()  # 60 digits for the test references; the global precision stays as it is
 mp.dps = 60
@@ -242,10 +242,11 @@ def dense_limit_reference(spec, points: int = 4000) -> tuple[float, float]:
     it keeps its grid value, since Brent's method would walk into the float
     noise beside the guard (N = 2, all weight on one J_l = 1/2 block, read
     0.4999999978 there, below the infimum 1/2).
-    While 4 J_max N <= points, the grid samples xi^2 at about twice its
-    highest frequency, so it sees every dip; at larger N a dip narrower
-    than the spacing can fall between points.  (inf, nan) when no grid
-    value is finite.
+    While 4 J_max N <= points, the grid samples the moments of xi^2 at or
+    above their Nyquist rate; that bounds no dip of xi^2 itself, but no
+    measured draw there missed one.  At larger N a dip narrower than the
+    spacing can fall between points.  (inf, nan) when no grid value is
+    finite.
     """
 
     def xi2(mu: float) -> float:

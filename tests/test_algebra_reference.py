@@ -141,8 +141,7 @@ def reference_general_multipoles(j: SpinQuantum, inner=np.vdot):
     """
     scale = math.sqrt(norm_squared(j))
     mats = [m.matrix.copy() for m in spin_matrices(j)]
-    for rank in range(2, j.twice_j + 1):
-        comps = _tensor_components(j, rank)
+    for rank, comps in _tensor_components(j):
         block = []
         for q in range(1, rank + 1):
             t = comps[rank - q]

@@ -664,7 +664,7 @@ def test_n_scan_keeps_counts_beyond_int64_exact(capsys):
     [
         # the {3/2} limit falls below what the float kernel resolves: it printed -3.75e-16 at N = 1e30
         ((*N_SCAN_ARGS, "--n-hi", "1e30", "--points", "4"), "xi^2_min reads "),
-        # J_l |zeta_l|^2 N overflows: the grid's log(mu_hi / mu_lo) divided by zero
+        # J_l |zeta_l|^2 N overflows: the log grid's log(mu_hi / mu_lo) divided by zero
         ((*N_SCAN_ARGS, "--n-lo", "1.7e308", "--n-hi", "1.7e308", "--points", "1"), "J_l |zeta_l|^2 N overflows"),
         # that scan's middle row, N = 1.3e155, already has a mean whose square is inf
         ((*N_SCAN_ARGS, "--n-hi", "1.7e308", "--points", "3"), "the mean spin "),

@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,12 +147,12 @@ def test_numpy_integers_are_counts():
     [np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.array([[0.0, np.inf], [np.inf, 0.0]])],
     ids=["all_nan", "inf_on_diagonal", "inf_off_diagonal"],
 )
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 def test_non_finite_matrix_refused(matrix):
-    """A NaN or an infinity makes the Hermiticity deviation NaN or inf, never 'small'.
-    inf - inf warns on the way; the refusal is what counts."""
-    with pytest.raises(errors.NonFiniteInput, match="non-finite"):
-        HermitianOperator(matrix)
+    """A NaN or an infinity is refused before the Hermiticity deviation, where inf - inf would warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.NonFiniteInput, match="non-finite"):
+            HermitianOperator(matrix)
 
 
 def test_all_nan_triple_refused():
