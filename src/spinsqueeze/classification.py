@@ -30,6 +30,7 @@ from .lie_algebra import (
     SpinQuantum,
     _exact_int,
     _multiplet,
+    _norm_squared,
     _off_diagonal,
     _su2_components,
     half_integer_str,
@@ -65,12 +66,13 @@ class VertexSubset:
 def structure_factor(twice_subspins, j: SpinQuantum) -> float:
     """Structure constant f for a subspin multiset inside spin J."""
     twice = [_exact_int(t, "2J_l") for t in twice_subspins]
-    norms = {t: norm_squared(SpinQuantum(t)) for t in set(twice)}  # SpinQuantum refuses t < 0
+    if min(twice, default=0) < 0:
+        raise InvalidInput(f"2J_l must be non-negative, got {twice}")
     if sum(t + 1 for t in twice) != j.dim:
         raise DimensionMismatch(
             f"subspins {twice} fill {sum(t + 1 for t in twice)} levels, need {j.dim}"
         )
-    denom = sum(norms[t] for t in twice)
+    denom = sum(_norm_squared(t) for t in twice)
     if denom == 0.0:
         raise AllTrivialSubspins("every subspin is zero")
     return math.sqrt(norm_squared(j) / denom)
@@ -165,6 +167,17 @@ class Su2Triple:
     offsets the oracle reads; any other O3 by its sorted spectrum, so a
     unitarily rotated triple keeps its class.  Every residual is compared as
     `not resid <= tol`, so a NaN fails.
+
+    The commutators take one of two paths.  When O3's nonzeros lie exactly on
+    the diagonal, O3 = diag(a), and O+ = O1 + i O2's exactly on the first
+    superdiagonal, O+ = diag(p, 1) (every triple `build_su2_triple` writes),
+    the dense products are zero off those entries, and the two checks are
+    their per-level identities in O(d):
+
+        (a_k - a_(k+1) - f) p_k = 0   and   |p_k|^2 - |p_(k-1)|^2 = 2f a_k,
+
+    with p_-1 = p_(d-1) = 0.  Any other input, a rotated triple say, is
+    checked by the dense d x d products.
     """
 
     o1: HermitianOperator
@@ -188,15 +201,28 @@ class Su2Triple:
         f = dec.f
         o1, o2, o3 = self.o1.matrix, self.o2.matrix, self.o3.matrix
         plus = o1 + 1j * o2
-        resid = abs(o3 @ plus - plus @ o3 - f * plus).max()
-        if not resid <= COMMUTATION_TOL:
-            raise NotAnSu2Triple(f"[O3, O+] != f O+ (residual {resid:.3e})")
+        levels, ladder = o3.diagonal(), plus.diagonal(1)
+        # O3 = diag(a) and O+ = diag(p, 1) exactly: the dense products are zero off these entries
+        on_ladder = (
+            np.count_nonzero(o3) == np.count_nonzero(levels)
+            and np.count_nonzero(plus) == np.count_nonzero(ladder)
+        )
+        if on_ladder:
+            raising = abs((levels[:-1] - levels[1:] - f) * ladder).max()
+            pops = np.zeros(dim + 1)  # |p_k|^2 at k + 1, with p_-1 = p_(d-1) = 0
+            pops[1:-1] = abs(ladder)
+            pops **= 2
+            closing = abs(pops[1:] - pops[:-1] - 2.0 * f * levels).max()
+        else:
+            minus = plus.conj().T
+            raising = abs(o3 @ plus - plus @ o3 - f * plus).max()
+            closing = abs(plus @ minus - minus @ plus - 2.0 * f * o3).max()
+        if not raising <= COMMUTATION_TOL:
+            raise NotAnSu2Triple(f"[O3, O+] != f O+ (residual {raising:.3e})")
         # [O3, O-] = -f O- is the adjoint of the check above (O3 is Hermitian).  Both
         # are linear in O+, so a rescaled or zero O1, O2 passes them; this one is not.
-        minus = plus.conj().T
-        resid = abs(plus @ minus - minus @ plus - 2.0 * f * o3).max()
-        if not resid <= COMMUTATION_TOL:
-            raise NotAnSu2Triple(f"[O+, O-] != 2f O3 (residual {resid:.3e})")
+        if not closing <= COMMUTATION_TOL:
+            raise NotAnSu2Triple(f"[O+, O-] != 2f O3 (residual {closing:.3e})")
 
         blocks = tuple((_exact_int(off, "block offset"), _exact_int(t, "2J_l")) for off, t in self.blocks)
         object.__setattr__(self, "blocks", blocks)
@@ -207,10 +233,10 @@ class Su2Triple:
         expected = np.empty(dim)
         for off, t in blocks:
             expected[off : off + t + 1] = _multiplet(t)[0]
-        if _off_diagonal(o3) > 1e-12:
+        if not on_ladder and _off_diagonal(o3) > 1e-12:  # on the ladder, O3 is exactly diagonal
             observed, expected = np.linalg.eigvalsh(o3), np.sort(expected)
         else:
-            observed = o3.diagonal().real
+            observed = levels.real
         resid = abs(observed / f - expected).max()
         if not resid <= SPECTRUM_TOL:
             raise NotAnSu2Triple(f"O3/f is not the blocks' multiplets J_l ... -J_l (residual {resid:.3e})")

@@ -127,8 +127,12 @@ def half_integer_str(twice_value: int) -> str:
 
 def norm_squared(j: SpinQuantum) -> float:
     """Common squared trace norm J(J+1)(2J+1)/3 of every generator."""
-    tj = j.twice_j
-    return tj * (tj + 2) * (tj + 1) / 12.0
+    return _norm_squared(j.twice_j)
+
+
+def _norm_squared(twice_j: int) -> float:
+    """`norm_squared` of the spin twice_j / 2, from the bare int: no SpinQuantum is built."""
+    return twice_j * (twice_j + 2) * (twice_j + 1) / 12.0
 
 
 @dataclass(frozen=True)
@@ -189,11 +193,15 @@ class GeneratorSet:
         return [g.matrix for g in self.generators]
 
 
-def _off_diagonal(m: np.ndarray) -> float:
-    """Largest modulus off the main diagonal; each caller compares it with its own tolerance."""
-    a = abs(m)
-    np.fill_diagonal(a, 0.0)
-    return a.max()
+def _off_diagonal(m: np.ndarray) -> float | np.ndarray:
+    """Largest modulus off the main diagonal; each caller compares it with its own tolerance.
+
+    `m` may be a stack of square matrices (..., d, d): then one maximum per matrix.
+    """
+    d = m.shape[-1]
+    a = abs(m).reshape(*m.shape[:-2], d * d)  # a view, or a copy if abs kept a transposed layout
+    a[..., :: d + 1] = 0.0
+    return a.max(axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -213,10 +221,19 @@ def _multiplet(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _su2_components(m: np.ndarray, ladder: np.ndarray, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f times (the Hermitian half of J+, its anti-Hermitian half, diag m), J+ = diag(ladder, 1)."""
-    jp = np.diag(ladder.astype(complex), 1)
-    jm = jp.conj().T
-    return f * ((jp + jm) / 2), f * ((jp - jm) / 2j), f * np.diag(m.astype(complex))
+    """f times (the Hermitian half of J+, its anti-Hermitian half, diag m), J+ = diag(ladder, 1).
+
+    Written straight onto the three diagonals, bit for bit the entries of
+    f * ((J+ + J-) / 2), f * ((J+ - J-) / 2i) and f * diag(m), signed zeros included.
+    """
+    d = len(m)
+    o1, o2, o3 = (np.zeros(d * d, dtype=complex) for _ in range(3))  # flat: entry (r, c) at r * d + c
+    up, down = slice(1, None, d + 1), slice(d, None, d + 1)  # the superdiagonal and the subdiagonal
+    half = f * (ladder / 2)
+    o1[up] = o1[down] = half
+    o2.imag[up], o2.imag[down] = 0.0 - half, half  # 0.0 - half, not -half: +0.0 where the ladder is zero
+    o3[:: d + 1] = f * m
+    return o1.reshape(d, d), o2.reshape(d, d), o3.reshape(d, d)
 
 
 def spin_matrices(j: SpinQuantum) -> tuple[HermitianOperator, HermitianOperator, HermitianOperator]:

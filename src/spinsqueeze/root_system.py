@@ -7,6 +7,12 @@ action, with eigenvalue h[a] - h[b] for each Cartan generator h: the roots
 and their ladder matrices are read off the Cartan diagonals, with no
 eigensolver.  The simple roots are the ladders sqrt(norm^2) E_{k-1,k}
 connecting adjacent magnetic sublevels.
+
+The Cartan set is read in one pass as well: the off-diagonal maxima of all
+generators come from one stacked array.  All d(d-1) root tuples form one
+(d(d-1), 2J) array, sorted descending by their components rounded to
+ROOT_KEY_TOL (np.rint, ties to even, as Python's round) with one lexsort; a
+repeated root is two equal adjacent rows of that sort.
 """
 
 from __future__ import annotations
@@ -55,22 +61,23 @@ class RootDatum:
         m = np.array(self.ladder, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "ladder", m)
-        object.__setattr__(self, "root", tuple(float(x) for x in self.root))
+        object.__setattr__(self, "root", tuple(map(float, self.root)))
 
 
 def default_cartan(basis: GeneratorSet) -> CartanChoice:
     """Cartan choice made of every diagonal generator in the basis (2J of them)."""
-    idx = tuple(i for i, g in enumerate(basis.generators) if _off_diagonal(g.matrix) <= 1e-14)
-    return CartanChoice(basis.j, idx)
+    off = _off_diagonal(np.array(basis.matrices()))
+    return CartanChoice(basis.j, tuple(np.flatnonzero(off <= 1e-14).tolist()))
 
 
 def _check_cartan(basis: GeneratorSet, cartan: CartanChoice) -> None:
     if cartan.j != basis.j:
         raise DimensionMismatch("Cartan choice belongs to a different spin")
-    for i in cartan.indices:
-        off = _off_diagonal(basis.generators[i].matrix)
-        if off > 1e-12:
-            raise NonDiagonalCartan(f"generator {basis.names[i]} is not diagonal (off-diag {off:.3e})")
+    off = _off_diagonal(np.array([basis.generators[i].matrix for i in cartan.indices]))
+    bad = np.flatnonzero(off > 1e-12)
+    if bad.size:
+        i = cartan.indices[bad[0]]
+        raise NonDiagonalCartan(f"generator {basis.names[i]} is not diagonal (off-diag {off[bad[0]]:.3e})")
 
 
 def compute_roots(basis: GeneratorSet, cartan: CartanChoice) -> list[RootDatum]:
@@ -88,22 +95,17 @@ def compute_roots(basis: GeneratorSet, cartan: CartanChoice) -> list[RootDatum]:
     diag = np.array([np.diagonal(basis.generators[c].matrix).real for c in cartan.indices])
     scale = math.sqrt(norm_squared(basis.j))
     dim = basis.j.dim
-    out = [
-        RootDatum(diag[:, a] - diag[:, b], _elementary(dim, a, b, scale))
-        for a in range(dim)
-        for b in range(dim)
-        if a != b
-    ]
-    keyed = sorted(((_root_key(rd), rd) for rd in out), key=lambda kr: kr[0], reverse=True)
-    for (prev, _), (key, rd) in zip(keyed, keyed[1:]):
-        if prev == key:
-            raise DegenerateRootSpace(f"root tuple {rd.root} has multiplicity > 1")
-    return [rd for _, rd in keyed]
-
-
-def _root_key(rd: RootDatum) -> tuple[int, ...]:
-    # components equal in exact arithmetic must compare equal, not by round-off
-    return tuple(round(x / ROOT_KEY_TOL) for x in rd.root)
+    a, b = np.nonzero(~np.eye(dim, dtype=bool))  # the ordered pairs a != b, row by row
+    roots = (diag[:, a] - diag[:, b]).T
+    # Descending by the rounded components: equal in exact arithmetic must compare equal,
+    # not by round-off.  lexsort's last key is the primary one, and it is stable.
+    keys = np.rint(roots / ROOT_KEY_TOL)
+    order = np.lexsort(-keys[:, ::-1].T)
+    keys, roots, a, b = keys[order], roots[order], a[order], b[order]
+    repeated = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+    if repeated.size:
+        raise DegenerateRootSpace(f"root tuple {tuple(roots[repeated[0] + 1].tolist())} has multiplicity > 1")
+    return [RootDatum(r, _elementary(dim, i, k, scale)) for r, i, k in zip(roots.tolist(), a.tolist(), b.tolist())]
 
 
 def _elementary(dim: int, row: int, col: int, value: float) -> np.ndarray:

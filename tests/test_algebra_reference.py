@@ -200,9 +200,10 @@ def test_multipole_basis_is_orthonormal(twice_j):
 
 
 def test_cartan_without_y_is_degenerate(basis32):
-    """With Y replaced by a copy of Jz, E_12 and E_34 share one root tuple."""
+    """With Y replaced by a copy of Jz, E_12 and E_34 share one root tuple: two equal
+    adjacent rows of the sort, and the refusal names that tuple."""
     jz = basis32.generators[basis32.names.index("Jz")]
     gens = tuple(jz if name == "Y" else g for name, g in zip(basis32.names, basis32.generators))
     broken = dataclasses.replace(basis32, generators=gens)
-    with pytest.raises(DegenerateRootSpace):
+    with pytest.raises(DegenerateRootSpace, match=r"root tuple \(2\.0, 2\.0, -1\.0\) has multiplicity"):
         compute_roots(broken, default_cartan(broken))

@@ -201,6 +201,30 @@ def test_equivalence_is_equivalence_relation(j32):
             assert equivalence_check(a, c)
 
 
+PATHS = ["ladder", "dense"]
+
+
+def _in_frame(path, triple, o1, o2, o3, validate=True):
+    """`triple`'s label on these matrices: as given ("ladder"), or conjugated by the
+    unitary of `_rotated` ("dense"), where O3 and O+ leave their diagonals."""
+    if path == "dense":
+        u = _rotation(triple)
+        o1, o2, o3 = (u @ m @ u.conj().T for m in (o1, o2, o3))
+    ops = [HermitianOperator(m) if validate else _unvalidated(m) for m in (o1, o2, o3)]
+    return Su2Triple(*ops, triple.decomposition, triple.blocks)
+
+
+def _unvalidated(matrix):
+    """A HermitianOperator holding `matrix` unchecked, so a NaN reaches Su2Triple."""
+    op = object.__new__(HermitianOperator)
+    object.__setattr__(op, "matrix", np.array(matrix, dtype=complex))
+    return op
+
+
+def _matrices(triple):
+    return [op.matrix.copy() for op in (triple.o1, triple.o2, triple.o3)]
+
+
 def test_invalid_triple_rejected(triples):
     good = triples["iii"]
     with pytest.raises(NotAnSu2Triple):
@@ -213,6 +237,14 @@ def test_invalid_triple_rejected(triples):
         )
 
 
+def test_invalid_rotated_triple_rejected(triples):
+    """`test_invalid_triple_rejected` off the ladder, where the dense products run."""
+    good = triples["iii"]
+    o1, o2, _ = _matrices(good)
+    with pytest.raises(NotAnSu2Triple):
+        _in_frame("dense", good, o1, o2, np.diag([1.0, 2.0, 3.0, -6.0]))
+
+
 @pytest.mark.parametrize("scale", [0.0, 2.0])
 def test_triple_with_rescaled_transverse_pair_rejected(triples, scale):
     """[O3, O+-] = +-f O+- is linear in O+, so only [O+, O-] = 2f O3 catches these."""
@@ -220,6 +252,63 @@ def test_triple_with_rescaled_transverse_pair_rejected(triples, scale):
     o1, o2 = (HermitianOperator(scale * op.matrix) for op in (good.o1, good.o2))
     with pytest.raises(NotAnSu2Triple, match=r"\[O\+, O-\]"):
         Su2Triple(o1, o2, good.o3, good.decomposition, good.blocks)
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0])
+def test_rotated_triple_with_rescaled_transverse_pair_rejected(triples, scale):
+    """`test_triple_with_rescaled_transverse_pair_rejected` off the ladder."""
+    good = triples["iii"]
+    o1, o2, o3 = _matrices(good)
+    with pytest.raises(NotAnSu2Triple, match=r"\[O\+, O-\]"):
+        _in_frame("dense", good, scale * o1, scale * o2, o3)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_triple_with_one_ladder_entry_off_rejected(path):
+    """O+ scaled by 1 + 1e-6 at one level: [O3, O+] = f O+ still holds there, |p_k|^2 does not."""
+    good = _canonical_triple(7, (4, 2))
+    o1, o2, o3 = _matrices(good)
+    for m in (o1, o2):
+        m[2, 3] *= 1 + 1e-6
+        m[3, 2] *= 1 + 1e-6
+    with pytest.raises(NotAnSu2Triple, match=r"\[O\+, O-\]"):
+        _in_frame(path, good, o1, o2, o3)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_triple_with_one_level_shifted_rejected(path):
+    """O3 shifted by 1e-6 at one level breaks the level spacing f next to it."""
+    good = _canonical_triple(7, (4, 2))
+    o1, o2, o3 = _matrices(good)
+    o3[6, 6] += 1e-6
+    with pytest.raises(NotAnSu2Triple, match=r"\[O3, O\+\]"):
+        _in_frame(path, good, o1, o2, o3)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_triple_with_nan_on_the_ladder_rejected(path):
+    """A NaN in O+'s superdiagonal makes a NaN residual, and `not resid <= tol` fails it."""
+    good = _canonical_triple(7, (4, 2))
+    o1, o2, o3 = _matrices(good)
+    o1[1, 2] = np.nan
+    with pytest.raises(NotAnSu2Triple, match=r"\[O3, O\+\]"):
+        _in_frame(path, good, o1, o2, o3, validate=False)
+
+
+def test_triple_with_round_off_beside_the_o3_diagonal_accepted(triples, monkeypatch):
+    """A Hermitian 1e-13 entry off O3's diagonal leaves the ladder: the commutators are
+    taken densely, and O3, below the 1e-12 off-diagonal test, is still matched level by level."""
+    good = triples["iii"]
+    o1, o2, o3 = _matrices(good)
+    o3[0, 1] = o3[1, 0] = 1e-13
+
+    def no_eigensolver(_):
+        raise AssertionError("a diagonal O3 is matched level by level")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    near = _in_frame("ladder", good, o1, o2, o3)
+    assert np.count_nonzero(near.o3.matrix) > np.count_nonzero(near.o3.matrix.diagonal())
+    assert equivalence_check(near, good) is True
 
 
 @pytest.mark.parametrize("twice_j", range(1, 15))
@@ -304,9 +393,14 @@ def _relabelled(triple, decomposition, blocks):
     return Su2Triple(triple.o1, triple.o2, triple.o3, decomposition, blocks)
 
 
+def _rotation(triple):
+    """expm(-0.4 i O1 / f): a rotation about O1 that takes O3 off the diagonal."""
+    return expm(-0.4j * triple.o1.matrix / triple.decomposition.f)
+
+
 def _rotated(triple):
-    """The triple conjugated by expm(-0.4 i O1 / f): same class, O3 no longer diagonal."""
-    u = expm(-0.4j * triple.o1.matrix / triple.decomposition.f)
+    """The triple conjugated by `_rotation`: same class, O3 no longer diagonal."""
+    u = _rotation(triple)
     o1, o2, o3 = (HermitianOperator(u @ op.matrix @ u.conj().T) for op in (triple.o1, triple.o2, triple.o3))
     return Su2Triple(o1, o2, o3, triple.decomposition, triple.blocks)
 

@@ -16,7 +16,7 @@ from spinsqueeze import (
     spin_matrices,
 )
 from spinsqueeze.errors import DimensionMismatch, NormalizationError, NotTraceless
-from spinsqueeze.lie_algebra import _general_multipoles, _multipole_basis_cached
+from spinsqueeze.lie_algebra import _general_multipoles, _multipole_basis_cached, _off_diagonal
 
 SQ3 = math.sqrt(3.0)
 SQ5 = math.sqrt(5.0)
@@ -268,3 +268,16 @@ def test_expansion_roundtrip(twice_j, seed):
     assert np.max(np.abs(expansion_coefficients(basis, op) - v)) < 1e-10
     k2 = norm_squared(basis.j)
     assert np.trace(op.matrix @ op.matrix).real == pytest.approx(k2, abs=1e-10)
+
+
+def test_off_diagonal_of_a_stack_is_one_maximum_per_matrix():
+    """A stack gives each matrix's own maximum; a transposed layout reads the same."""
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    stack[2] = np.diag(rng.normal(size=4))
+    each = [np.max(np.abs(m - np.diag(np.diag(m)))) for m in stack]
+    assert _off_diagonal(stack).tolist() == each
+    assert [_off_diagonal(m) for m in stack] == each
+    assert [_off_diagonal(m.T) for m in stack] == each
+    assert _off_diagonal(stack.transpose(0, 2, 1)).tolist() == each
+    assert _off_diagonal(stack[2]) == 0.0

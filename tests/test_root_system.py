@@ -54,6 +54,17 @@ def test_cartan_choice_validation(basis32):
         compute_roots(basis32, bad)
 
 
+@pytest.mark.parametrize(
+    "indices,name",
+    [((2, 7, 0), "Jx"), ((2, 3, 0), "Qxy"), ((0, 2, 7), "Jx"), ((6, 2, 4), "Dxy")],
+)
+def test_non_diagonal_cartan_names_its_first_offender(basis32, indices, name):
+    """The off-diagonal maxima are read for all chosen generators at once; the
+    refusal names the first one, in the choice's order, that is not diagonal."""
+    with pytest.raises(NonDiagonalCartan, match=rf"generator {name} is not diagonal"):
+        compute_roots(basis32, CartanChoice(basis32.j, indices))
+
+
 def test_su2_adjoint_of_jz():
     from spinsqueeze.lie_algebra import commutator, expansion_coefficients
 
