@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import AllTrivialSubspins, DimensionMismatch, InvalidInput, NotAnSu2Triple
 from .lie_algebra import (
+    DIAGONAL_TOL,
     HermitianOperator,
     SpinQuantum,
     _exact_int,
@@ -163,21 +164,24 @@ class Su2Triple:
     subspins, i.e. coherent-state weights zeta_l attach to blocks[l].  The
     constructor is where the class is checked, once: besides the su(2)
     commutators, O3/f must be the union of the blocks' multiplets
-    m = J_l ... -J_l.  A diagonal O3 is matched level by level, which pins the
-    offsets the oracle reads; any other O3 by its sorted spectrum, so a
-    unitarily rotated triple keeps its class.  Every residual is compared as
-    `not resid <= tol`, so a NaN fails.
+    m = J_l ... -J_l.  Every residual is compared as `not resid <= tol`, so a
+    NaN fails.
 
-    The commutators take one of two paths.  When O3's nonzeros lie exactly on
-    the diagonal, O3 = diag(a), and O+ = O1 + i O2's exactly on the first
-    superdiagonal, O+ = diag(p, 1) (every triple `build_su2_triple` writes),
-    the dense products are zero off those entries, and the two checks are
-    their per-level identities in O(d):
+    One switch picks the frame.  A triple is framed when O3 is diagonal: its
+    nonzeros lie exactly on the diagonal (every triple `build_su2_triple`
+    writes), or `_off_diagonal` reads at most DIAGONAL_TOL, the rule of the
+    oracle's NotDiagonal.  A framed O+ = O1 + i O2 must lie within
+    DIAGONAL_TOL of its first superdiagonal, O+ = diag(p, 1), or the triple is
+    refused: an O+ that crosses blocks fits no block layout, yet the oracle
+    would twist and rotate each listed block on its own levels.  The
+    commutators are then their per-level identities in O(d),
 
         (a_k - a_(k+1) - f) p_k = 0   and   |p_k|^2 - |p_(k-1)|^2 = 2f a_k,
 
-    with p_-1 = p_(d-1) = 0.  Any other input, a rotated triple say, is
-    checked by the dense d x d products.
+    with O3 = diag(a) and p_-1 = p_(d-1) = 0, and O3 is matched level by
+    level, which pins the offsets the oracle reads.  Any other triple, a
+    rotated one say, is checked by the dense d x d products and O3 by its
+    sorted spectrum, so it keeps its class.
     """
 
     o1: HermitianOperator
@@ -202,12 +206,13 @@ class Su2Triple:
         o1, o2, o3 = self.o1.matrix, self.o2.matrix, self.o3.matrix
         plus = o1 + 1j * o2
         levels, ladder = o3.diagonal(), plus.diagonal(1)
-        # O3 = diag(a) and O+ = diag(p, 1) exactly: the dense products are zero off these entries
-        on_ladder = (
-            np.count_nonzero(o3) == np.count_nonzero(levels)
-            and np.count_nonzero(plus) == np.count_nonzero(ladder)
-        )
-        if on_ladder:
+        # the exact count first, so a built triple never pays the off-diagonal reads
+        framed = np.count_nonzero(o3) == np.count_nonzero(levels) or _off_diagonal(o3) <= DIAGONAL_TOL
+        if framed:
+            if np.count_nonzero(plus) != np.count_nonzero(ladder):
+                stray = abs(plus - np.diag(ladder, 1)).max()
+                if not stray <= DIAGONAL_TOL:
+                    raise NotAnSu2Triple(f"O+ leaves its ladder, the first superdiagonal (by {stray:.3e})")
             raising = abs((levels[:-1] - levels[1:] - f) * ladder).max()
             pops = np.zeros(dim + 1)  # |p_k|^2 at k + 1, with p_-1 = p_(d-1) = 0
             pops[1:-1] = abs(ladder)
@@ -233,10 +238,10 @@ class Su2Triple:
         expected = np.empty(dim)
         for off, t in blocks:
             expected[off : off + t + 1] = _multiplet(t)[0]
-        if not on_ladder and _off_diagonal(o3) > 1e-12:  # on the ladder, O3 is exactly diagonal
-            observed, expected = np.linalg.eigvalsh(o3), np.sort(expected)
-        else:
+        if framed:
             observed = levels.real
+        else:
+            observed, expected = np.linalg.eigvalsh(o3), np.sort(expected)
         resid = abs(observed / f - expected).max()
         if not resid <= SPECTRUM_TOL:
             raise NotAnSu2Triple(f"O3/f is not the blocks' multiplets J_l ... -J_l (residual {resid:.3e})")

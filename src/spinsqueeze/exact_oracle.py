@@ -58,7 +58,7 @@ from .errors import (
     NotDiagonal,
     SizeLimit,
 )
-from .lie_algebra import HermitianOperator, SpinQuantum, _off_diagonal, _particle_count, _real, _sequence
+from .lie_algebra import DIAGONAL_TOL, HermitianOperator, SpinQuantum, _off_diagonal, _particle_count, _real, _sequence
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -301,7 +301,7 @@ def sector_twist_diagonal(triple: Su2Triple, basis: FockBasis) -> np.ndarray:
         raise DimensionMismatch(f"triple dim {triple.j.dim} != mode count {basis.modes}")
     o3 = triple.o3.matrix
     diag3 = np.real(np.diagonal(o3))
-    if _off_diagonal(o3) > 1e-12:
+    if _off_diagonal(o3) > DIAGONAL_TOL:
         raise NotDiagonal("O3 has off-diagonal weight; twisting phases undefined")
     occ = basis.float_states
     total = np.zeros(basis.size)

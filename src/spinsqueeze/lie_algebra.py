@@ -193,8 +193,13 @@ class GeneratorSet:
         return [g.matrix for g in self.generators]
 
 
+# A matrix is diagonal when `_off_diagonal` reads at most this: the one rule of Su2Triple's
+# frame, the oracle's NotDiagonal and the Cartan set.  Every basis generator reads 0 or >= 0.5.
+DIAGONAL_TOL = 1e-12
+
+
 def _off_diagonal(m: np.ndarray) -> float | np.ndarray:
-    """Largest modulus off the main diagonal; each caller compares it with its own tolerance.
+    """Largest modulus off the main diagonal, read against DIAGONAL_TOL.
 
     `m` may be a stack of square matrices (..., d, d): then one maximum per matrix.
     """

@@ -12,7 +12,8 @@ The Cartan set is read in one pass as well: the off-diagonal maxima of all
 generators come from one stacked array.  All d(d-1) root tuples form one
 (d(d-1), 2J) array, sorted descending by their components rounded to
 ROOT_KEY_TOL (np.rint, ties to even, as Python's round) with one lexsort; a
-repeated root is two equal adjacent rows of that sort.
+repeated root is two equal adjacent rows of that sort.  The ladders are one
+(d(d-1), d, d) stack written by one fancy-index assignment, in that order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRootSpace, DimensionMismatch, InvalidInput, NonDiagonalCartan
-from .lie_algebra import GeneratorSet, SpinQuantum, _exact_int, _off_diagonal, norm_squared
+from .lie_algebra import DIAGONAL_TOL, GeneratorSet, SpinQuantum, _exact_int, _off_diagonal, norm_squared
 
 ROOT_KEY_TOL = 1e-8
 
@@ -67,14 +68,14 @@ class RootDatum:
 def default_cartan(basis: GeneratorSet) -> CartanChoice:
     """Cartan choice made of every diagonal generator in the basis (2J of them)."""
     off = _off_diagonal(np.array(basis.matrices()))
-    return CartanChoice(basis.j, tuple(np.flatnonzero(off <= 1e-14).tolist()))
+    return CartanChoice(basis.j, tuple(np.flatnonzero(off <= DIAGONAL_TOL).tolist()))
 
 
 def _check_cartan(basis: GeneratorSet, cartan: CartanChoice) -> None:
     if cartan.j != basis.j:
         raise DimensionMismatch("Cartan choice belongs to a different spin")
     off = _off_diagonal(np.array([basis.generators[i].matrix for i in cartan.indices]))
-    bad = np.flatnonzero(off > 1e-12)
+    bad = np.flatnonzero(off > DIAGONAL_TOL)
     if bad.size:
         i = cartan.indices[bad[0]]
         raise NonDiagonalCartan(f"generator {basis.names[i]} is not diagonal (off-diag {off[bad[0]]:.3e})")
@@ -105,11 +106,6 @@ def compute_roots(basis: GeneratorSet, cartan: CartanChoice) -> list[RootDatum]:
     repeated = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
     if repeated.size:
         raise DegenerateRootSpace(f"root tuple {tuple(roots[repeated[0] + 1].tolist())} has multiplicity > 1")
-    return [RootDatum(r, _elementary(dim, i, k, scale)) for r, i, k in zip(roots.tolist(), a.tolist(), b.tolist())]
-
-
-def _elementary(dim: int, row: int, col: int, value: float) -> np.ndarray:
-    """value * E_{row,col}, the single-entry matrix."""
-    m = np.zeros((dim, dim), dtype=complex)
-    m[row, col] = value
-    return m
+    ladders = np.zeros((a.size, dim, dim), dtype=complex)
+    ladders[np.arange(a.size), a, b] = scale  # sqrt(norm^2) E_ab, one per root, in root order
+    return [RootDatum(r, m) for r, m in zip(roots.tolist(), ladders)]

@@ -296,8 +296,8 @@ def test_triple_with_nan_on_the_ladder_rejected(path):
 
 
 def test_triple_with_round_off_beside_the_o3_diagonal_accepted(triples, monkeypatch):
-    """A Hermitian 1e-13 entry off O3's diagonal leaves the ladder: the commutators are
-    taken densely, and O3, below the 1e-12 off-diagonal test, is still matched level by level."""
+    """A Hermitian 1e-13 entry off O3's diagonal, below DIAGONAL_TOL, keeps the triple
+    framed: its commutators are the per-level identities and O3 is matched level by level."""
     good = triples["iii"]
     o1, o2, o3 = _matrices(good)
     o3[0, 1] = o3[1, 0] = 1e-13
@@ -309,6 +309,23 @@ def test_triple_with_round_off_beside_the_o3_diagonal_accepted(triples, monkeypa
     near = _in_frame("ladder", good, o1, o2, o3)
     assert np.count_nonzero(near.o3.matrix) > np.count_nonzero(near.o3.matrix.diagonal())
     assert equivalence_check(near, good) is True
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-13], ids=["exact", "round_off"])
+@pytest.mark.parametrize(
+    "twice_j,twice_subspins,swap", [(3, (1, 1), (0, 2)), (7, (3, 3), (1, 5))], ids=["half_pair", "three_half_pair"]
+)
+def test_triple_whose_o_plus_crosses_blocks_rejected(twice_j, twice_subspins, swap, eps):
+    """Two levels of equal m swapped: O3 and its level-by-level match are unchanged, but O+
+    now links levels of different blocks, which the oracle twists and rotates apart."""
+    good = _canonical_triple(twice_j, twice_subspins)
+    order = np.arange(good.j.dim)
+    order[list(swap)] = swap[::-1]
+    o1, o2, o3 = (m[np.ix_(order, order)] for m in _matrices(good))
+    assert np.array_equal(o3, good.o3.matrix)
+    o3[0, 1] = o3[1, 0] = eps
+    with pytest.raises(NotAnSu2Triple, match=r"O\+ leaves its ladder"):
+        _in_frame("ladder", good, o1, o2, o3)
 
 
 @pytest.mark.parametrize("twice_j", range(1, 15))

@@ -184,6 +184,31 @@ def test_evolve_requires_diagonal():
         OracleWorkspace(rotated, 2)
 
 
+@pytest.mark.parametrize("eps,framed", [(1e-13, True), (1e-11, False)])
+def test_frame_boundary_is_one_rule_for_triple_and_oracle(eps, framed, monkeypatch):
+    """DIAGONAL_TOL sets both Su2Triple's frame and the oracle's NotDiagonal: an O3 the
+    triple matches level by level is twisted by the oracle, one matched by its sorted
+    spectrum is refused there."""
+    good = build_su2_triple(VertexSubset(J32, frozenset({1, 3})))
+    o3 = good.o3.matrix.copy()
+    o3[0, 1] = o3[1, 0] = eps
+    o3 = HermitianOperator(o3)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counting(m):
+        calls.append(m)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    near = Su2Triple(good.o1, good.o2, o3, good.decomposition, good.blocks)
+    assert len(calls) == (0 if framed else 1)
+    if framed:
+        assert OracleWorkspace(near, 2).triple is near
+    else:
+        with pytest.raises(NotDiagonal):
+            OracleWorkspace(near, 2)
+
+
 @pytest.mark.parametrize("subset,zeta", [({1, 2, 3}, (1.0,)), ({1}, (0.8, 0.6j, 0.0))])
 def test_evolve_phase_recurrence(subset, zeta):
     """The twisting phases recur after 4 pi f^2 / g, with g the gcd granularity
