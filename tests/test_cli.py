@@ -273,6 +273,23 @@ def _fresh_process(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_fitting_leaves_scipy_optimize_unimported(tmp_path):
+    """fit_power_law and the CLI `fit` solve with numpy alone: scipy.optimize stays out of the process."""
+    target = tmp_path / "scan.csv"
+    target.write_text("n,xi2_min\n" + "".join(f"{n},{0.1 + 0.6 * n ** -0.5}\n" for n in (10, 100, 1000, 10000, 100000)))
+    code = (
+        "import sys\n"
+        "from spinsqueeze import cli, fit_power_law\n"
+        "fit_power_law([(10, 0.3), (100, 0.1), (1000, 0.04), (10000, 0.01)])\n"
+        f"assert cli.main(['fit', '--input', {str(target)!r}, '--model', 'offset-power']) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(spinsqueeze.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["params"]["c"]["value"] == pytest.approx(0.1, rel=1e-9)
+
+
 def test_consecutive_calls_print_what_a_fresh_process_prints(capsys):
     """One process, one parser: each call prints what the command alone prints, a refusal too."""
     calls = [

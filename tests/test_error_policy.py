@@ -24,6 +24,7 @@ from spinsqueeze import (
     compare_with_oracle,
     errors,
     expand_observable,
+    fit_power_law,
     multipole_basis,
     n_scan,
     oat_spec,
@@ -125,6 +126,30 @@ def test_mu_and_weights_must_be_real_numbers(call, bad):
     """A string is not parsed, and None or a complex is not a time or a weight."""
     with pytest.raises(errors.InvalidInput, match="must be a real number"):
         call(bad)
+
+
+GOOD_SAMPLES = [(10, 0.1), (100, 0.05), (1000, 0.02), (10000, 0.01)]
+
+
+@pytest.mark.parametrize(
+    "points, match",
+    [
+        (GOOD_SAMPLES[:3] + [(10000, None)], "must be a real number"),
+        (GOOD_SAMPLES[:3] + [(10000, 0.01j)], "must be a real number"),
+        ([(None, 0.1)] + GOOD_SAMPLES[1:], "must be a real number"),
+        (GOOD_SAMPLES[:3] + [(10000, "0.01")], "must be a real number"),
+        (5, "must be a sequence"),
+        (None, "must be a sequence"),
+        ([10, 100, 1000, 10000], "must be a sequence"),
+        ([(1,), (2,), (3,), (4,)], "must be a pair"),
+        (GOOD_SAMPLES[:3] + [(10000, 0.01, 0.0)], "must be a pair"),
+    ],
+    ids=["none_y", "complex_y", "none_n", "string_y", "number", "none", "bare_numbers", "one_tuples", "triple"],
+)
+def test_fit_refuses_malformed_samples(points, match):
+    """A sample is a pair of real numbers; anything else is InvalidInput, not a bare error."""
+    with pytest.raises(errors.InvalidInput, match=match):
+        fit_power_law(points)
 
 
 def _workspace():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,54 @@ def test_fit_diverged_on_starved_iterations(monkeypatch):
     monkeypatch.setattr(scan_fit, "FIT_MAXFEV", 1)
     with pytest.raises(FitDiverged):
         fit_power_law(pts, model="offset-power")
+
+
+def _curve_fit(model, n, y):
+    """scipy's curve_fit from the library's log-log start: (values, standard errors)."""
+    curve_fit = pytest.importorskip("scipy.optimize").curve_fit
+    if model == "power":
+        slope, intercept = np.polyfit(np.log(n), np.log(y), 1)
+        f, p0 = (lambda n, a, p: a * n ** -p), [math.exp(intercept), -slope]
+    else:
+        c0 = 0.9 * np.min(y)
+        slope, intercept = np.polyfit(np.log(n), np.log(y - c0), 1)
+        f, p0 = (lambda n, c, a, p, b: c + a * n ** -p + b / n), [c0, math.exp(intercept), -slope, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # OptimizeWarning where the covariance is infinite
+        popt, pcov = curve_fit(f, n, y, p0=p0, maxfev=scan_fit.FIT_MAXFEV)
+    return popt, np.sqrt(np.diag(pcov))
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("model", ["power", "offset-power"])
+def test_fit_matches_curve_fit(model, seed):
+    """Seeded draws with relative noise 1e-3: the numpy fit lands where curve_fit does.
+
+    p stays at or below 0.7 and N starts at 1: as p nears 1, N^-p and 1/N become one
+    column, and on N >= 10 the b/N term sits in the noise; there neither solver pins the
+    split between a and b to 1e-6.
+    """
+    rng = np.random.default_rng(seed)
+    n = np.geomspace(1, 1e4, int(rng.integers(8, 15)))
+    c, a, p, b = rng.uniform(0.5, 2), rng.uniform(0.5, 2), rng.uniform(0.3, 0.7), rng.uniform(0.5, 2)
+    y = a * n ** -p + (c + b / n if model == "offset-power" else 0.0)
+    y *= 1 + 1e-3 * rng.standard_normal(n.size)
+    res = fit_power_law(list(zip(n, y)), model=model)
+    values, stderr = _curve_fit(model, n, y)
+    assert res.values == pytest.approx(values, rel=1e-6)
+    assert res.stderr == pytest.approx(stderr, rel=1e-4)
+
+
+def test_four_point_offset_fit_has_infinite_stderr():
+    """m = k: the fit interpolates, and, as with curve_fit, no standard error is defined."""
+    n = np.array([10.0, 100.0, 1000.0, 10000.0])
+    y = (0.1 + 0.5 * n ** -0.5 + 2.0 / n) * (1 + 1e-3 * np.random.default_rng(3).standard_normal(4))
+    res = fit_power_law(list(zip(n, y)), model="offset-power")
+    values, stderr = _curve_fit("offset-power", n, y)
+    assert res.values == pytest.approx(values, rel=1e-6)
+    assert all(math.isinf(s) for s in res.stderr)
+    assert all(math.isinf(s) for s in stderr)
+    assert res.residual_norm < 1e-12
 
 
 def test_n_scan_statuses_and_order():
