@@ -33,6 +33,8 @@ from .lie_algebra import (
     _multiplet,
     _norm_squared,
     _off_diagonal,
+    _pair,
+    _sequence,
     _su2_components,
     half_integer_str,
     norm_squared,
@@ -50,7 +52,8 @@ class VertexSubset:
     chosen: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chosen", frozenset(_exact_int(k, "vertex") for k in self.chosen))
+        chosen = frozenset(_exact_int(k, "vertex") for k in _sequence(self.chosen, "vertices"))
+        object.__setattr__(self, "chosen", chosen)
         if not self.chosen:
             raise InvalidInput("at least one vertex must be chosen, got none")
         bad = [k for k in self.chosen if not 1 <= k <= self.j.twice_j]
@@ -66,7 +69,7 @@ class VertexSubset:
 
 def structure_factor(twice_subspins, j: SpinQuantum) -> float:
     """Structure constant f for a subspin multiset inside spin J."""
-    twice = [_exact_int(t, "2J_l") for t in twice_subspins]
+    twice = [_exact_int(t, "2J_l") for t in _sequence(twice_subspins, "2J_l")]
     if min(twice, default=0) < 0:
         raise InvalidInput(f"2J_l must be non-negative, got {twice}")
     if sum(t + 1 for t in twice) != j.dim:
@@ -88,7 +91,7 @@ class IrrepDecomposition:
     f: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted((_exact_int(t, "2J_l") for t in self.twice_subspins), reverse=True))
+        ordered = tuple(sorted((_exact_int(t, "2J_l") for t in _sequence(self.twice_subspins, "2J_l")), reverse=True))
         object.__setattr__(self, "twice_subspins", ordered)
         # validates the dimension count and that some subspin is nonzero
         object.__setattr__(self, "f", structure_factor(ordered, self.j))
@@ -127,7 +130,7 @@ def canonical_subset(decomposition: IrrepDecomposition) -> VertexSubset:
         level += t + 1
     if not chosen:
         raise AllTrivialSubspins("no vertices correspond to an all-trivial decomposition")
-    return VertexSubset(decomposition.j, frozenset(chosen))
+    return VertexSubset(decomposition.j, tuple(chosen))  # VertexSubset builds the one frozenset
 
 
 def _partitions(total: int, largest: int) -> list[tuple[int, ...]]:
@@ -169,19 +172,21 @@ class Su2Triple:
 
     One switch picks the frame.  A triple is framed when O3 is diagonal: its
     nonzeros lie exactly on the diagonal (every triple `build_su2_triple`
-    writes), or `_off_diagonal` reads at most DIAGONAL_TOL, the rule of the
-    oracle's NotDiagonal.  A framed O+ = O1 + i O2 must lie within
-    DIAGONAL_TOL of its first superdiagonal, O+ = diag(p, 1), or the triple is
-    refused: an O+ that crosses blocks fits no block layout, yet the oracle
-    would twist and rotate each listed block on its own levels.  The
-    commutators are then their per-level identities in O(d),
+    writes), or `_off_diagonal` reads at most DIAGONAL_TOL.  The answer is kept
+    as `framed`, and the oracle reads it there: an unframed triple is refused
+    with NotDiagonal, and O3 is tested nowhere else.  A framed O+ = O1 + i O2
+    must lie within DIAGONAL_TOL of its first superdiagonal, O+ = diag(p, 1),
+    or the triple is refused: an O+ that crosses blocks fits no block layout,
+    yet the oracle would twist and rotate each listed block on its own levels.
+    The commutators are then their per-level identities in O(d),
 
         (a_k - a_(k+1) - f) p_k = 0   and   |p_k|^2 - |p_(k-1)|^2 = 2f a_k,
 
     with O3 = diag(a) and p_-1 = p_(d-1) = 0, and O3 is matched level by
     level, which pins the offsets the oracle reads.  Any other triple, a
     rotated one say, is checked by the dense d x d products and O3 by its
-    sorted spectrum, so it keeps its class.
+    sorted spectrum, so it keeps its class.  `blocks` is read by the one
+    sequence rule: each block is a pair of exact ints, never text or bytes.
     """
 
     o1: HermitianOperator
@@ -189,6 +194,8 @@ class Su2Triple:
     o3: HermitianOperator
     decomposition: IrrepDecomposition
     blocks: tuple[tuple[int, int], ...]
+    # derived once: True when O3 is diagonal, the frame the oracle twists in
+    framed: bool = field(init=False, repr=False, compare=False)
 
     @property
     def j(self) -> SpinQuantum:
@@ -208,6 +215,7 @@ class Su2Triple:
         levels, ladder = o3.diagonal(), plus.diagonal(1)
         # the exact count first, so a built triple never pays the off-diagonal reads
         framed = np.count_nonzero(o3) == np.count_nonzero(levels) or _off_diagonal(o3) <= DIAGONAL_TOL
+        object.__setattr__(self, "framed", bool(framed))
         if framed:
             if np.count_nonzero(plus) != np.count_nonzero(ladder):
                 stray = abs(plus - np.diag(ladder, 1)).max()
@@ -229,7 +237,8 @@ class Su2Triple:
         if not closing <= COMMUTATION_TOL:
             raise NotAnSu2Triple(f"[O+, O-] != 2f O3 (residual {closing:.3e})")
 
-        blocks = tuple((_exact_int(off, "block offset"), _exact_int(t, "2J_l")) for off, t in self.blocks)
+        pairs = (_pair(block, "a block") for block in _sequence(self.blocks, "blocks"))
+        blocks = tuple((_exact_int(off, "block offset"), _exact_int(t, "2J_l")) for off, t in pairs)
         object.__setattr__(self, "blocks", blocks)
         if tuple(t for _, t in blocks) != dec.twice_subspins:
             raise NotAnSu2Triple(f"blocks {blocks} do not list the subspins {dec.twice_subspins}")

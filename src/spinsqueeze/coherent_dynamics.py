@@ -75,7 +75,7 @@ from .errors import (
     NotOatStart,
     VanishingMeanSpin,
 )
-from .lie_algebra import _exact_int, _particle_count, _real
+from .lie_algebra import _exact_int, _particle_count, _real, _sequence
 
 # Most points of the limit search's linear grid, which takes 4 J_max N + 1 below that.
 GRID_POINTS = 32
@@ -112,9 +112,7 @@ class CoherentSpec:
 
     def __post_init__(self) -> None:
         try:
-            if isinstance(self.zeta, (str, bytes)):  # iterates to characters, not numbers
-                raise TypeError
-            z = tuple(complex(v) for v in self.zeta)
+            z = tuple(complex(v) for v in _sequence(self.zeta, "zeta"))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInput(f"zeta must be a sequence of numbers, got {self.zeta!r}") from exc
         object.__setattr__(self, "zeta", z)

@@ -58,7 +58,7 @@ from .errors import (
     NotDiagonal,
     SizeLimit,
 )
-from .lie_algebra import DIAGONAL_TOL, HermitianOperator, SpinQuantum, _off_diagonal, _particle_count, _real, _sequence
+from .lie_algebra import HermitianOperator, SpinQuantum, _particle_count, _real, _sequence
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -230,6 +230,18 @@ def second_quantize(op: HermitianOperator, basis: FockBasis) -> sp.csr_matrix:
     return _quantize(op.matrix, basis)
 
 
+def _check_frame(triple: Su2Triple, basis: FockBasis) -> None:
+    """The oracle's one entry check: a basis of the triple's 2J, then a triple whose O3 is diagonal.
+
+    The oracle reads O3's diagonal alone and writes each block's state on its own levels,
+    so a triple `Su2Triple` did not find framed (a rotated one, say) is refused, not read.
+    """
+    if triple.j.dim != basis.modes:
+        raise DimensionMismatch(f"triple dim {triple.j.dim} != mode count {basis.modes}")
+    if not triple.framed:
+        raise NotDiagonal("O3 has off-diagonal weight; the oracle's states and twisting phases are undefined")
+
+
 def _single_particle_vector(triple: Su2Triple, coherent: CoherentSpec) -> np.ndarray:
     """zeta-weighted direct sum of rotated highest-weight block states.
 
@@ -254,10 +266,13 @@ def coherent_state(triple: Su2Triple, basis: FockBasis, coherent: CoherentSpec) 
     highest-weight states weighted by zeta_l (one weight per subspace);
     N-particle amplitudes carry the multinomial square roots.  Magnitudes are
     accumulated in the log domain so large N stays finite; states that occupy
-    a mode where psi vanishes get amplitude zero.
+    a mode where psi vanishes get amplitude zero.  Each block's state is
+    written on its levels of the m_z basis, so a triple whose O3 is not
+    diagonal (not `framed`) is refused with NotDiagonal, as is a basis of
+    another 2J with DimensionMismatch: a rotated triple's state would be the
+    unrotated one, with a plausible wrong mean spin.
     """
-    if triple.j.dim != basis.modes:
-        raise DimensionMismatch(f"triple dim {triple.j.dim} != mode count {basis.modes}")
+    _check_frame(triple, basis)
     _check_weight_count(triple.decomposition, coherent)
     psi = _single_particle_vector(triple, coherent)
     live = psi != 0
@@ -294,15 +309,12 @@ def sector_twist_diagonal(triple: Su2Triple, basis: FockBasis) -> np.ndarray:
     2 Lambda_{l,3} Lambda_{l',3}; the closed-form dynamics twist each
     irreducible block by the square of its own collective component, so the
     oracle does the same.  Both generators coincide whenever at most one
-    subspace has J_l > 0.  Only the diagonal of O3 is read, so a triple whose
-    O3 has off-diagonal weight is refused, and so is a basis of another 2J.
+    subspace has J_l > 0.  Only the diagonal of O3 is read, so a triple that
+    `Su2Triple` did not find framed is refused with NotDiagonal, and a basis of
+    another 2J with DimensionMismatch, by the check `coherent_state` makes.
     """
-    if triple.j.dim != basis.modes:
-        raise DimensionMismatch(f"triple dim {triple.j.dim} != mode count {basis.modes}")
-    o3 = triple.o3.matrix
-    diag3 = np.real(np.diagonal(o3))
-    if _off_diagonal(o3) > DIAGONAL_TOL:
-        raise NotDiagonal("O3 has off-diagonal weight; twisting phases undefined")
+    _check_frame(triple, basis)
+    diag3 = np.real(np.diagonal(triple.o3.matrix))
     occ = basis.float_states
     total = np.zeros(basis.size)
     for off, twice_sub in triple.blocks:

@@ -66,11 +66,27 @@ def _real(value, what: str) -> float:
 
 
 def _sequence(values, what: str) -> tuple:
-    """`values` as a tuple; a number or other non-iterable is refused."""
-    try:
-        return tuple(values)
-    except TypeError as exc:
-        raise InvalidInput(f"{what} must be a sequence, got {values!r}") from exc
+    """`values` as a tuple: the one sequence rule of the library's inputs.
+
+    Text and bytes (or a bytearray) are refused: they iterate to characters or to byte
+    values, never to the numbers meant.  So is a number or any other non-iterable.
+    """
+    if type(values) is tuple:  # the common case, first: every class build reads its tuples here
+        return values
+    if not isinstance(values, (str, bytes, bytearray)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise InvalidInput(f"{what} must be a sequence, got {values!r}")
+
+
+def _pair(values, what: str) -> tuple:
+    """`values` as a tuple of length two, under the sequence rule."""
+    pair = _sequence(values, what)
+    if len(pair) != 2:
+        raise InvalidInput(f"{what} must be a pair, got {values!r}")
+    return pair
 
 
 def _particle_count(n) -> int:
@@ -194,7 +210,8 @@ class GeneratorSet:
 
 
 # A matrix is diagonal when `_off_diagonal` reads at most this: the one rule of Su2Triple's
-# frame, the oracle's NotDiagonal and the Cartan set.  Every basis generator reads 0 or >= 0.5.
+# frame (the oracle's NotDiagonal reads `framed`) and of the Cartan set.  Every basis
+# generator reads 0 or >= 0.5.
 DIAGONAL_TOL = 1e-12
 
 

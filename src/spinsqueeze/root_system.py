@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRootSpace, DimensionMismatch, InvalidInput, NonDiagonalCartan
-from .lie_algebra import DIAGONAL_TOL, GeneratorSet, SpinQuantum, _exact_int, _off_diagonal, norm_squared
+from .lie_algebra import DIAGONAL_TOL, GeneratorSet, SpinQuantum, _exact_int, _off_diagonal, _sequence, norm_squared
 
 ROOT_KEY_TOL = 1e-8
 
@@ -37,7 +37,8 @@ class CartanChoice:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(_exact_int(i, "Cartan index") for i in self.indices))
+        indices = tuple(_exact_int(i, "Cartan index") for i in _sequence(self.indices, "Cartan indices"))
+        object.__setattr__(self, "indices", indices)
         if len(self.indices) != self.j.twice_j:
             raise DimensionMismatch(
                 f"Cartan rank of su({self.j.dim}) is {self.j.twice_j}, got {len(self.indices)} indices"

@@ -156,6 +156,49 @@ def _workspace():
     return OracleWorkspace(build_su2_triple(canonical_subset(PAIR)), 4)
 
 
+def _full_with_blocks(blocks):
+    """The {3/2} triple with its blocks replaced; its matrices pass every other check."""
+    t = build_su2_triple(canonical_subset(FULL))
+    return Su2Triple(t.o1, t.o2, t.o3, t.decomposition, blocks)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: IrrepDecomposition(J32, b"\x01\x01"), "must be a sequence"),
+        (lambda: IrrepDecomposition(J32, 3), "must be a sequence"),
+        (lambda: VertexSubset(J32, b"\x01\x03"), "must be a sequence"),
+        (lambda: VertexSubset(J32, 3), "must be a sequence"),
+        (lambda: structure_factor(b"\x01\x01", J32), "must be a sequence"),
+        (lambda: structure_factor(3, J32), "must be a sequence"),
+        (lambda: CartanChoice(J32, b"\x02\x07\x0a"), "must be a sequence"),
+        (lambda: CartanChoice(J32, 2), "must be a sequence"),
+        (lambda: _full_with_blocks((b"\x00\x03",)), "must be a sequence"),
+        (lambda: _full_with_blocks(b"\x00\x03"), "must be a sequence"),
+        (lambda: _full_with_blocks(3), "must be a sequence"),
+        (lambda: _full_with_blocks((0, 3)), "must be a sequence"),
+        (lambda: _full_with_blocks(((0,),)), "must be a pair"),
+        (lambda: _full_with_blocks(((0, 3, 1),)), "must be a pair"),
+        (lambda: n_scan(PAIR, 1.0, b"\x05\x06"), "must be a sequence"),
+        (lambda: n_scan(PAIR, 1.0, bytearray(b"\x05\x06")), "must be a sequence"),
+        (lambda: compare_with_oracle(_workspace(), oat_spec(PAIR, 4, (0.6, 0.8)).coherent, b"\x00\x01"),
+         "must be a sequence"),
+        (lambda: fit_power_law(GOOD_SAMPLES[:3] + [b"\xc8\x01"]), "must be a sequence"),
+    ],
+    ids=["subspins_bytes", "subspins_number", "vertices_bytes", "vertices_number", "structure_factor_bytes",
+         "structure_factor_number", "cartan_bytes", "cartan_number", "block_bytes", "blocks_bytes",
+         "blocks_number", "block_number", "block_one_entry", "block_three_entries", "n_scan_bytes",
+         "n_scan_bytearray", "mu_grid_bytes", "sample_bytes"],
+)
+def test_bytes_and_numbers_are_not_sequences(call, match):
+    """One sequence rule: bytes iterate to byte values and a number to nothing, so both are
+    refused, never read as the byte values or raised as a bare TypeError.  A block that is
+    not a pair is refused by the one pair rule, not a bare ValueError.  A bare number as
+    the N list, the mu grid or the samples has tests of its own."""
+    with pytest.raises(errors.InvalidInput, match=match):
+        call()
+
+
 def test_numpy_integers_are_counts():
     i64 = np.int64
     assert type(SpinQuantum(np.int32(3)).twice_j) is int

@@ -174,14 +174,31 @@ def test_evolve_identity_at_zero():
 
 
 def test_evolve_requires_diagonal():
-    """A rotated triple is a valid su(2) triple, but its O3 is not diagonal."""
+    """A rotated triple is a valid su(2) triple, but its O3 is not diagonal.
+
+    Every oracle entry refuses it.  The rotation about O2 is the one that shows why:
+    read in the m_z basis, {3/2} at N = 3 gave <Lambda_1> = 4.5 cos 0.4 = 4.1448, not
+    the class's 4.5.  About O1 the coherent state only gains a phase.
+    """
     triple = build_su2_triple(VertexSubset(J32, frozenset({1, 2, 3})))
     f = triple.decomposition.f
-    u = expm(-0.4j * triple.o1.matrix / f)
-    o1, o2, o3 = (HermitianOperator(u @ op.matrix @ u.conj().T) for op in (triple.o1, triple.o2, triple.o3))
-    rotated = Su2Triple(o1, o2, o3, triple.decomposition, triple.blocks)
-    with pytest.raises(NotDiagonal):
-        OracleWorkspace(rotated, 2)
+    basis = build_basis(3, J32)
+    coherent = oat_spec(triple.decomposition, 3, (1.0,)).coherent
+    state = coherent_state(triple, basis, coherent)
+    assert expectation(state, second_quantize(triple.o1, basis)) == pytest.approx(4.5, abs=1e-12)
+    for axis in (triple.o1, triple.o2):
+        u = expm(-0.4j * axis.matrix / f)
+        o1, o2, o3 = (HermitianOperator(u @ op.matrix @ u.conj().T) for op in (triple.o1, triple.o2, triple.o3))
+        rotated = Su2Triple(o1, o2, o3, triple.decomposition, triple.blocks)
+        assert not rotated.framed
+        with pytest.raises(NotDiagonal):
+            OracleWorkspace(rotated, 2)
+        with pytest.raises(NotDiagonal):
+            coherent_state(rotated, basis, coherent)
+        with pytest.raises(NotDiagonal):
+            sector_twist_diagonal(rotated, basis)
+        with pytest.raises(DimensionMismatch):  # the basis size is read first
+            coherent_state(rotated, build_basis(3, SpinQuantum(2)), coherent)
 
 
 @pytest.mark.parametrize("eps,framed", [(1e-13, True), (1e-11, False)])
@@ -202,6 +219,9 @@ def test_frame_boundary_is_one_rule_for_triple_and_oracle(eps, framed, monkeypat
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     near = Su2Triple(good.o1, good.o2, o3, good.decomposition, good.blocks)
     assert len(calls) == (0 if framed else 1)
+    assert near.framed is framed
+    frame = {fld.name: fld for fld in dataclasses.fields(Su2Triple)}["framed"]
+    assert not frame.init and not frame.compare  # derived from O3, never passed or compared
     if framed:
         assert OracleWorkspace(near, 2).triple is near
     else:
