@@ -46,13 +46,18 @@ SPECTRUM_TOL = 1e-7
 
 @dataclass(frozen=True)
 class VertexSubset:
-    """Nonempty choice of Dynkin vertices, numbered 1..2J."""
+    """Nonempty choice of Dynkin vertices, numbered 1..2J.
+
+    The choice is unordered, so a set or a frozenset is read as it is; any
+    other collection of vertices must pass the sequence rule.
+    """
 
     j: SpinQuantum
     chosen: frozenset[int]
 
     def __post_init__(self) -> None:
-        chosen = frozenset(_exact_int(k, "vertex") for k in _sequence(self.chosen, "vertices"))
+        chosen = self.chosen if isinstance(self.chosen, (set, frozenset)) else _sequence(self.chosen, "vertices")
+        chosen = frozenset(_exact_int(k, "vertex") for k in chosen)
         object.__setattr__(self, "chosen", chosen)
         if not self.chosen:
             raise InvalidInput("at least one vertex must be chosen, got none")

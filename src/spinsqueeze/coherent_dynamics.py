@@ -61,7 +61,6 @@ the limit search and the oracle comparison make.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -75,7 +74,7 @@ from .errors import (
     NotOatStart,
     VanishingMeanSpin,
 )
-from .lie_algebra import _exact_int, _particle_count, _real, _sequence
+from .lie_algebra import _complex, _exact_int, _particle_count, _real, _sequence
 
 # Most points of the limit search's linear grid, which takes 4 J_max N + 1 below that.
 GRID_POINTS = 32
@@ -102,7 +101,11 @@ _XI2_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class CoherentSpec:
-    """Coherent-state parameters: polar angles and per-subspace weights."""
+    """Coherent-state parameters: polar angles and per-subspace weights.
+
+    theta and phi are stored as finite floats and each weight as a finite
+    complex, whatever real or complex number type they were given in.
+    """
 
     theta: float
     phi: float
@@ -111,18 +114,10 @@ class CoherentSpec:
     weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        try:
-            z = tuple(complex(v) for v in _sequence(self.zeta, "zeta"))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInput(f"zeta must be a sequence of numbers, got {self.zeta!r}") from exc
+        z = tuple([_complex(v, "zeta") for v in _sequence(self.zeta, "zeta")])
         object.__setattr__(self, "zeta", z)
-        for name in ("theta", "phi"):
-            _real(getattr(self, name), name)
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi) and all(map(cmath.isfinite, z))):
-            raise NonFiniteInput(
-                f"coherent-state parameters must be finite, got theta = {self.theta!r}, "
-                f"phi = {self.phi!r}, zeta = {z!r}"
-            )
+        object.__setattr__(self, "theta", _real(self.theta, "theta"))
+        object.__setattr__(self, "phi", _real(self.phi, "phi"))
         try:
             weights = tuple(abs(v) ** 2 for v in z)
         except OverflowError:  # a finite weight whose square is past the float range
@@ -221,17 +216,13 @@ def _check_start(spec: EnsembleSpec) -> None:
         raise NotOatStart(f"closed forms need theta = pi/2, phi = 0, got {c.theta!r}, {c.phi!r}")
 
 
-def _check_oat(spec: EnsembleSpec, mu: float) -> None:
-    """Refuse a mu that is not a finite number >= 0, then a start off theta = pi/2, phi = 0.
-
-    NaN slips past mu < 0, so finiteness comes first.
-    """
+def _check_oat(spec: EnsembleSpec, mu) -> float:
+    """mu as a float, refused unless a finite real number >= 0; then refuse a start off theta = pi/2, phi = 0."""
     mu = _real(mu, "mu")
-    if not math.isfinite(mu):
-        raise NonFiniteInput(f"mu must be finite, got {mu!r}")
     if mu < 0:
         raise InvalidInput(f"mu must be >= 0, got {mu!r}")
     _check_start(spec)
+    return mu
 
 
 def _log_cos(x: float) -> tuple[float, bool]:
@@ -353,7 +344,7 @@ def _trace(spec: EnsembleSpec, mu: float, mean: float, base: float, p: float, q:
 
 def squeeze_trace(spec: EnsembleSpec, mu: float) -> SqueezeTrace:
     """Full transverse record at one mu; xi2 = inf where the mean has collapsed (see `_xi2`)."""
-    _check_oat(spec, mu)
+    mu = _check_oat(spec, mu)
     return _trace(spec, mu, *_moments(spec, mu))
 
 

@@ -3,7 +3,13 @@
 Every public call either returns its answer or raises a SpinSqueezeError.
 Arguments outside a call's domain (a count below 1, a NaN, a weight vector of
 the wrong length or norm, a twisting start off theta = pi/2) raise InvalidInput
-or one of its subclasses; InvalidInput is also a ValueError.
+or one of its subclasses; InvalidInput is also a ValueError.  Real and
+complex arguments pass one number rule (lie_algebra's `_real` and `_complex`):
+text, bytes, None, a bool, and a complex where a real belongs raise
+InvalidInput, a NaN, an infinity or a value past the float range raises
+NonFiniteInput, and every other numeric type is converted to the Python float
+or complex that the call then uses.  Lists pass one sequence rule
+(`_sequence`), which refuses text, bytes, sets, dicts and one-pass iterables.
 The checks live in the library only: the command line maps InvalidInput to
 exit code 1 and every other SpinSqueezeError, a numerical status such as a
 vanished mean spin or an oversized basis, to exit code 2.

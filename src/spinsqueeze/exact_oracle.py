@@ -53,7 +53,6 @@ from .coherent_dynamics import CoherentSpec, EnsembleSpec, SqueezeTrace, _check_
 from .errors import (
     DimensionMismatch,
     InvalidInput,
-    NonFiniteInput,
     NormalizationError,
     NotDiagonal,
     SizeLimit,
@@ -375,18 +374,16 @@ class OracleWorkspace:
     def coherent(self, coherent_spec: CoherentSpec) -> SymmetricState:
         return self._cached(coherent_spec)[0]
 
-    def _twisted_amplitudes(self, coherent_spec: CoherentSpec, mu: float) -> tuple[np.ndarray, _Entry]:
-        """Coherent amplitudes twisted to mu, with the spec's cache entry.
+    def _twisted_amplitudes(self, coherent_spec: CoherentSpec, mu) -> tuple[np.ndarray, _Entry, float]:
+        """Coherent amplitudes twisted to mu, with the spec's cache entry and mu as a float.
 
-        Any finite mu, negative included, is valid; mu is checked before the
+        Any finite real mu, negative included, is valid; mu is read before the
         coherent state is looked up or built.
         """
         mu = _real(mu, "mu")
-        if not math.isfinite(mu):
-            raise NonFiniteInput(f"mu must be finite, got {mu!r}")
         phases = np.exp(-1j * mu / (2.0 * self._f * self._f) * self._twist_values)
         entry = self._cached(coherent_spec)
-        return entry[0].amplitudes * phases.take(self._twist_index), entry
+        return entry[0].amplitudes * phases.take(self._twist_index), entry, mu
 
     def squeezing(self, coherent_spec: CoherentSpec, mu: float) -> SqueezeTrace:
         """Transverse moments of the twisted state, minimized over nu exactly.
@@ -402,7 +399,7 @@ class OracleWorkspace:
         and Cov(O2, O3) = Re <O2 psi|O3 psi> - <O2><O3>
         = -Im <e|Lambda3 psi> / 2 - <O2><O3>.
         """
-        amps, (_, spec, mean3, v33) = self._twisted_amplitudes(coherent_spec, mu)
+        amps, (_, spec, mean3, v33), mu = self._twisted_amplitudes(coherent_spec, mu)
         ud = self._ladder @ amps
         u, d = ud[: amps.size], ud[amps.size :]
         e = u - d

@@ -29,8 +29,9 @@ build J+ from the multiplet's ladder.
 
 from __future__ import annotations
 
+import cmath
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,29 +56,70 @@ def _exact_int(value, what: str) -> int:
     raise InvalidInput(f"{what} must be an integer, got {value!r}")
 
 
+# Text and bytes: float() and complex() parse them, and tuple() reads characters or byte values.
+_TEXT = (str, bytes, bytearray, memoryview)
+# float() and complex() read these too, but none is a number: a bool is not 1, and an
+# array holds many numbers (a 0-d array is read as its scalar first).
+_NOT_NUMBERS = (*_TEXT, bool, np.bool_, np.ndarray)
+_NOT_REAL = (*_NOT_NUMBERS, complex, np.complexfloating)  # float() keeps a numpy complex's real part
+
+
+def _number(value, what: str, kind: type):
+    """`kind(value)`, kind float or complex, unless `value` is no number of that kind or past the float range."""
+    if type(value) is np.ndarray and value.ndim == 0:
+        value = value[()]
+    try:
+        if isinstance(value, _NOT_REAL if kind is float else _NOT_NUMBERS):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{what} must be {'a real number' if kind is float else 'a number'}, got {value!r}") from exc
+    except OverflowError as exc:  # an int or a Fraction past the float range, too long to print
+        raise NonFiniteInput(f"{what} must be finite, got a {type(value).__name__} past the float range") from exc
+
+
 def _real(value, what: str) -> float:
-    """`value` as a float; a string, None, a complex or other non-number is refused, a NaN is not."""
-    if type(value) is not float:  # a float, the common case, needs no check
-        try:
-            math.isfinite(value)  # takes what float() takes, strings aside
-        except (TypeError, OverflowError) as exc:
-            raise InvalidInput(f"{what} must be a real number, got {value!r}") from exc
-    return float(value)
+    """`value` as a finite Python float: the one real-number rule of the library's inputs.
+
+    Any real number converts: an int, a numpy scalar, a 0-d array, a Decimal or
+    a Fraction gives exactly the result of its float.  Text, bytes, None, a
+    bool and a complex are refused with InvalidInput; a NaN, an infinity or a
+    value past the float range with NonFiniteInput.
+    """
+    if type(value) is not float:  # a float, the common case, only needs the finiteness test
+        value = _number(value, what, float)
+    if not math.isfinite(value):
+        raise NonFiniteInput(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _complex(value, what: str) -> complex:
+    """`value` as a finite Python complex, under `_real`'s rule but for the complex values it admits."""
+    kind = type(value)
+    if kind is float or kind is complex:  # the common case: the weights a caller or the CLI writes
+        value = complex(value)
+    else:
+        value = _number(value, what, complex)
+    if not cmath.isfinite(value):
+        raise NonFiniteInput(f"{what} must be finite, got {value!r}")
+    return value
 
 
 def _sequence(values, what: str) -> tuple:
     """`values` as a tuple: the one sequence rule of the library's inputs.
 
-    Text and bytes (or a bytearray) are refused: they iterate to characters or to byte
-    values, never to the numbers meant.  So is a number or any other non-iterable.
+    An ordered sequence is read: a tuple, a list, a range or any other Sequence,
+    or an array of one or more dimensions.  Text, bytes, a bytearray and a
+    memoryview are refused: they iterate to characters or to byte values, never
+    to the numbers meant.  So is anything unordered or one-pass (a set, a dict,
+    a generator or an iterator), and a number or any other non-iterable.
     """
     if type(values) is tuple:  # the common case, first: every class build reads its tuples here
         return values
-    if not isinstance(values, (str, bytes, bytearray)):
-        try:
-            return tuple(values)
-        except TypeError:
-            pass
+    if isinstance(values, Sequence) and not isinstance(values, _TEXT) or (
+        isinstance(values, np.ndarray) and values.ndim > 0
+    ):
+        return tuple(values)
     raise InvalidInput(f"{what} must be a sequence, got {values!r}")
 
 
@@ -406,12 +448,10 @@ def multipole_basis(j: SpinQuantum) -> GeneratorSet:
 
 
 def expand_observable(basis: GeneratorSet, coeffs) -> HermitianOperator:
-    """Build sum_k v_k g_k from a unit-norm real coefficient vector."""
-    v = np.asarray(coeffs, dtype=float)
+    """Build sum_k v_k g_k from a unit-norm real coefficient vector, read under the sequence and number rules."""
+    v = np.array([_real(c, "a coefficient") for c in _sequence(coeffs, "coefficients")])
     if v.shape != (len(basis),):
         raise DimensionMismatch(f"expected {len(basis)} coefficients, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise NonFiniteInput("coefficients must be finite, got a NaN or an infinity")
     total = float(np.sum(v * v))
     if abs(total - 1.0) > 1e-12:
         raise NormalizationError(f"coefficients have squared norm {total!r}, expected 1")

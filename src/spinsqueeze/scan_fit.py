@@ -47,6 +47,8 @@ class ScanConfig:
     def __post_init__(self) -> None:
         try:
             grid = tuple(_real(w, "zeta1_sq") for w in _sequence(self.zeta1_sq_grid, "zeta1_sq_grid"))
+        except NonFiniteInput:  # a NaN or an infinity is a number, named as such
+            raise
         except InvalidInput as exc:
             raise InvalidInput(f"the weight grid must be a sequence of numbers: {exc}") from exc
         object.__setattr__(self, "zeta1_sq_grid", grid)
@@ -72,7 +74,7 @@ class ScanRow:
 
 
 def _check_weight(zeta1_sq: float) -> None:
-    if not 0.0 <= _real(zeta1_sq, "zeta1_sq") <= 1.0:  # also refuses NaN
+    if not 0.0 <= zeta1_sq <= 1.0:
         raise InvalidInput(f"zeta1_sq must lie in [0, 1], got {zeta1_sq!r}")
 
 
@@ -105,6 +107,7 @@ def n_scan(
     decomposition: IrrepDecomposition, zeta1_sq: float, n_values
 ) -> list[tuple[int, float, float, str]]:
     """Squeezing limit versus particle number at a fixed weight split, in list order."""
+    zeta1_sq = _real(zeta1_sq, "zeta1_sq")
     _check_weight(zeta1_sq)
     ns = [_particle_count(n) for n in _sequence(n_values, "n_values")]
     if not ns:
@@ -238,9 +241,6 @@ def fit_power_law(points, model: str = "power") -> FitResult:
     pts = [_sample(pt) for pt in _sequence(points, "points")]
     if len(pts) < 4:
         raise InvalidInput(f"need at least 4 points to fit, got {len(pts)}")
-    for n_i, y_i in pts:
-        if not (math.isfinite(n_i) and math.isfinite(y_i)):
-            raise NonFiniteInput(f"fits need finite samples, got (n, y) = ({n_i!r}, {y_i!r})")
     n = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     if np.any(n <= 0) or len(set(n.tolist())) != len(n):

@@ -1,8 +1,13 @@
 """Input refusals have one home: the library raises InvalidInput, the CLI maps it."""
 
+import functools
 import inspect
+import math
+import pickle
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +15,7 @@ import pytest
 
 from spinsqueeze import (
     CartanChoice,
+    CoherentSpec,
     HermitianOperator,
     IrrepDecomposition,
     OracleWorkspace,
@@ -184,15 +190,31 @@ def _full_with_blocks(blocks):
         (lambda: compare_with_oracle(_workspace(), oat_spec(PAIR, 4, (0.6, 0.8)).coherent, b"\x00\x01"),
          "must be a sequence"),
         (lambda: fit_power_law(GOOD_SAMPLES[:3] + [b"\xc8\x01"]), "must be a sequence"),
+        # read as zeta = (0, 1), the set's order: find_limit gave 0.011950 in place of 0.005515
+        (lambda: oat_spec(IrrepDecomposition(SpinQuantum(5), (3, 1)), 1000, {1.0, 0.0}), "must be a sequence"),
+        (lambda: n_scan(PAIR, 1.0, memoryview(b"\x05\x06")), "must be a sequence"),  # scanned N = 5, 6
+        (lambda: IrrepDecomposition(J32, memoryview(b"\x01\x01")), "must be a sequence"),
+        (lambda: n_scan(PAIR, 1.0, {100, 200}), "must be a sequence"),
+        (lambda: CartanChoice(J32, frozenset({2, 7, 10})), "must be a sequence"),
+        (lambda: compare_with_oracle(_workspace(), oat_spec(PAIR, 4, (0.6, 0.8)).coherent, {0.1: 0.2}),
+         "must be a sequence"),
+        (lambda: n_scan(PAIR, 1.0, (n for n in (100, 200))), "must be a sequence"),
+        (lambda: fit_power_law(iter(GOOD_SAMPLES)), "must be a sequence"),
+        (lambda: expand_observable(multipole_basis(SpinQuantum(2)), b"\x01" * 8), "must be a sequence"),
+        (lambda: expand_observable(multipole_basis(SpinQuantum(2)), "abc"), "must be a sequence"),
+        (lambda: expand_observable(multipole_basis(SpinQuantum(2)), ["1"] + ["0"] * 7), "must be a real number"),
     ],
     ids=["subspins_bytes", "subspins_number", "vertices_bytes", "vertices_number", "structure_factor_bytes",
          "structure_factor_number", "cartan_bytes", "cartan_number", "block_bytes", "blocks_bytes",
          "blocks_number", "block_number", "block_one_entry", "block_three_entries", "n_scan_bytes",
-         "n_scan_bytearray", "mu_grid_bytes", "sample_bytes"],
+         "n_scan_bytearray", "mu_grid_bytes", "sample_bytes", "zeta_set", "n_scan_memoryview",
+         "subspins_memoryview", "n_scan_set", "cartan_frozenset", "mu_grid_dict", "n_scan_generator",
+         "samples_iterator", "coefficients_bytes", "coefficients_text", "coefficients_numeric_text"],
 )
 def test_bytes_and_numbers_are_not_sequences(call, match):
-    """One sequence rule: bytes iterate to byte values and a number to nothing, so both are
-    refused, never read as the byte values or raised as a bare TypeError.  A block that is
+    """One sequence rule: bytes and a memoryview iterate to byte values, a set or a dict in
+    no order the caller chose, a generator or an iterator only once, and a number to
+    nothing, so all are refused, never read or raised as a bare TypeError.  A block that is
     not a pair is refused by the one pair rule, not a bare ValueError.  A bare number as
     the N list, the mu grid or the samples has tests of its own."""
     with pytest.raises(errors.InvalidInput, match=match):
@@ -239,3 +261,133 @@ def test_non_finite_coefficient_refused(bad):
     coeffs[0] = bad
     with pytest.raises(errors.NonFiniteInput, match="finite"):
         expand_observable(basis, coeffs)
+
+
+# The hostile-value table: every public entry that reads a real, a complex or a sequence
+# argument, with that argument left open.  A slot's kind says which rule reads it.
+SPEC = oat_spec(PAIR, 10, (0.6, 0.8))
+BASIS_2 = multipole_basis(SpinQuantum(2))
+REST = math.sqrt(1.0 - 0.25**2)  # the second entry of a unit vector whose first is 0.25
+
+
+@functools.cache
+def _oracle():
+    """A workspace for the oracle slots, built on first use."""
+    return _workspace()
+
+
+SLOTS = {
+    "squeeze_trace_mu": ("real", lambda v: squeeze_trace(SPEC, v)),
+    "oracle_squeezing_mu": ("real", lambda v: _oracle().squeezing(SPEC.coherent, v)),
+    "compare_mu": ("real", lambda v: compare_with_oracle(_oracle(), SPEC.coherent, [0.1, v])),
+    "theta": ("real", lambda v: CoherentSpec(v, 0.0, (0.6, 0.8))),
+    "phi": ("real", lambda v: CoherentSpec(math.pi / 2, v, (0.6, 0.8))),
+    "n_scan_weight": ("real", lambda v: n_scan(PAIR, v, [10])),
+    "scan_grid_entry": ("real", lambda v: ScanConfig(PAIR, 10, (0.1, v))),
+    "fit_sample_n": ("real", lambda v: fit_power_law([(v, 0.2)] + GOOD_SAMPLES)),
+    "fit_sample_y": ("real", lambda v: fit_power_law([(1, v)] + GOOD_SAMPLES)),
+    "coefficient": ("real", lambda v: expand_observable(BASIS_2, [v, REST] + [0.0] * 6)),
+    "zeta_entry": ("complex", lambda v: oat_spec(PAIR, 10, (v, REST))),
+    "subspins": ("sequence", lambda v: IrrepDecomposition(J32, v)),
+    "structure_factor": ("sequence", lambda v: structure_factor(v, J32)),
+    "cartan_indices": ("sequence", lambda v: CartanChoice(J32, v)),
+    "blocks": ("sequence", _full_with_blocks),
+    "zeta": ("sequence", lambda v: CoherentSpec(math.pi / 2, 0.0, v)),
+    "n_values": ("sequence", lambda v: n_scan(PAIR, 0.5, v)),
+    "mu_grid": ("sequence", lambda v: compare_with_oracle(_oracle(), SPEC.coherent, v)),
+    "scan_grid": ("sequence", lambda v: ScanConfig(PAIR, 10, v)),
+    "samples": ("sequence", fit_power_law),
+    "coefficients": ("sequence", lambda v: expand_observable(BASIS_2, v)),
+    "vertices": ("vertices", lambda v: VertexSubset(J32, v)),
+}
+# Values that no slot reads, each made fresh (a generator is used up once read).  The two
+# complex values are numbers to a complex slot, and a set is what a vertex choice is.
+HOSTILE = {
+    "str": lambda: "0.5",
+    "bytes": lambda: b"\x01\x02",
+    "bytearray": lambda: bytearray(b"\x01\x02"),
+    "memoryview": lambda: memoryview(b"\x01\x02"),
+    "set": lambda: {1, 2},
+    "dict": lambda: {1: 2},
+    "generator": lambda: (k for k in (1, 2)),
+    "true": lambda: True,
+    "np_true": lambda: np.True_,
+    "complex": lambda: 0.5j,
+    "np_complex": lambda: np.complex128(0.5j),
+    "none": lambda: None,
+    "nan": lambda: math.nan,
+    "inf": lambda: math.inf,
+    "-inf": lambda: -math.inf,
+    "huge_int": lambda: 10**400,
+    "nested_list": lambda: [[1, 2]],
+}
+NOT_HOSTILE = {"complex": {"complex", "np_complex"}, "vertices": {"set"}}
+
+
+@pytest.mark.parametrize(
+    "slot, value",
+    [(slot, value) for slot, (kind, _) in SLOTS.items() for value in HOSTILE if value not in NOT_HOSTILE.get(kind, ())],
+)
+def test_hostile_values_raise_a_library_error(slot, value):
+    """Each is refused with a SpinSqueezeError: never a bare exception, a warning or a result."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.SpinSqueezeError):
+            SLOTS[slot][1](HOSTILE[value]())
+
+
+# Each value against its canonical form: the float 0.25 for a number, the tuple for a sequence.
+CANONICAL = {
+    "subspins": (3,),
+    "structure_factor": (3,),
+    "cartan_indices": (2, 7, 10),
+    "blocks": ((0, 3),),
+    "zeta": (1.0, 0.0),
+    "n_values": (10, 11),
+    "mu_grid": (0.0, 1.0),
+    "scan_grid": (0.0, 1.0),
+    "samples": tuple(GOOD_SAMPLES),
+    "coefficients": (0.25, REST) + (0.0,) * 6,
+    "vertices": (1, 3),
+}
+NUMBERS = {"float32": np.float32, "decimal": Decimal, "fraction": Fraction, "0d_array": np.array}
+
+
+def _as_range(t):
+    """t as a range of step 1, or None where it is none."""
+    try:
+        r = range(int(t[0]), int(t[-1]) + 1)
+    except TypeError:
+        return None
+    return r if tuple(r) == t else None
+
+
+SEQUENCES = {"list": list, "range": _as_range, "array": np.array, "set": set, "frozenset": frozenset}
+
+
+def _equivalents():
+    for slot, (kind, _) in SLOTS.items():
+        if kind in ("real", "complex"):
+            yield from ((slot, name) for name in NUMBERS)
+        else:
+            yield from (
+                (slot, name) for name in SEQUENCES
+                if (name not in ("set", "frozenset") or kind == "vertices")
+                and (name != "range" or _as_range(CANONICAL[slot]) is not None)
+            )
+
+
+@pytest.mark.parametrize("slot, form", list(_equivalents()))
+def test_number_types_and_sequences_read_as_their_canonical_form(slot, form):
+    """A numpy scalar, a Decimal, a Fraction or a 0-d array gives exactly the result of its
+    float, and a list, a range or an array exactly that of its tuple: the pickled results
+    agree byte for byte, so every float field is a Python float."""
+    call = SLOTS[slot][1]
+    if form in NUMBERS:
+        canonical, value = 0.25, NUMBERS[form](0.25)
+    else:
+        canonical = CANONICAL[slot]
+        value = SEQUENCES[form](canonical)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pickle.dumps(call(value)) == pickle.dumps(call(canonical))

@@ -303,9 +303,13 @@ def test_n_scan_single_subspace_class():
         n_scan(dec, 0.5, [1000])
 
 
-@pytest.mark.parametrize("zeta1_sq", [-0.5, 1.5, math.nan])
-def test_n_scan_refuses_weight_outside_unit_interval(zeta1_sq):
-    with pytest.raises(InvalidInput, match="zeta1_sq must lie in"):
+@pytest.mark.parametrize(
+    "zeta1_sq, match",
+    [(-0.5, "zeta1_sq must lie in"), (1.5, "zeta1_sq must lie in"), (math.nan, "^zeta1_sq must be finite, got nan$")],
+    ids=["-0.5", "1.5", "nan"],
+)
+def test_n_scan_refuses_weight_outside_unit_interval(zeta1_sq, match):
+    with pytest.raises(InvalidInput, match=match):
         n_scan(DEC_III, zeta1_sq, [100])
 
 
