@@ -18,7 +18,6 @@ its decomposition's.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +32,6 @@ from .lie_algebra import (
     _multiplet,
     _norm_squared,
     _off_diagonal,
-    _pair,
     _sequence,
     _su2_components,
     half_integer_str,
@@ -64,12 +62,6 @@ class VertexSubset:
         bad = [k for k in self.chosen if not 1 <= k <= self.j.twice_j]
         if bad:
             raise InvalidInput(f"vertices {bad} outside 1..{self.j.twice_j}")
-
-    def runs(self) -> list[tuple[int, int]]:
-        """Maximal runs of consecutive vertices as (first_vertex, length)."""
-        # consecutive vertices share the same vertex - position in sorted order
-        groups = itertools.groupby(enumerate(sorted(self.chosen)), key=lambda p: p[1] - p[0])
-        return [(run[0][1], len(run)) for run in (list(g) for _, g in groups)]
 
 
 def structure_factor(twice_subspins, j: SpinQuantum) -> float:
@@ -110,15 +102,20 @@ class IrrepDecomposition:
         return [half_integer_str(t) for t in vals]
 
 
-def _subset_blocks(subset: VertexSubset) -> list[tuple[int, int]]:
-    """The run-length rule as (level offset, 2J_l) blocks in subspin order.
+def _layout(links) -> tuple[tuple[int, int], ...]:
+    """The run-length rule: a chain's (level offset, 2J_l) blocks in subspin order.
 
-    Runs come longest first, then left to right; untouched levels follow as singlets.
+    links[k] says whether levels k and k + 1 share a block.  Blocks come largest
+    first, then left to right, so unlinked levels follow as singlets.
     """
-    runs = sorted(((start - 1, t) for start, t in subset.runs()), key=lambda b: (-b[1], b[0]))
-    covered = {level for off, t in runs for level in range(off, off + t + 1)}
-    singles = [(level, 0) for level in range(subset.j.dim) if level not in covered]
-    return runs + singles
+    cuts = [k + 1 for k, linked in enumerate(links) if not linked]  # the first level of each later block
+    blocks = [(start, stop - start - 1) for start, stop in zip([0, *cuts], [*cuts, len(links) + 1])]
+    return tuple(sorted(blocks, key=lambda b: -b[1]))  # stable: equal subspins stay left to right
+
+
+def _subset_blocks(subset: VertexSubset) -> tuple[tuple[int, int], ...]:
+    """The subset's blocks: vertex k links levels k - 1 and k."""
+    return _layout([k in subset.chosen for k in range(1, subset.j.dim)])
 
 
 def decompose_subset(subset: VertexSubset) -> IrrepDecomposition:
@@ -166,12 +163,10 @@ def class_representatives(j: SpinQuantum) -> list[tuple[IrrepDecomposition, Vert
 
 @dataclass(frozen=True)
 class Su2Triple:
-    """Concrete matrices (O1, O2, O3) realizing one class, with block layout.
+    """Concrete matrices (O1, O2, O3) realizing one class, and their block layout.
 
-    blocks lists (row_offset, 2*J_l) in the order matching the decomposition's
-    subspins, i.e. coherent-state weights zeta_l attach to blocks[l].  The
-    constructor is where the class is checked, once: besides the su(2)
-    commutators, O3/f must be the union of the blocks' multiplets
+    The constructor is where the class is checked, once: besides the su(2)
+    commutators, O3/f must be the union of the decomposition's multiplets
     m = J_l ... -J_l.  Every residual is compared as `not resid <= tol`, so a
     NaN fails.
 
@@ -182,25 +177,29 @@ class Su2Triple:
     with NotDiagonal, and O3 is tested nowhere else.  A framed O+ = O1 + i O2
     must lie within DIAGONAL_TOL of its first superdiagonal, O+ = diag(p, 1),
     or the triple is refused: an O+ that crosses blocks fits no block layout,
-    yet the oracle would twist and rotate each listed block on its own levels.
-    The commutators are then their per-level identities in O(d),
+    yet the oracle twists and rotates each block on its own levels.  The
+    commutators are then their per-level identities in O(d),
 
         (a_k - a_(k+1) - f) p_k = 0   and   |p_k|^2 - |p_(k-1)|^2 = 2f a_k,
 
-    with O3 = diag(a) and p_-1 = p_(d-1) = 0, and O3 is matched level by
-    level, which pins the offsets the oracle reads.  Any other triple, a
-    rotated one say, is checked by the dense d x d products and O3 by its
-    sorted spectrum, so it keeps its class.  `blocks` is read by the one
-    sequence rule: each block is a pair of exact ints, never text or bytes.
+    with O3 = diag(a) and p_-1 = p_(d-1) = 0.  The layout is read off the
+    ladder, as `framed` is off O3: levels k and k + 1 share a block when
+    |p_k| > DIAGONAL_TOL, and `blocks` lists the (row offset, 2J_l) of each in
+    the decomposition's subspin order, so coherent-state weights zeta_l attach
+    to blocks[l].  Those subspins must be the decomposition's, and O3 is
+    matched level by level, which pins the offsets the oracle reads.  Any
+    other triple, a rotated one say, is checked by the dense d x d products
+    and O3 by its sorted spectrum, so it keeps its class; its `blocks` is ().
     """
 
     o1: HermitianOperator
     o2: HermitianOperator
     o3: HermitianOperator
     decomposition: IrrepDecomposition
-    blocks: tuple[tuple[int, int], ...]
     # derived once: True when O3 is diagonal, the frame the oracle twists in
     framed: bool = field(init=False, repr=False, compare=False)
+    # derived once: the framed ladder's blocks, () off the frame
+    blocks: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     @property
     def j(self) -> SpinQuantum:
@@ -228,7 +227,7 @@ class Su2Triple:
                     raise NotAnSu2Triple(f"O+ leaves its ladder, the first superdiagonal (by {stray:.3e})")
             raising = abs((levels[:-1] - levels[1:] - f) * ladder).max()
             pops = np.zeros(dim + 1)  # |p_k|^2 at k + 1, with p_-1 = p_(d-1) = 0
-            pops[1:-1] = abs(ladder)
+            pops[1:-1] = reach = abs(ladder)  # levels k and k + 1 share a block where |p_k| > DIAGONAL_TOL
             pops **= 2
             closing = abs(pops[1:] - pops[:-1] - 2.0 * f * levels).max()
         else:
@@ -242,20 +241,17 @@ class Su2Triple:
         if not closing <= COMMUTATION_TOL:
             raise NotAnSu2Triple(f"[O+, O-] != 2f O3 (residual {closing:.3e})")
 
-        pairs = (_pair(block, "a block") for block in _sequence(self.blocks, "blocks"))
-        blocks = tuple((_exact_int(off, "block offset"), _exact_int(t, "2J_l")) for off, t in pairs)
-        object.__setattr__(self, "blocks", blocks)
-        if tuple(t for _, t in blocks) != dec.twice_subspins:
-            raise NotAnSu2Triple(f"blocks {blocks} do not list the subspins {dec.twice_subspins}")
-        if sorted(lvl for off, t in blocks for lvl in range(off, off + t + 1)) != list(range(dim)):
-            raise NotAnSu2Triple(f"blocks {blocks} do not tile the {dim} levels")
-        expected = np.empty(dim)
-        for off, t in blocks:
-            expected[off : off + t + 1] = _multiplet(t)[0]
         if framed:
+            blocks = _layout((reach > DIAGONAL_TOL).tolist())
+            if tuple(t for _, t in blocks) != dec.twice_subspins:
+                raise NotAnSu2Triple(f"the ladder's blocks {blocks} are not the subspins {dec.twice_subspins}")
+            expected = np.concatenate([_multiplet(t)[0] for _, t in sorted(blocks)])  # level by level
             observed = levels.real
         else:
-            observed, expected = np.linalg.eigvalsh(o3), np.sort(expected)
+            blocks = ()
+            expected = np.sort(np.concatenate([_multiplet(t)[0] for t in dec.twice_subspins]))
+            observed = np.linalg.eigvalsh(o3)
+        object.__setattr__(self, "blocks", blocks)
         resid = abs(observed / f - expected).max()
         if not resid <= SPECTRUM_TOL:
             raise NotAnSu2Triple(f"O3/f is not the blocks' multiplets J_l ... -J_l (residual {resid:.3e})")
@@ -270,14 +266,14 @@ def build_su2_triple(subset: VertexSubset) -> Su2Triple:
     that one ladder, the same arithmetic as f times each block's
     `spin_matrices`.
     """
-    blocks = tuple(_subset_blocks(subset))
+    blocks = _subset_blocks(subset)
     dec = IrrepDecomposition(subset.j, tuple(t for _, t in blocks))
     m = np.zeros(subset.j.dim)
     ladder = np.zeros(subset.j.dim - 1)
     for off, twice_sub in blocks:
         m[off : off + twice_sub + 1], ladder[off : off + twice_sub] = _multiplet(twice_sub)
     o1, o2, o3 = _su2_components(m, ladder, dec.f)
-    return Su2Triple(HermitianOperator(o1), HermitianOperator(o2), HermitianOperator(o3), dec, blocks)
+    return Su2Triple(HermitianOperator(o1), HermitianOperator(o2), HermitianOperator(o3), dec)
 
 
 def equivalence_check(a: Su2Triple, b: Su2Triple) -> bool:

@@ -47,10 +47,13 @@ def _exact_int(value, what: str) -> int:
     """`value` as a Python int; a bool, a float or any other type is refused.
 
     Counts and indices are never truncated or rounded: N = 100.5 is not a
-    particle number, and True is not 1.
+    particle number, and True is not 1.  A 0-d array is read as its scalar, as
+    the number rule reads it.
     """
     if type(value) is int:  # the common case, first: class enumeration makes ~10^4 calls
         return value
+    if type(value) is np.ndarray and value.ndim == 0:
+        value = value[()]
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise InvalidInput(f"{what} must be an integer, got {value!r}")
@@ -198,15 +201,24 @@ class HermitianOperator:
     """Dense complex Hermitian matrix; the workhorse value type.
 
     The entries are validated against Hermiticity at construction and the
-    array is frozen, so instances can be shared freely.  A NaN or infinite
-    entry is refused as NonFiniteInput before the deviation is formed, where
-    inf - inf would make numpy warn.
+    array is frozen, so instances can be shared freely.  An array of integer,
+    float or complex dtype is read as it is; anything else row by row, under
+    the sequence and number rules, so text is not parsed, a bool is not 1 and
+    ragged rows are refused.  A NaN or infinite entry is refused as
+    NonFiniteInput before the deviation is formed, where inf - inf would make
+    numpy warn.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
+        m = self.matrix
+        if not isinstance(m, np.ndarray) or m.dtype.kind not in "iufc":  # a numeric array, the common case
+            # anything else is read row by row under the sequence and number rules
+            m = [[_complex(v, "a matrix entry") for v in _sequence(r, "a matrix row")] for r in _sequence(m, "matrix")]
+            if len({len(r) for r in m}) > 1:
+                raise InvalidInput(f"matrix rows must be of one length, got lengths {[len(r) for r in m]}")
+        m = np.array(m, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         if np.count_nonzero(np.isfinite(m)) != m.size:  # half the cost of .all() on small matrices

@@ -12,11 +12,13 @@ with every local minimum refined by `_brent`.
 `moments_reference` is the `_moments` that the flat pass replaced, one helper
 call per log, power and 1 - power; the kernel must return the same floats.
 `su2_triple_reference` is the per-block construction that `build_su2_triple`
-replaced: each block's `spin_matrices`, scaled by f, added into zero matrices.
+replaced: each block's `spin_matrices`, scaled by f, added into zero matrices,
+on the blocks of `reference_blocks`, the run walk that `_layout` replaced.
 `simple_root_ladders` picks the simple roots out of `compute_roots`.
 `twisted` is the twisted state that `OracleWorkspace.squeezing` measures.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -32,7 +34,7 @@ from spinsqueeze import (
     default_cartan,
     squeeze_trace,
 )
-from spinsqueeze.classification import _subset_blocks, decompose_subset
+from spinsqueeze.classification import decompose_subset
 from spinsqueeze.coherent_dynamics import (
     GOLDEN_REL_TOL,
     MU_MAX,
@@ -52,9 +54,18 @@ mp = mpmath.MPContext()  # 60 digits for the test references; the global precisi
 mp.dps = 60
 
 
+def reference_blocks(subset: VertexSubset) -> tuple[tuple[int, int], ...]:
+    """The subset's (level offset, 2J_l) blocks: runs longest first, then left to right, then singlets."""
+    # consecutive vertices share the same vertex - position in sorted order
+    groups = itertools.groupby(enumerate(sorted(subset.chosen)), key=lambda p: p[1] - p[0])
+    runs = sorted(((run[0][1] - 1, len(run)) for run in (list(g) for _, g in groups)), key=lambda b: (-b[1], b[0]))
+    covered = {level for off, t in runs for level in range(off, off + t + 1)}
+    return tuple(runs + [(level, 0) for level in range(subset.j.dim) if level not in covered])
+
+
 def su2_triple_reference(subset: VertexSubset) -> Su2Triple:
     """Block direct sum of f times each run's spin matrices; untouched levels stay zero."""
-    blocks = tuple(_subset_blocks(subset))
+    blocks = reference_blocks(subset)
     dec = decompose_subset(subset)
     dim = subset.j.dim
     mats = [np.zeros((dim, dim), dtype=complex) for _ in range(3)]
@@ -64,7 +75,7 @@ def su2_triple_reference(subset: VertexSubset) -> Su2Triple:
         size = twice_sub + 1
         for target, source in zip(mats, spin_matrices(SpinQuantum(twice_sub))):
             target[off : off + size, off : off + size] += dec.f * source.matrix
-    return Su2Triple(*(HermitianOperator(m) for m in mats), dec, blocks)
+    return Su2Triple(*(HermitianOperator(m) for m in mats), dec)
 
 
 def simple_root_ladders(basis) -> list[np.ndarray]:

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,9 +23,9 @@ from spinsqueeze import (
 )
 from spinsqueeze.classification import Su2Triple
 from spinsqueeze.errors import AllTrivialSubspins, DimensionMismatch, InvalidInput, NotAnSu2Triple
-from spinsqueeze.lie_algebra import HermitianOperator
+from spinsqueeze.lie_algebra import DIAGONAL_TOL, HermitianOperator
 
-from observables import simple_root_ladders, su2_triple_reference
+from observables import reference_blocks, simple_root_ladders, su2_triple_reference
 
 
 def _subset(twice_j, vertices):
@@ -211,7 +213,7 @@ def _in_frame(path, triple, o1, o2, o3, validate=True):
         u = _rotation(triple)
         o1, o2, o3 = (u @ m @ u.conj().T for m in (o1, o2, o3))
     ops = [HermitianOperator(m) if validate else _unvalidated(m) for m in (o1, o2, o3)]
-    return Su2Triple(*ops, triple.decomposition, triple.blocks)
+    return Su2Triple(*ops, triple.decomposition)
 
 
 def _unvalidated(matrix):
@@ -233,7 +235,6 @@ def test_invalid_triple_rejected(triples):
             good.o2,
             HermitianOperator(np.diag([1.0, 2.0, 3.0, -6.0])),
             good.decomposition,
-            good.blocks,
         )
 
 
@@ -251,7 +252,7 @@ def test_triple_with_rescaled_transverse_pair_rejected(triples, scale):
     good = triples["iii"]
     o1, o2 = (HermitianOperator(scale * op.matrix) for op in (good.o1, good.o2))
     with pytest.raises(NotAnSu2Triple, match=r"\[O\+, O-\]"):
-        Su2Triple(o1, o2, good.o3, good.decomposition, good.blocks)
+        Su2Triple(o1, o2, good.o3, good.decomposition)
 
 
 @pytest.mark.parametrize("scale", [0.0, 2.0])
@@ -347,11 +348,51 @@ def test_triple_matches_the_per_block_reference_bit_for_bit(twice_j):
     for dec in enumerate_classes(SpinQuantum(twice_j)):
         subset = canonical_subset(dec)
         built, reference = build_su2_triple(subset), su2_triple_reference(subset)
-        assert built.blocks == reference.blocks
+        assert built.blocks == reference_blocks(subset)
         assert built.decomposition == reference.decomposition
         for a, b in ((built.o1, reference.o1), (built.o2, reference.o2), (built.o3, reference.o3)):
             assert np.array_equal(a.matrix, b.matrix)
             assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+@pytest.mark.parametrize("twice_j", range(1, 11))
+def test_every_subset_reads_its_blocks_off_its_ladder(twice_j):
+    """Every nonempty vertex subset: the blocks the triple reads off its own ladder are the
+    reference's run walk over the vertices, and the class and matrices are the reference's."""
+    j = SpinQuantum(twice_j)
+    for mask in range(1, 1 << twice_j):
+        subset = VertexSubset(j, frozenset(k + 1 for k in range(twice_j) if mask >> k & 1))
+        built, reference = build_su2_triple(subset), su2_triple_reference(subset)
+        blocks = reference_blocks(subset)
+        assert built.blocks == reference.blocks == blocks, sorted(subset.chosen)
+        assert built.decomposition == decompose_subset(subset) == IrrepDecomposition(j, tuple(t for _, t in blocks))
+        for a, b in ((built.o1, reference.o1), (built.o2, reference.o2), (built.o3, reference.o3)):
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+def test_blocks_are_derived_from_the_ladder():
+    """Vertices {2, 3} put the spin-1 block on levels 1..3 and the singlet on level 0; the
+    layout is a derived field, never passed, printed or compared."""
+    assert build_su2_triple(_subset(3, {2, 3})).blocks == ((1, 2), (0, 0))
+    blocks = {fld.name: fld for fld in dataclasses.fields(Su2Triple)}["blocks"]
+    assert not blocks.init and not blocks.repr and not blocks.compare
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-11])
+def test_ladder_entry_between_blocks_links_them_past_diagonal_tol(eps):
+    """A ladder entry eps between the two blocks of (1, 1) at 2J = 3 passes every commutator
+    residual; past DIAGONAL_TOL, the frame's threshold, it links the blocks into one spin-3/2
+    block, which is not the class."""
+    good = _canonical_triple(3, (1, 1))
+    plus = good.o1.matrix + 1j * good.o2.matrix
+    plus[1, 2] = eps
+    o1, o2 = (plus + plus.conj().T) / 2, (plus - plus.conj().T) / 2j
+    if eps < DIAGONAL_TOL:
+        assert _in_frame("ladder", good, o1, o2, good.o3.matrix).blocks == good.blocks == ((0, 1), (2, 1))
+    else:
+        message = "the ladder's blocks ((0, 3),) are not the subspins (1, 1)"
+        with pytest.raises(NotAnSu2Triple, match=re.escape(message)):
+            _in_frame("ladder", good, o1, o2, good.o3.matrix)
 
 
 def test_triple_build_validates_only_its_three_operators(j32, monkeypatch):
@@ -405,9 +446,9 @@ def test_random_subsets_build_valid_triples(twice_j, mask):
         assert np.trace(op.matrix @ op.matrix).real == pytest.approx(k2, rel=1e-10)
 
 
-def _relabelled(triple, decomposition, blocks):
-    """`triple`'s matrices under another class label, block layout or spin."""
-    return Su2Triple(triple.o1, triple.o2, triple.o3, decomposition, blocks)
+def _relabelled(triple, decomposition):
+    """`triple`'s matrices under another class label or spin."""
+    return Su2Triple(triple.o1, triple.o2, triple.o3, decomposition)
 
 
 def _rotation(triple):
@@ -419,48 +460,21 @@ def _rotated(triple):
     """The triple conjugated by `_rotation`: same class, O3 no longer diagonal."""
     u = _rotation(triple)
     o1, o2, o3 = (HermitianOperator(u @ op.matrix @ u.conj().T) for op in (triple.o1, triple.o2, triple.o3))
-    return Su2Triple(o1, o2, o3, triple.decomposition, triple.blocks)
+    return Su2Triple(o1, o2, o3, triple.decomposition)
 
 
 def _canonical_triple(twice_j, twice_subspins):
     return build_su2_triple(canonical_subset(IrrepDecomposition(SpinQuantum(twice_j), twice_subspins)))
 
 
-@pytest.mark.parametrize("layout", ["own", "labelled"])
-def test_triple_under_another_class_with_equal_f_rejected(layout):
+def test_triple_under_another_class_with_equal_f_rejected():
     """At 2J = 7 the {3/2, 3/2} and {2, 0, 0, 0} classes share f = sqrt(4.2), so the
-    commutators cannot tell them apart; the O3 spectrum and the block layout can."""
+    commutators cannot tell them apart; the ladder's blocks can."""
     pair = _canonical_triple(7, (3, 3))
     single = _canonical_triple(7, (4, 0, 0, 0))
     assert pair.decomposition.f == pytest.approx(single.decomposition.f, abs=1e-12)
-    blocks = pair.blocks if layout == "own" else single.blocks
-    with pytest.raises(NotAnSu2Triple):
-        _relabelled(pair, single.decomposition, blocks)
-
-
-def test_triple_with_shifted_block_offsets_rejected(j32):
-    """Vertices {2, 3} put the spin-1 block on levels 1..3; offsets claiming levels
-    0..2 have the same sorted spectrum, but the oracle would read the wrong levels."""
-    triple = build_su2_triple(_subset(3, {2, 3}))
-    assert triple.blocks == ((1, 2), (0, 0))
-    with pytest.raises(NotAnSu2Triple, match="multiplets"):
-        _relabelled(triple, triple.decomposition, ((0, 2), (3, 0)))
-
-
-@pytest.mark.parametrize(
-    "blocks,message",
-    [
-        (((0, 1),), "subspins"),
-        (((0, 1), (1, 1)), "tile"),
-        (((0, 1), (0, 1)), "tile"),  # a duplicate: levels 0..1 twice, 2..3 left out
-        (((0, 1), (3, 1)), "tile"),  # levels 3..4 run past 2J + 1 = 4
-        (((1, 1), (2, 1)), "tile"),  # ends at level 3 as a tiling does, but level 0 is left out
-    ],
-)
-def test_triple_with_blocks_off_its_class_rejected(triples, blocks, message):
-    good = triples["iii"]  # vertices {1, 3}: blocks ((0, 1), (2, 1))
-    with pytest.raises(NotAnSu2Triple, match=message):
-        _relabelled(good, good.decomposition, blocks)
+    with pytest.raises(NotAnSu2Triple, match="are not the subspins"):
+        _relabelled(pair, single.decomposition)
 
 
 @pytest.mark.parametrize("twice_j", [5, 1])
@@ -468,13 +482,13 @@ def test_triple_matrices_of_another_dimension_rejected(triples, twice_j):
     """4x4 matrices labelled with 2J = 5 or 2J = 1 are refused at construction."""
     j = SpinQuantum(twice_j)
     with pytest.raises(DimensionMismatch, match="matrices"):
-        _relabelled(triples["i"], IrrepDecomposition(j, (twice_j,)), ((0, twice_j),))
+        _relabelled(triples["i"], IrrepDecomposition(j, (twice_j,)))
 
 
 def test_triple_with_decomposition_of_another_spin_rejected(triples):
     other = IrrepDecomposition(SpinQuantum(5), (5,))  # f = 1, as for the {3/2} class
     with pytest.raises(DimensionMismatch, match="decomposition"):
-        _relabelled(triples["i"], other, triples["i"].blocks)
+        _relabelled(triples["i"], other)
 
 
 def test_rotated_triples_keep_their_class(triples):

@@ -162,12 +162,6 @@ def _workspace():
     return OracleWorkspace(build_su2_triple(canonical_subset(PAIR)), 4)
 
 
-def _full_with_blocks(blocks):
-    """The {3/2} triple with its blocks replaced; its matrices pass every other check."""
-    t = build_su2_triple(canonical_subset(FULL))
-    return Su2Triple(t.o1, t.o2, t.o3, t.decomposition, blocks)
-
-
 @pytest.mark.parametrize(
     "call, match",
     [
@@ -179,12 +173,6 @@ def _full_with_blocks(blocks):
         (lambda: structure_factor(3, J32), "must be a sequence"),
         (lambda: CartanChoice(J32, b"\x02\x07\x0a"), "must be a sequence"),
         (lambda: CartanChoice(J32, 2), "must be a sequence"),
-        (lambda: _full_with_blocks((b"\x00\x03",)), "must be a sequence"),
-        (lambda: _full_with_blocks(b"\x00\x03"), "must be a sequence"),
-        (lambda: _full_with_blocks(3), "must be a sequence"),
-        (lambda: _full_with_blocks((0, 3)), "must be a sequence"),
-        (lambda: _full_with_blocks(((0,),)), "must be a pair"),
-        (lambda: _full_with_blocks(((0, 3, 1),)), "must be a pair"),
         (lambda: n_scan(PAIR, 1.0, b"\x05\x06"), "must be a sequence"),
         (lambda: n_scan(PAIR, 1.0, bytearray(b"\x05\x06")), "must be a sequence"),
         (lambda: compare_with_oracle(_workspace(), oat_spec(PAIR, 4, (0.6, 0.8)).coherent, b"\x00\x01"),
@@ -205,8 +193,7 @@ def _full_with_blocks(blocks):
         (lambda: expand_observable(multipole_basis(SpinQuantum(2)), ["1"] + ["0"] * 7), "must be a real number"),
     ],
     ids=["subspins_bytes", "subspins_number", "vertices_bytes", "vertices_number", "structure_factor_bytes",
-         "structure_factor_number", "cartan_bytes", "cartan_number", "block_bytes", "blocks_bytes",
-         "blocks_number", "block_number", "block_one_entry", "block_three_entries", "n_scan_bytes",
+         "structure_factor_number", "cartan_bytes", "cartan_number", "n_scan_bytes",
          "n_scan_bytearray", "mu_grid_bytes", "sample_bytes", "zeta_set", "n_scan_memoryview",
          "subspins_memoryview", "n_scan_set", "cartan_frozenset", "mu_grid_dict", "n_scan_generator",
          "samples_iterator", "coefficients_bytes", "coefficients_text", "coefficients_numeric_text"],
@@ -214,9 +201,8 @@ def _full_with_blocks(blocks):
 def test_bytes_and_numbers_are_not_sequences(call, match):
     """One sequence rule: bytes and a memoryview iterate to byte values, a set or a dict in
     no order the caller chose, a generator or an iterator only once, and a number to
-    nothing, so all are refused, never read or raised as a bare TypeError.  A block that is
-    not a pair is refused by the one pair rule, not a bare ValueError.  A bare number as
-    the N list, the mu grid or the samples has tests of its own."""
+    nothing, so all are refused, never read or raised as a bare TypeError.  A bare number
+    as the N list, the mu grid or the samples has tests of its own."""
     with pytest.raises(errors.InvalidInput, match=match):
         call()
 
@@ -230,6 +216,61 @@ def test_numpy_integers_are_counts():
     assert VertexSubset(J32, frozenset({i64(1), i64(3)})).chosen == {1, 3}
     assert CartanChoice(J32, (i64(2), i64(7), i64(10))).indices == (2, 7, 10)
     assert [type(row[0]) for row in n_scan(PAIR, 0.5, np.array([100, 200]))] == [int, int]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: SpinQuantum(v).twice_j,
+        lambda v: oat_spec(FULL, v, (1.0,)).n,
+        lambda v: build_basis(v, J32).n,
+        lambda v: IrrepDecomposition(J32, (v,)).twice_subspins[0],
+        lambda v: max(VertexSubset(J32, [v]).chosen),
+    ],
+    ids=["twice_j", "ensemble_n", "basis_n", "subspin", "vertex"],
+)
+def test_zero_d_integer_arrays_are_counts(call):
+    """A 0-d integer array is read as its scalar, as the number rule reads a 0-d float array;
+    a 0-d float or bool array is still no count."""
+    assert call(np.array(3)) == call(3) == 3
+    assert type(call(np.array(3))) is int
+    for bad in (np.array(3.0), np.array(True)):
+        with pytest.raises(errors.InvalidInput, match="must be an integer"):
+            call(bad)
+
+
+@pytest.mark.parametrize(
+    "matrix, error",
+    [
+        ([["1"]], errors.InvalidInput),
+        ([[True]], errors.InvalidInput),
+        ([[True, 0.0], [0.0, 1.0]], errors.InvalidInput),  # numpy would read the row as floats
+        (np.eye(2, dtype=bool), errors.InvalidInput),
+        ("abc", errors.InvalidInput),
+        (b"\x01\x02", errors.InvalidInput),
+        ([[1.0, 0.0], [0.0]], errors.InvalidInput),
+        ({1}, errors.InvalidInput),
+        ([[None]], errors.InvalidInput),
+        ([[10**400]], errors.NonFiniteInput),
+    ],
+    ids=["text_entry", "bool_entry", "bool_in_a_float_row", "bool_array", "text", "bytes", "ragged", "set",
+         "none_entry", "huge_int"],
+)
+def test_hostile_matrices_raise_a_library_error(matrix, error):
+    """Only numbers are matrix entries: text is not parsed, a bool is not 1, and a ragged
+    list, a set or a value past the float range is refused, never a bare exception.
+    Anything but a numeric array is read row by row, so numpy's promotion of a bool
+    beside a float never turns it into 1.0."""
+    with pytest.raises(error):
+        HermitianOperator(matrix)
+
+
+def test_numeric_matrices_read_as_their_complex_array():
+    """Integer, float, complex and Python-object numbers give the same operator."""
+    expected = HermitianOperator(np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)).matrix
+    fractions = [[Fraction(1), Fraction(1, 2)], [0.5, -1]]
+    for matrix in ([[1, 0.5], [0.5, -1]], np.array([[2, 1], [1, -2]]) / 2, fractions):
+        assert np.array_equal(HermitianOperator(matrix).matrix, expected)
 
 
 @pytest.mark.parametrize(
@@ -251,7 +292,7 @@ def test_all_nan_triple_refused():
     nan = object.__new__(HermitianOperator)
     object.__setattr__(nan, "matrix", np.full((4, 4), np.nan, dtype=complex))
     with pytest.raises(errors.NotAnSu2Triple):
-        Su2Triple(nan, nan, nan, FULL, ((0, 3),))
+        Su2Triple(nan, nan, nan, FULL)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -291,7 +332,6 @@ SLOTS = {
     "subspins": ("sequence", lambda v: IrrepDecomposition(J32, v)),
     "structure_factor": ("sequence", lambda v: structure_factor(v, J32)),
     "cartan_indices": ("sequence", lambda v: CartanChoice(J32, v)),
-    "blocks": ("sequence", _full_with_blocks),
     "zeta": ("sequence", lambda v: CoherentSpec(math.pi / 2, 0.0, v)),
     "n_values": ("sequence", lambda v: n_scan(PAIR, 0.5, v)),
     "mu_grid": ("sequence", lambda v: compare_with_oracle(_oracle(), SPEC.coherent, v)),
@@ -341,7 +381,6 @@ CANONICAL = {
     "subspins": (3,),
     "structure_factor": (3,),
     "cartan_indices": (2, 7, 10),
-    "blocks": ((0, 3),),
     "zeta": (1.0, 0.0),
     "n_values": (10, 11),
     "mu_grid": (0.0, 1.0),

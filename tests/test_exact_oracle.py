@@ -189,8 +189,8 @@ def test_evolve_requires_diagonal():
     for axis in (triple.o1, triple.o2):
         u = expm(-0.4j * axis.matrix / f)
         o1, o2, o3 = (HermitianOperator(u @ op.matrix @ u.conj().T) for op in (triple.o1, triple.o2, triple.o3))
-        rotated = Su2Triple(o1, o2, o3, triple.decomposition, triple.blocks)
-        assert not rotated.framed
+        rotated = Su2Triple(o1, o2, o3, triple.decomposition)
+        assert not rotated.framed and rotated.blocks == ()  # no ladder is read off the frame
         with pytest.raises(NotDiagonal):
             OracleWorkspace(rotated, 2)
         with pytest.raises(NotDiagonal):
@@ -217,7 +217,7 @@ def test_frame_boundary_is_one_rule_for_triple_and_oracle(eps, framed, monkeypat
         return eigvalsh(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    near = Su2Triple(good.o1, good.o2, o3, good.decomposition, good.blocks)
+    near = Su2Triple(good.o1, good.o2, o3, good.decomposition)
     assert len(calls) == (0 if framed else 1)
     assert near.framed is framed
     frame = {fld.name: fld for fld in dataclasses.fields(Su2Triple)}["framed"]
