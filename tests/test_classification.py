@@ -21,7 +21,7 @@ from spinsqueeze import (
     equivalence_check,
     structure_factor,
 )
-from spinsqueeze.classification import Su2Triple
+from spinsqueeze.classification import Su2Triple, _layout
 from spinsqueeze.errors import AllTrivialSubspins, DimensionMismatch, InvalidInput, NotAnSu2Triple
 from spinsqueeze.lie_algebra import DIAGONAL_TOL, HermitianOperator
 
@@ -370,6 +370,24 @@ def test_every_subset_reads_its_blocks_off_its_ladder(twice_j):
             assert a.matrix.tobytes() == b.matrix.tobytes()
 
 
+@pytest.mark.parametrize(
+    "links, blocks",
+    [
+        ([], ((0, 0),)),
+        ([True, True, True], ((0, 3),)),
+        ([False, False], ((0, 0), (1, 0), (2, 0))),
+        ([False, True, True], ((1, 2), (0, 0))),
+        ([True, False, True], ((0, 1), (2, 1))),
+        ([True, False, False, True, True], ((3, 2), (0, 1), (2, 0))),
+    ],
+    ids=["one_level", "one_block", "all_singlets", "singlet_first", "equal_blocks", "mixed"],
+)
+def test_layout_cuts_the_chain_at_each_unlinked_pair(links, blocks):
+    """The one run-length rule: a block closes at each unlinked pair, and the blocks come
+    largest first, equal subspins left to right."""
+    assert _layout(links) == blocks
+
+
 def test_blocks_are_derived_from_the_ladder():
     """Vertices {2, 3} put the spin-1 block on levels 1..3 and the singlet on level 0; the
     layout is a derived field, never passed, printed or compared."""
@@ -467,14 +485,24 @@ def _canonical_triple(twice_j, twice_subspins):
     return build_su2_triple(canonical_subset(IrrepDecomposition(SpinQuantum(twice_j), twice_subspins)))
 
 
-def test_triple_under_another_class_with_equal_f_rejected():
+@pytest.mark.parametrize(
+    "own, other, rotate, match",
+    [
+        ((3, 3), (4, 0, 0, 0), False, "are not the subspins"),
+        ((4, 0, 0, 0), (3, 3), False, "are not the subspins"),
+        ((3, 3), (4, 0, 0, 0), True, "multiplets"),
+        ((4, 0, 0, 0), (3, 3), True, "multiplets"),
+    ],
+    ids=["pair_as_single", "single_as_pair", "rotated_pair_as_single", "rotated_single_as_pair"],
+)
+def test_triple_under_another_class_with_equal_f_rejected(own, other, rotate, match):
     """At 2J = 7 the {3/2, 3/2} and {2, 0, 0, 0} classes share f = sqrt(4.2), so the
-    commutators cannot tell them apart; the ladder's blocks can."""
-    pair = _canonical_triple(7, (3, 3))
-    single = _canonical_triple(7, (4, 0, 0, 0))
-    assert pair.decomposition.f == pytest.approx(single.decomposition.f, abs=1e-12)
-    with pytest.raises(NotAnSu2Triple, match="are not the subspins"):
-        _relabelled(pair, single.decomposition)
+    commutators cannot tell them apart, either way round; in the frame the ladder's
+    blocks can, off it the sorted O3 spectrum."""
+    mine, theirs = _canonical_triple(7, own), _canonical_triple(7, other)
+    assert mine.decomposition.f == pytest.approx(theirs.decomposition.f, abs=1e-12)
+    with pytest.raises(NotAnSu2Triple, match=match):
+        _relabelled(_rotated(mine) if rotate else mine, theirs.decomposition)
 
 
 @pytest.mark.parametrize("twice_j", [5, 1])
